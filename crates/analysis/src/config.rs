@@ -172,22 +172,10 @@ const ALLOW_PANIC: &[Allow] = &[
               before the encoder can see them",
     },
     Allow {
-        file: "core/src/validation.rs",
-        needle: "expect(\"connected test system\")",
-        why: "built-in test systems have connected topologies (documented \
-              panic)",
-    },
-    Allow {
         file: "core/src/scenario.rs",
         needle: "parts.next().unwrap()",
         why: "split_whitespace on a line already checked to be non-empty \
               yields a first token",
-    },
-    Allow {
-        file: "core/src/attack/verifier.rs",
-        needle: "expect(\"test systems have connected topologies\")",
-        why: "built-in test systems have connected topologies (documented \
-              panic)",
     },
     Allow {
         file: "core/src/analytics.rs",

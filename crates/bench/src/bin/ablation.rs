@@ -51,7 +51,7 @@ fn main() {
     println!();
     println!("# Ablation 2 — defense mechanisms against the unconstrained attacker");
     let sys = ieee14::system_unsecured();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys).expect("ieee14 is connected");
     let mut rows = Vec::new();
 
     let start = Instant::now();
@@ -64,7 +64,9 @@ fn main() {
     );
 
     let start = Instant::now();
-    let greedy = baselines::kim_poor_greedy(&sys, &attacker).expect("converges");
+    let greedy = baselines::kim_poor_greedy(&sys, &attacker)
+        .expect("ieee14 is connected")
+        .expect("converges");
     rows.push(
         Row::new("Kim–Poor-style greedy (buses)")
             .cell("units secured", greedy.secured_buses.len() as f64)

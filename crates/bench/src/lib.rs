@@ -127,7 +127,7 @@ pub fn time_verification(
     sys: &TestSystem,
     model: &AttackModel,
 ) -> (f64, bool, SolverStats) {
-    let verifier = AttackVerifier::new(sys);
+    let verifier = AttackVerifier::new(sys).expect("benchmark cases are connected");
     let start = Instant::now();
     let report = verifier.verify_with_stats(model);
     (start.elapsed().as_secs_f64(), report.outcome.is_feasible(), report.stats)
@@ -139,7 +139,7 @@ pub fn time_synthesis(
     attacker: &AttackModel,
     config: &SynthesisConfig,
 ) -> (f64, bool, usize) {
-    let synth = Synthesizer::new(sys);
+    let synth = Synthesizer::new(sys).expect("benchmark cases are connected");
     let start = Instant::now();
     let outcome = synth.synthesize(attacker, config);
     let secs = start.elapsed().as_secs_f64();

@@ -41,7 +41,9 @@ use crate::report::{CampaignReport, JobResult, Verdict};
 use crate::spec::{CampaignSpec, JobKind};
 use sta_core::attack::{AttackOutcome, AttackVerifier, VerifySession};
 use sta_core::synthesis::{Synthesizer, SynthesisOutcome};
+use sta_estimator::PowerFlowError;
 use sta_smt::{flatten_spans, Budget, Clock, Profiler, SharedSink, TraceEvent};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -333,14 +335,16 @@ fn execute(
     match &job.kind {
         JobKind::Verify(model) => {
             let key = (job.case, model.allow_topology_attack);
-            let session = sessions.entry(key).or_insert_with(|| {
-                VerifySession::with_verifier(
-                    AttackVerifier::new(&case.system)
-                        .with_certify(spec.certify)
-                        .with_simplex(spec.simplex),
-                    model.allow_topology_attack,
-                )
-            });
+            let session = match sessions.entry(key) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => match AttackVerifier::new(&case.system) {
+                    Ok(verifier) => e.insert(VerifySession::with_verifier(
+                        verifier.with_certify(spec.certify).with_simplex(spec.simplex),
+                        model.allow_topology_attack,
+                    )),
+                    Err(err) => return unanchored(result, err, options, started),
+                },
+            };
             if let Some(p) = &profiler {
                 session.set_profiler(p.clone());
             }
@@ -364,9 +368,10 @@ fn execute(
             };
         }
         JobKind::Synthesize { attacker, config } => {
-            let mut synth = Synthesizer::new(&case.system)
-                .with_certify(spec.certify)
-                .with_simplex(spec.simplex);
+            let mut synth = match Synthesizer::new(&case.system) {
+                Ok(synth) => synth.with_certify(spec.certify).with_simplex(spec.simplex),
+                Err(err) => return unanchored(result, err, options, started),
+            };
             if let Some(p) = &profiler {
                 synth = synth.with_profiler(p.clone());
             }
@@ -402,6 +407,19 @@ fn execute(
     if let Some(p) = &profiler {
         result.spans = Some(p.take());
     }
+    result.wall = options.clock.now().saturating_sub(started);
+    result
+}
+
+/// Closes `result` as a job whose case has no operating point: nothing
+/// ran, so only the verdict and the wall are set.
+fn unanchored(
+    mut result: JobResult,
+    err: PowerFlowError,
+    options: &RunOptions,
+    started: Duration,
+) -> JobResult {
+    result.verdict = Verdict::NoOperatingPoint(err);
     result.wall = options.clock.now().saturating_sub(started);
     result
 }

@@ -9,6 +9,7 @@
 
 use crate::histogram::LatencyHistogram;
 use sta_core::attack::AttackVector;
+use sta_estimator::PowerFlowError;
 use sta_grid::BusId;
 use sta_smt::json::{escape_into, f64_into};
 use sta_smt::{merge_spans, Interrupt, PhaseMetrics, PhaseTimings, SolverStats, SpanNode};
@@ -32,6 +33,9 @@ pub enum Verdict {
     /// Synthesis: the iteration cap (or a timed-out check) stopped the
     /// loop early.
     Inconclusive,
+    /// The job's case has no DC operating point to anchor the attack
+    /// model on (an islanded grid): an input error, so nothing ran.
+    NoOperatingPoint(PowerFlowError),
 }
 
 impl Verdict {
@@ -45,6 +49,7 @@ impl Verdict {
             Verdict::Architecture => "architecture",
             Verdict::NoSolution => "no-solution",
             Verdict::Inconclusive => "inconclusive",
+            Verdict::NoOperatingPoint(_) => "no-operating-point",
         }
     }
 
@@ -190,6 +195,7 @@ impl CampaignReport {
             "architecture",
             "no-solution",
             "inconclusive",
+            "no-operating-point",
         ];
         tokens
             .iter()
@@ -203,6 +209,15 @@ impl CampaignReport {
     /// Whether any job ran out of budget.
     pub fn any_unknown(&self) -> bool {
         self.results.iter().any(|r| r.verdict.is_unknown())
+    }
+
+    /// The first job whose case had no operating point, as a message
+    /// naming the case — front ends turn it into an input error.
+    pub fn input_error(&self) -> Option<String> {
+        self.results.iter().find_map(|r| match r.verdict {
+            Verdict::NoOperatingPoint(e) => Some(format!("case {}: {e}", r.case)),
+            _ => None,
+        })
     }
 
     /// Sums every job's deterministic phase counters. Addition over `u64`

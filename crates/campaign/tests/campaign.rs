@@ -224,7 +224,7 @@ fn campaign_verdicts_match_one_shot_verification() {
     for (job, result) in spec.jobs.iter().zip(&report.results) {
         if let sta_campaign::JobKind::Verify(model) = &job.kind {
             let sys = &spec.cases[job.case].system;
-            let expected = AttackVerifier::new(sys).verify(model).is_feasible();
+            let expected = AttackVerifier::new(sys).unwrap().verify(model).is_feasible();
             assert_eq!(
                 result.verdict == Verdict::Sat,
                 expected,
@@ -301,4 +301,32 @@ fn certified_campaign_certifies_every_job() {
             }
         }
     }
+}
+
+/// A case whose in-service lines island the grid has no operating point:
+/// each of its jobs reports `no-operating-point` instead of panicking its
+/// worker, jobs on a healthy case in the same campaign still run, and
+/// the report names the case for the front ends' input error.
+#[test]
+fn islanded_case_jobs_report_no_operating_point() {
+    use sta_estimator::PowerFlowError;
+    let mut islanded = ieee14::system();
+    // Line 7–8 is bus 8's only connection.
+    islanded.topology = islanded.topology.with_line_open(sta_grid::LineId(13));
+    let mut spec = CampaignSpec::new("islanded");
+    let bad = spec.add_case("ieee14-islanded", islanded);
+    let good = spec.add_case("ieee14", ieee14::system());
+    spec.verify(bad, "verify", AttackModel::new(14));
+    spec.synthesize(bad, "synthesize", AttackModel::new(14), SynthesisConfig::with_budget(2));
+    spec.verify(good, "verify", AttackModel::new(14));
+    let report = run(&spec, 2);
+    let islanded = Verdict::NoOperatingPoint(PowerFlowError::Islanded { islands: 2 });
+    assert_eq!(report.results[0].verdict, islanded);
+    assert_eq!(report.results[1].verdict, islanded);
+    assert_eq!(report.results[2].verdict, Verdict::Sat);
+    assert!(report.to_json(false).contains("\"verdict\":\"no-operating-point\""));
+    let message = report.input_error().expect("the islanded case is reported");
+    assert!(message.starts_with("case ieee14-islanded:"), "{message}");
+    assert!(message.contains("2 islands"), "{message}");
+    assert_eq!(run(&mixed_spec(), 2).input_error(), None);
 }

@@ -10,6 +10,7 @@
 //! rank.
 
 use crate::attack::{AttackModel, AttackVector, AttackVerifier, StateTarget};
+use sta_estimator::PowerFlowError;
 use sta_grid::{BusId, LineId, TestSystem};
 use std::fmt;
 
@@ -101,12 +102,16 @@ pub struct ThreatAnalyzer<'a> {
 impl<'a> ThreatAnalyzer<'a> {
     /// Creates an analyzer with a full-knowledge, unconstrained base
     /// attacker.
-    pub fn new(system: &'a TestSystem) -> Self {
-        ThreatAnalyzer {
+    ///
+    /// # Errors
+    /// As [`AttackVerifier::new`]: an islanded system has no operating
+    /// point to anchor on.
+    pub fn new(system: &'a TestSystem) -> Result<Self, PowerFlowError> {
+        Ok(ThreatAnalyzer {
             system,
-            verifier: AttackVerifier::new(system),
+            verifier: AttackVerifier::new(system)?,
             base: AttackModel::new(system.grid.num_buses()),
-        }
+        })
     }
 
     /// Replaces the base attacker scenario (targets and budgets in it are
@@ -203,7 +208,7 @@ mod tests {
     #[test]
     fn assessment_covers_every_state() {
         let sys = ieee14::system_unsecured();
-        let analyzer = ThreatAnalyzer::new(&sys);
+        let analyzer = ThreatAnalyzer::new(&sys).unwrap();
         let assessment = analyzer.assess();
         assert_eq!(assessment.states.len(), 14);
         // The reference state is never attackable; everything else is in
@@ -219,7 +224,7 @@ mod tests {
     #[test]
     fn minimal_budgets_are_tight() {
         let sys = ieee14::system_unsecured();
-        let analyzer = ThreatAnalyzer::new(&sys);
+        let analyzer = ThreatAnalyzer::new(&sys).unwrap();
         // State 12's minimal attack (paper Objective 2 neighborhood):
         // 5 altered measurements across 3 buses is known to work; nothing
         // smaller can (its two incident lines demand those meters).
@@ -233,7 +238,7 @@ mod tests {
     #[test]
     fn ranking_orders_by_cost() {
         let sys = ieee14::system_unsecured();
-        let analyzer = ThreatAnalyzer::new(&sys);
+        let analyzer = ThreatAnalyzer::new(&sys).unwrap();
         let assessment = analyzer.assess();
         let ranked = assessment.ranked();
         for pair in ranked.windows(2) {
@@ -250,8 +255,8 @@ mod tests {
     fn secured_system_reduces_attack_surface() {
         let secured = ieee14::system();
         let unsecured = ieee14::system_unsecured();
-        let a_secured = ThreatAnalyzer::new(&secured).assess();
-        let a_unsecured = ThreatAnalyzer::new(&unsecured).assess();
+        let a_secured = ThreatAnalyzer::new(&secured).unwrap().assess();
+        let a_unsecured = ThreatAnalyzer::new(&unsecured).unwrap().assess();
         // Table III's protections cannot make any state cheaper to attack.
         for j in 0..14 {
             match (
@@ -268,7 +273,7 @@ mod tests {
     #[test]
     fn enumerate_produces_distinct_attacks() {
         let sys = ieee14::system_unsecured();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);

@@ -20,6 +20,7 @@
 use crate::attack::model::AttackModel;
 use crate::attack::vector::{AttackOutcome, VerificationReport};
 use crate::attack::verifier::{AttackEncoding, AttackVerifier};
+use sta_estimator::PowerFlowError;
 use sta_grid::{BusId, MeasurementId, TestSystem};
 use sta_smt::{Budget, SatResult, Solver};
 use std::sync::Arc;
@@ -33,12 +34,15 @@ use std::time::Duration;
 /// use sta_core::attack::{AttackModel, StateTarget, VerifySession};
 /// use sta_grid::{ieee14, BusId};
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sys = ieee14::system();
-/// let mut session = VerifySession::new(&sys, false);
+/// let mut session = VerifySession::new(&sys, false)?;
 /// let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
 /// let blocked = open.clone().max_altered_measurements(0);
 /// assert!(session.verify(&open).outcome.is_feasible());
 /// assert!(!session.verify(&blocked).outcome.is_feasible());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug)]
 pub struct VerifySession {
@@ -59,14 +63,21 @@ impl VerifySession {
     /// The session owns its case data (shared via `Arc` internally), so
     /// it can outlive the borrow of `system` — a cache of live sessions
     /// is free to keep it warm across call stacks and threads.
-    pub fn new(system: &TestSystem, topology: bool) -> Self {
-        Self::with_verifier(AttackVerifier::new(system), topology)
+    ///
+    /// # Errors
+    /// As [`AttackVerifier::new`]: an islanded system has no operating
+    /// point to anchor on.
+    pub fn new(system: &TestSystem, topology: bool) -> Result<Self, PowerFlowError> {
+        Ok(Self::with_verifier(AttackVerifier::new(system)?, topology))
     }
 
     /// Builds a session over an already-shared system without cloning
     /// the case data.
-    pub fn shared(system: Arc<TestSystem>, topology: bool) -> Self {
-        Self::with_verifier(AttackVerifier::shared(system), topology)
+    ///
+    /// # Errors
+    /// As [`AttackVerifier::shared`].
+    pub fn shared(system: Arc<TestSystem>, topology: bool) -> Result<Self, PowerFlowError> {
+        Ok(Self::with_verifier(AttackVerifier::shared(system)?, topology))
     }
 
     /// Builds a session around a configured verifier (operating point,
@@ -279,7 +290,7 @@ mod tests {
         }
         let mut session = {
             let sys = ieee14::system();
-            VerifySession::new(&sys, false)
+            VerifySession::new(&sys, false).unwrap()
         };
         let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         assert!(session.verify(&open).outcome.is_feasible());
@@ -300,7 +311,7 @@ mod tests {
     #[test]
     fn huge_scenario_timeout_does_not_panic_the_session() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         let model = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .with_timeout_ms(u64::MAX);
@@ -313,8 +324,8 @@ mod tests {
     #[test]
     fn session_matches_one_shot_verdicts() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
-        let one_shot = AttackVerifier::new(&sys);
+        let mut session = VerifySession::new(&sys, false).unwrap();
+        let one_shot = AttackVerifier::new(&sys).unwrap();
         let variants = [
             AttackModel::new(14),
             AttackModel::new(14).target(BusId(11), StateTarget::MustChange),
@@ -340,7 +351,7 @@ mod tests {
     #[test]
     fn topology_session_serves_both_scenario_kinds() {
         let sys = ieee14::system_unsecured();
-        let mut session = VerifySession::new(&sys, true);
+        let mut session = VerifySession::new(&sys, true).unwrap();
         assert!(session.supports_topology());
         let mut pinned = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
@@ -358,7 +369,7 @@ mod tests {
         let topo = session.verify(&poisoned).outcome.expect_feasible();
         assert!(topo.uses_topology_attack());
         // And the verdicts match the one-shot paths.
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         assert!(!verifier.verify(&pinned).is_feasible());
         assert!(verifier.verify(&poisoned).is_feasible());
     }
@@ -369,7 +380,7 @@ mod tests {
     #[test]
     fn session_counts_base_cache_hits() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         let blocked = open.clone().max_altered_measurements(0);
         assert_eq!((session.cache_hits(), session.cache_misses()), (0, 0));
@@ -387,7 +398,7 @@ mod tests {
     #[test]
     fn timed_out_job_leaves_session_reusable() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         let model = AttackModel::new(14);
         let report =
             session.verify_with_budget(&model, &Budget::with_timeout(Duration::ZERO));
@@ -402,7 +413,7 @@ mod tests {
     #[test]
     fn scenario_assumptions_match_hardened_model_verdicts() {
         let sys = ieee14::system_unsecured();
-        let one_shot = AttackVerifier::new(&sys);
+        let one_shot = AttackVerifier::new(&sys).unwrap();
         let attacker = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
@@ -413,7 +424,7 @@ mod tests {
             &[BusId(2), BusId(5), BusId(11), BusId(12)],
         ];
         for incremental in [true, false] {
-            let mut session = VerifySession::new(&sys, false);
+            let mut session = VerifySession::new(&sys, false).unwrap();
             session.set_incremental(incremental);
             session.begin_scenario(&attacker);
             for buses in bus_sets {
@@ -437,11 +448,11 @@ mod tests {
     #[test]
     fn scenario_measurement_assumptions_match_hardened_model() {
         let sys = ieee14::system_unsecured();
-        let one_shot = AttackVerifier::new(&sys);
+        let one_shot = AttackVerifier::new(&sys).unwrap();
         let attacker = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         session.begin_scenario(&attacker);
         for ids in [vec![], vec![MeasurementId(45)], vec![MeasurementId(45), MeasurementId(50)]] {
             let assumed = session
@@ -461,7 +472,7 @@ mod tests {
     #[test]
     fn session_is_reusable_after_end_scenario() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         session.begin_scenario(&open);
         assert!(session
@@ -486,7 +497,7 @@ mod tests {
     #[test]
     fn zero_budget_verify_assuming_keeps_scenario_usable() {
         let sys = ieee14::system();
-        let mut session = VerifySession::new(&sys, false);
+        let mut session = VerifySession::new(&sys, false).unwrap();
         let model = AttackModel::new(14);
         session.begin_scenario(&model);
         let starved = session.verify_assuming(&[], &[], &Budget::with_timeout(Duration::ZERO));
@@ -506,7 +517,7 @@ mod tests {
     fn session_certifies_across_variants() {
         let sys = ieee14::system();
         let verifier =
-            AttackVerifier::new(&sys).with_certify(sta_smt::CertifyLevel::Full);
+            AttackVerifier::new(&sys).unwrap().with_certify(sta_smt::CertifyLevel::Full);
         let mut session = VerifySession::with_verifier(verifier, false);
         let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         let blocked = open.clone().max_altered_measurements(0);

@@ -43,7 +43,7 @@
 use crate::attack::model::{AttackModel, StateTarget};
 use crate::attack::vector::{Alteration, AttackOutcome, AttackVector, VerificationReport};
 use crate::decimal;
-use sta_estimator::dcflow;
+use sta_estimator::{dcflow, PowerFlowError};
 use sta_grid::{BusId, LineId, MeasurementConfig, MeasurementId, TestSystem};
 use sta_smt::{
     BoolVar, Budget, CertifyLevel, Formula, LinExpr, LinExprCmp, Model, Profiler, RealVar,
@@ -84,10 +84,13 @@ pub(crate) struct AttackEncoding {
 /// use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
 /// use sta_grid::{ieee14, BusId};
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sys = ieee14::system();
-/// let verifier = AttackVerifier::new(&sys);
+/// let verifier = AttackVerifier::new(&sys)?;
 /// let model = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
 /// assert!(verifier.verify(&model).is_feasible());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct AttackVerifier {
@@ -114,26 +117,42 @@ pub struct AttackVerifier {
 
 impl AttackVerifier {
     /// Creates a verifier with a deterministic synthetic base operating
-    /// point (seed 0) — the paper's testbed operating points are not
-    /// published; see `DESIGN.md` §5. The system is cloned into shared
-    /// ownership; callers that already hold an `Arc` should use
+    /// point (seed 0, see [`AttackVerifier::default_operating_point`]) —
+    /// the paper's testbed operating points are not published; see
+    /// `DESIGN.md` §5. The system is cloned into shared ownership;
+    /// callers that already hold an `Arc` should use
     /// [`AttackVerifier::shared`] to avoid the copy.
-    pub fn new(system: &TestSystem) -> Self {
-        Self::shared(Arc::new(system.clone()))
+    ///
+    /// # Errors
+    /// Returns a [`PowerFlowError`] when the system's in-service topology
+    /// admits no operating point to anchor on (an islanded grid).
+    pub fn new(system: &TestSystem) -> Result<Self, PowerFlowError> {
+        let op = Self::default_operating_point(system)?;
+        Ok(Self::with_operating_point(system, &op))
     }
 
     /// Creates a verifier over an already-shared system with the default
     /// deterministic operating point (seed 0).
-    pub fn shared(system: Arc<TestSystem>) -> Self {
+    ///
+    /// # Errors
+    /// As [`AttackVerifier::new`].
+    pub fn shared(system: Arc<TestSystem>) -> Result<Self, PowerFlowError> {
+        let op = Self::default_operating_point(&system)?;
+        Ok(Self::shared_with_operating_point(system, &op))
+    }
+
+    /// The base operating point [`AttackVerifier::new`] anchors on: the
+    /// DC power flow of seed-0 synthetic injections over the system's
+    /// own topology.
+    ///
+    /// # Errors
+    /// Returns a [`PowerFlowError`] naming the island count when the
+    /// in-service lines do not connect every bus.
+    pub fn default_operating_point(
+        system: &TestSystem,
+    ) -> Result<dcflow::OperatingPoint, PowerFlowError> {
         let injections = dcflow::synthetic_injections(system.grid.num_buses(), 0);
-        let op = dcflow::solve(
-            &system.grid,
-            &system.topology,
-            &injections,
-            system.reference_bus,
-        )
-        .expect("test systems have connected topologies");
-        Self::shared_with_operating_point(system, &op)
+        dcflow::solve(&system.grid, &system.topology, &injections, system.reference_bus)
     }
 
     /// Creates a verifier anchored at a specific operating point. The
@@ -767,7 +786,7 @@ mod tests {
     #[test]
     fn unconstrained_attack_exists() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14);
         let outcome = verifier.verify(&model);
         let v = outcome.expect_feasible();
@@ -778,7 +797,7 @@ mod tests {
     #[test]
     fn zero_budget_is_infeasible() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).max_altered_measurements(0);
         assert!(!verifier.verify(&model).is_feasible());
     }
@@ -786,7 +805,7 @@ mod tests {
     #[test]
     fn reference_state_cannot_be_target() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(0), StateTarget::MustChange);
         assert!(!verifier.verify(&model).is_feasible());
     }
@@ -794,7 +813,7 @@ mod tests {
     #[test]
     fn alterations_respect_security() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         let v = verifier.verify(&model).expect_feasible();
         for a in &v.alterations {
@@ -806,7 +825,7 @@ mod tests {
     #[test]
     fn resource_limits_bind() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .max_altered_measurements(10)
@@ -823,7 +842,7 @@ mod tests {
         // physical access to bus 13 removes the only injection meter that
         // can absorb line 19's flow change.
         let sys = ieee14::system_unsecured();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let mut base = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         for j in 0..14 {
             if j != 11 {
@@ -879,7 +898,7 @@ mod tests {
     #[test]
     fn stats_reported() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let report = verifier.verify_with_stats(&AttackModel::new(14));
         assert!(report.stats.sat_vars > 0);
         assert!(report.stats.estimated_bytes() > 0);
@@ -894,7 +913,7 @@ mod tests {
     fn certified_verification_ieee14() {
         let sys = ieee14::system();
         let verifier =
-            AttackVerifier::new(&sys).with_certify(sta_smt::CertifyLevel::Full);
+            AttackVerifier::new(&sys).unwrap().with_certify(sta_smt::CertifyLevel::Full);
         assert_eq!(verifier.certify_level(), sta_smt::CertifyLevel::Full);
 
         // Feasible: certified SAT (model re-evaluation).
@@ -920,7 +939,7 @@ mod tests {
     #[test]
     fn scenario_certify_level_is_honored() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14)
             .target(BusId(5), StateTarget::MustChange)
             .with_certify(sta_smt::CertifyLevel::CheckModels);
@@ -934,7 +953,7 @@ mod tests {
     #[test]
     fn expired_timeout_is_unknown_not_infeasible() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).with_timeout_ms(0);
         let outcome = verifier.verify(&model);
         assert!(outcome.is_unknown(), "{outcome:?}");

@@ -14,7 +14,7 @@
 //! is the budget-aware alternative the evaluation compares them with.
 
 use crate::attack::{AttackModel, AttackVerifier};
-use sta_estimator::observability;
+use sta_estimator::{observability, PowerFlowError};
 use sta_grid::{BusId, MeasurementConfig, MeasurementId, TestSystem};
 use std::collections::BTreeMap;
 
@@ -44,17 +44,21 @@ pub fn bobba_protection(sys: &TestSystem) -> Option<Vec<MeasurementId>> {
 }
 
 /// Checks that securing `measurements` defeats `attacker` on `sys`.
+///
+/// # Errors
+/// As [`AttackVerifier::new`]: an islanded system has no operating point
+/// to anchor on.
 pub fn blocks_attack(
     sys: &TestSystem,
     measurements: &[MeasurementId],
     attacker: &AttackModel,
-) -> bool {
-    let verifier = AttackVerifier::new(sys);
+) -> Result<bool, PowerFlowError> {
+    let verifier = AttackVerifier::new(sys)?;
     let mut hardened = attacker.clone();
     hardened
         .extra_secured_measurements
         .extend_from_slice(measurements);
-    !verifier.verify(&hardened).is_feasible()
+    Ok(!verifier.verify(&hardened).is_feasible())
 }
 
 /// Result of the greedy baseline.
@@ -70,11 +74,18 @@ pub struct GreedyResult {
 /// picking the bus that hosts the most alterations of the current
 /// counterexample attack, until the attack model is infeasible.
 ///
-/// Returns `None` if even securing every bus leaves the model feasible
-/// (cannot happen for any attack model that requires altering at least
-/// one measurement).
-pub fn kim_poor_greedy(sys: &TestSystem, attacker: &AttackModel) -> Option<GreedyResult> {
-    let verifier = AttackVerifier::new(sys);
+/// Returns `Ok(None)` if even securing every bus leaves the model
+/// feasible (cannot happen for any attack model that requires altering
+/// at least one measurement).
+///
+/// # Errors
+/// As [`AttackVerifier::new`]: an islanded system has no operating point
+/// to anchor on.
+pub fn kim_poor_greedy(
+    sys: &TestSystem,
+    attacker: &AttackModel,
+) -> Result<Option<GreedyResult>, PowerFlowError> {
+    let verifier = AttackVerifier::new(sys)?;
     let mut secured: Vec<BusId> = Vec::new();
     let mut oracle_calls = 0usize;
     let b = sys.grid.num_buses();
@@ -84,7 +95,7 @@ pub fn kim_poor_greedy(sys: &TestSystem, attacker: &AttackModel) -> Option<Greed
         oracle_calls += 1;
         let outcome = verifier.verify(&hardened);
         let Some(vector) = outcome.vector() else {
-            return Some(GreedyResult { secured_buses: secured, oracle_calls });
+            return Ok(Some(GreedyResult { secured_buses: secured, oracle_calls }));
         };
         // Count alterations per hosting bus; secure the busiest new bus.
         let mut counts: BTreeMap<BusId, usize> = BTreeMap::new();
@@ -92,13 +103,16 @@ pub fn kim_poor_greedy(sys: &TestSystem, attacker: &AttackModel) -> Option<Greed
             let bus = MeasurementConfig::bus_of(&sys.grid, alt.measurement);
             *counts.entry(bus).or_insert(0) += 1;
         }
-        let pick = counts
+        let Some(pick) = counts
             .into_iter()
             .filter(|(bus, _)| !secured.contains(bus))
-            .max_by_key(|&(bus, c)| (c, usize::MAX - bus.0))?;
+            .max_by_key(|&(bus, c)| (c, usize::MAX - bus.0))
+        else {
+            return Ok(None);
+        };
         secured.push(pick.0);
     }
-    None
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -112,7 +126,7 @@ mod tests {
         let sys = ieee14::system();
         let basic = bobba_protection(&sys).expect("observable");
         let attacker = AttackModel::new(14);
-        assert!(blocks_attack(&sys, &basic, &attacker));
+        assert!(blocks_attack(&sys, &basic, &attacker).unwrap());
     }
 
     #[test]
@@ -126,7 +140,7 @@ mod tests {
         let attacker = AttackModel::new(14);
         let reduced: Vec<MeasurementId> =
             basic.iter().skip(1).copied().collect();
-        assert!(!blocks_attack(&sys, &reduced, &attacker));
+        assert!(!blocks_attack(&sys, &reduced, &attacker).unwrap());
     }
 
     #[test]
@@ -135,11 +149,11 @@ mod tests {
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
-        let result = kim_poor_greedy(&sys, &attacker).expect("converges");
+        let result = kim_poor_greedy(&sys, &attacker).unwrap().expect("converges");
         assert!(!result.secured_buses.is_empty());
         assert!(result.oracle_calls >= result.secured_buses.len());
         // Final set actually blocks.
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let hardened = attacker.clone().secure_buses(&result.secured_buses);
         assert!(!verifier.verify(&hardened).is_feasible());
     }
@@ -153,8 +167,8 @@ mod tests {
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
-        let greedy = kim_poor_greedy(&sys, &attacker).expect("converges");
-        let synth = crate::synthesis::Synthesizer::new(&sys);
+        let greedy = kim_poor_greedy(&sys, &attacker).unwrap().expect("converges");
+        let synth = crate::synthesis::Synthesizer::new(&sys).unwrap();
         let outcome = synth.synthesize(
             &attacker,
             &crate::synthesis::SynthesisConfig::with_budget(greedy.secured_buses.len()),

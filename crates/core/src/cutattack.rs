@@ -269,7 +269,7 @@ mod tests {
         // The SMT model searches all attacks; the greedy cut is one of
         // them, so min_measurements ≤ cut cost for every state.
         let sys = ieee14::system_unsecured();
-        let analyzer = ThreatAnalyzer::new(&sys);
+        let analyzer = ThreatAnalyzer::new(&sys).unwrap();
         for target in 1..14 {
             let cut = best_cut_attack(&sys, BusId(target), 0.1).unwrap();
             let threat = analyzer.assess_state(BusId(target));

@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn verified_attack_misleads_flows() {
         let (sys, op) = setup();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(9), StateTarget::MustChange);
         let attack = verifier.verify(&model).expect_feasible();
         let report = assess(&sys, &op, &attack);
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn excluded_line_perceived_as_zero() {
         let (sys, op) = setup();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         // The Objective-2 topology attack: line 13 excluded.
         let mut model = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)

@@ -22,8 +22,9 @@
 //! use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
 //! use sta_grid::{ieee14, BusId};
 //!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sys = ieee14::system();
-//! let verifier = AttackVerifier::new(&sys);
+//! let verifier = AttackVerifier::new(&sys)?;
 //! let model = AttackModel::new(14)
 //!     .target(BusId(8), StateTarget::MustChange)   // state 9
 //!     .target(BusId(9), StateTarget::MustChange)   // state 10
@@ -31,6 +32,8 @@
 //!     .max_altered_measurements(16)
 //!     .max_compromised_buses(7);
 //! assert!(verifier.verify(&model).is_feasible());
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]

@@ -14,6 +14,7 @@
 //! budget).
 
 use crate::attack::{AttackModel, AttackVerifier, VerifySession};
+use sta_estimator::PowerFlowError;
 use sta_grid::{BusId, MeasurementConfig, MeasurementId, TestSystem};
 use sta_smt::{
     BoolVar, Budget, CertifyLevel, Formula, PhaseMetrics, PhaseTimings, SatResult, Solver,
@@ -191,14 +192,17 @@ impl SynthesisOutcome {
 /// use sta_core::synthesis::{SynthesisConfig, Synthesizer};
 /// use sta_grid::ieee14;
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sys = ieee14::system();
-/// let synth = Synthesizer::new(&sys);
+/// let synth = Synthesizer::new(&sys)?;
 /// // A knowledge- and resource-limited attacker (paper Scenario 1).
 /// let attacker = AttackModel::new(14)
 ///     .unknown_lines(20, &[2, 16])
 ///     .max_altered_measurements(12);
 /// let outcome = synth.synthesize(&attacker, &SynthesisConfig::with_budget(4));
 /// assert!(outcome.is_solution());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug)]
 pub struct Synthesizer<'a> {
@@ -211,13 +215,17 @@ pub struct Synthesizer<'a> {
 impl<'a> Synthesizer<'a> {
     /// Creates a synthesizer over `system` with the default operating
     /// point.
-    pub fn new(system: &'a TestSystem) -> Self {
-        Synthesizer {
+    ///
+    /// # Errors
+    /// As [`AttackVerifier::new`]: an islanded system has no operating
+    /// point to anchor on.
+    pub fn new(system: &'a TestSystem) -> Result<Self, PowerFlowError> {
+        Ok(Synthesizer {
             system,
-            verifier: AttackVerifier::new(system),
+            verifier: AttackVerifier::new(system)?,
             certify: CertifyLevel::Off,
             profiler: None,
-        }
+        })
     }
 
     /// Certifies every solver answer in the loop — both the candidate
@@ -545,7 +553,7 @@ mod tests {
     #[test]
     fn zero_budget_fails_against_real_attacker() {
         let sys = ieee14::system();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         let attacker = AttackModel::new(14);
         let outcome = synth.synthesize(&attacker, &SynthesisConfig::with_budget(0));
         assert!(!outcome.is_solution());
@@ -554,19 +562,19 @@ mod tests {
     #[test]
     fn architecture_blocks_the_attack_model() {
         let sys = ieee14::system_unsecured();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         // Limited attacker: one specific target, modest resources.
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
         // Meaningful setup: the attack succeeds without protection.
-        assert!(AttackVerifier::new(&sys).verify(&attacker).is_feasible());
+        assert!(AttackVerifier::new(&sys).unwrap().verify(&attacker).is_feasible());
         let outcome = synth.synthesize(&attacker, &SynthesisConfig::with_budget(3));
         let arch = outcome.architecture().expect("solution within 3 buses");
         assert!(arch.secured_buses.len() <= 3);
         assert!(!arch.secured_buses.is_empty());
         // Re-verify independently.
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let hardened = attacker.clone().secure_buses(&arch.secured_buses);
         assert!(!verifier.verify(&hardened).is_feasible());
     }
@@ -574,7 +582,7 @@ mod tests {
     #[test]
     fn unsecurable_buses_never_selected() {
         let sys = ieee14::system();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
@@ -590,7 +598,7 @@ mod tests {
     #[test]
     fn measurement_level_synthesis_blocks_and_is_minimal_ish() {
         let sys = ieee14::system_unsecured();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         let attacker = AttackModel::new(14);
         // Bobba: 13 basic measurements always suffice; the synthesized
         // set must also block and fit the same budget.
@@ -599,7 +607,7 @@ mod tests {
             .expect("13 measurements suffice (Bobba)");
         assert!(set.len() <= 13);
         assert!(iters >= 1);
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let mut hardened = attacker.clone();
         hardened.extra_secured_measurements.extend(set.iter().copied());
         assert!(!verifier.verify(&hardened).is_feasible());
@@ -617,7 +625,7 @@ mod tests {
             ],
         );
         let tiny = sta_grid::TestSystem::fully_metered("ring", ring);
-        let tiny_synth = Synthesizer::new(&tiny);
+        let tiny_synth = Synthesizer::new(&tiny).unwrap();
         let tiny_attacker = AttackModel::new(4);
         assert!(tiny_synth.synthesize_measurements(&tiny_attacker, 3).is_some());
         assert!(tiny_synth.synthesize_measurements(&tiny_attacker, 2).is_none());
@@ -626,7 +634,7 @@ mod tests {
     #[test]
     fn strict_knowledge_is_at_least_as_restrictive() {
         let sys = ieee14::system_unsecured();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         // Target a state adjacent to an unknown line: strict semantics
         // must refuse whenever the lax semantics refuses, and may refuse
         // more.
@@ -652,7 +660,7 @@ mod tests {
     fn profiler_captures_cegis_span_tree() {
         let sys = ieee14::system_unsecured();
         let profiler = sta_smt::Profiler::new();
-        let synth = Synthesizer::new(&sys).with_profiler(profiler.clone());
+        let synth = Synthesizer::new(&sys).unwrap().with_profiler(profiler.clone());
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
@@ -699,8 +707,8 @@ mod tests {
     #[test]
     fn incremental_and_clone_per_check_synthesis_agree() {
         let sys = ieee14::system_unsecured();
-        let synth = Synthesizer::new(&sys);
-        let verifier = AttackVerifier::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let attackers = [
             AttackModel::new(14)
                 .target(sta_grid::BusId(11), StateTarget::MustChange)
@@ -746,7 +754,7 @@ mod tests {
     #[test]
     fn incremental_synthesis_reports_core_reuse() {
         let sys = ieee14::system_unsecured();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         let attacker = AttackModel::new(14)
             .target(sta_grid::BusId(11), StateTarget::MustChange)
             .max_altered_measurements(8);
@@ -772,7 +780,7 @@ mod tests {
     #[test]
     fn iteration_cap_returns_inconclusive() {
         let sys = ieee14::system();
-        let synth = Synthesizer::new(&sys);
+        let synth = Synthesizer::new(&sys).unwrap();
         let attacker = AttackModel::new(14);
         let mut config = SynthesisConfig::with_budget(1);
         config.max_iterations = Some(1);

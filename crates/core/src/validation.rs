@@ -9,9 +9,9 @@
 //! through here, so a bug in either the encoding or the estimator shows up
 //! as a residual jump.
 
-use crate::attack::AttackVector;
+use crate::attack::{AttackVector, AttackVerifier};
 use sta_estimator::dcflow::OperatingPoint;
-use sta_estimator::{dcflow, WlsEstimator};
+use sta_estimator::{PowerFlowError, WlsEstimator};
 use sta_grid::{MeasurementId, TestSystem, Topology};
 use sta_linalg::Vector;
 use std::fmt;
@@ -48,12 +48,15 @@ impl fmt::Display for ReplayResult {
     }
 }
 
-/// Error from [`replay`].
+/// Error from [`replay`] and [`replay_default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// The faked topology leaves the system unobservable — the EMS would
     /// reject the snapshot rather than estimate from it.
     UnobservableUnderAttack,
+    /// The system has no base operating point to replay at (an islanded
+    /// grid; see [`crate::attack::AttackVerifier::default_operating_point`]).
+    NoOperatingPoint(PowerFlowError),
 }
 
 impl fmt::Display for ReplayError {
@@ -62,6 +65,7 @@ impl fmt::Display for ReplayError {
             ReplayError::UnobservableUnderAttack => {
                 f.write_str("system unobservable under the attacked topology")
             }
+            ReplayError::NoOperatingPoint(e) => e.fmt(f),
         }
     }
 }
@@ -142,14 +146,13 @@ pub fn replay(
 /// [`crate::attack::AttackVerifier::new`].
 ///
 /// # Errors
-/// See [`replay`].
+/// [`ReplayError::NoOperatingPoint`] on an islanded system; otherwise see
+/// [`replay`].
 pub fn replay_default(
     sys: &TestSystem,
     attack: &AttackVector,
 ) -> Result<ReplayResult, ReplayError> {
-    let injections = dcflow::synthetic_injections(sys.grid.num_buses(), 0);
-    let op = dcflow::solve(&sys.grid, &sys.topology, &injections, sys.reference_bus)
-        .expect("connected test system");
+    let op = AttackVerifier::default_operating_point(sys).map_err(ReplayError::NoOperatingPoint)?;
     replay(sys, &op, attack)
 }
 
@@ -264,7 +267,7 @@ mod tests {
     #[test]
     fn verified_attack_is_stealthy_in_replay() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(9), StateTarget::MustChange);
         let attack = verifier.verify(&model).expect_feasible();
         let result = replay_default(&sys, &attack).unwrap();
@@ -275,7 +278,7 @@ mod tests {
     #[test]
     fn noisy_replay_attack_statistically_invisible() {
         let sys = ieee14::system_unsecured();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(9), StateTarget::MustChange);
         let attack = verifier.verify(&model).expect_feasible();
         let injections = sta_estimator::dcflow::synthetic_injections(14, 0);
@@ -300,7 +303,7 @@ mod tests {
     #[test]
     fn noisy_replay_of_topology_attack() {
         let sys = ieee14::system_unsecured();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let mut model = AttackModel::new(14)
             .target(BusId(11), StateTarget::MustChange)
             .secure_measurement(sta_grid::MeasurementId(45))
@@ -327,9 +330,25 @@ mod tests {
     }
 
     #[test]
+    fn islanded_system_has_no_operating_point_to_replay_at() {
+        let sys = ieee14::system();
+        let model = AttackModel::new(14).target(BusId(9), StateTarget::MustChange);
+        let attack = AttackVerifier::new(&sys).unwrap().verify(&model).expect_feasible();
+        let mut islanded = sys;
+        // Line 7–8 is bus 8's only connection.
+        islanded.topology = islanded.topology.with_line_open(sta_grid::LineId(13));
+        let islands = PowerFlowError::Islanded { islands: 2 };
+        assert_eq!(AttackVerifier::new(&islanded).unwrap_err(), islands);
+        assert_eq!(
+            replay_default(&islanded, &attack).unwrap_err(),
+            ReplayError::NoOperatingPoint(islands)
+        );
+    }
+
+    #[test]
     fn corrupting_the_vector_breaks_stealth() {
         let sys = ieee14::system();
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(14).target(BusId(9), StateTarget::MustChange);
         let mut attack = verifier.verify(&model).expect_feasible();
         // Sabotage one injection amount: the residual must move.

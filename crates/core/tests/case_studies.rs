@@ -33,7 +33,7 @@ fn objective1(t_cz: usize, t_cb: usize, different: bool) -> AttackModel {
 #[test]
 fn objective1_feasible_at_paper_budget() {
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let attack = verifier.verify(&objective1(16, 7, true)).expect_feasible();
     assert!(attack.num_alterations() <= 16);
     assert!(attack.compromised_buses.len() <= 7);
@@ -50,7 +50,7 @@ fn objective1_feasible_at_paper_budget() {
 #[test]
 fn objective1_equal_change_needs_fewer_resources() {
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     // Allowing equal changes, the paper finds a 15-measurement/6-bus
     // attack.
     let attack = verifier.verify(&objective1(15, 6, false)).expect_feasible();
@@ -69,7 +69,7 @@ fn objective1_has_sharp_feasibility_thresholds() {
     // bus budget binding independently of the measurement budget — is the
     // reproduced result (see EXPERIMENTS.md).
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     assert!(verifier.verify(&objective1(13, 6, true)).is_feasible());
     assert!(
         !verifier.verify(&objective1(12, 14, true)).is_feasible(),
@@ -86,7 +86,7 @@ fn objective1_states_9_10_cannot_be_attacked_alone() {
     // "along with 9 and 10, some other states are also required to be
     // corrupted; only states 9 and 10 cannot be attacked alone."
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let mut m = AttackModel::new(14)
         .unknown_lines(20, &ieee14::EXAMPLE_UNKNOWN_LINES.map(|l| l - 1))
         .target(BusId(8), StateTarget::MustChange)
@@ -115,7 +115,7 @@ fn objective2() -> AttackModel {
 #[test]
 fn objective2_matches_paper_measurement_set() {
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let attack = verifier.verify(&objective2()).expect_feasible();
     let mut meters: Vec<usize> =
         attack.alterations.iter().map(|a| a.measurement.0 + 1).collect();
@@ -137,7 +137,7 @@ fn objective2_matches_paper_measurement_set() {
 #[test]
 fn objective2_blocked_by_securing_measurement_46() {
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let model = objective2().secure_measurement(MeasurementId(45));
     assert!(!verifier.verify(&model).is_feasible());
 }
@@ -147,7 +147,7 @@ fn objective2_revived_by_topology_poisoning() {
     // With measurement 46 secured, excluding line 13 re-enables the
     // attack; the paper reports measurements 12, 13, 32, 33, 39 and 53.
     let sys = example_system();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let model = objective2()
         .secure_measurement(MeasurementId(45))
         .with_topology_attack();
@@ -176,7 +176,7 @@ fn scenario1_four_buses_suffice_for_limited_attacker() {
     // Attacker: admittances of lines 3 and 17 unknown, ≤ 12 measurements,
     // any state as target. The paper synthesizes {1, 6, 7, 10}.
     let sys = example_system();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys).unwrap();
     let attacker = AttackModel::new(14)
         .unknown_lines(20, &[2, 16])
         .max_altered_measurements(12);
@@ -185,7 +185,7 @@ fn scenario1_four_buses_suffice_for_limited_attacker() {
     assert!(arch.secured_buses.len() <= 4);
     assert!(arch.secured_buses.contains(&BusId(0)), "reference secured");
     // Independent re-verification.
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let hardened = attacker.clone().secure_buses(&arch.secured_buses);
     assert!(!verifier.verify(&hardened).is_feasible());
     // The reference bus alone is not enough.
@@ -197,14 +197,14 @@ fn scenario2_full_knowledge_needs_five_buses() {
     // Full knowledge, unlimited resources: no 4-bus architecture exists,
     // 5 buses suffice — the paper's 4 → 5 transition, reproduced exactly.
     let sys = example_system();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys).unwrap();
     let attacker = AttackModel::new(14);
     let small = synth.synthesize(&attacker, &scenario_config(4));
     assert!(!small.is_solution(), "scenario 2: 4 buses must not suffice");
     let larger = synth.synthesize(&attacker, &scenario_config(5));
     let arch = larger.architecture().expect("5 buses suffice");
     assert_eq!(arch.secured_buses.len(), 5);
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let hardened = attacker.clone().secure_buses(&arch.secured_buses);
     assert!(!verifier.verify(&hardened).is_feasible());
 }
@@ -218,7 +218,7 @@ fn scenario3_architecture_resists_topology_poisoning() {
     // EXPERIMENTS.md). The reproduced shape: 4 buses fail, a solution
     // exists, and it independently resists the topology-armed attacker.
     let sys = example_system();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys).unwrap();
     let attacker = AttackModel::new(14).with_topology_attack();
     assert!(
         !synth.synthesize(&attacker, &scenario_config(4)).is_solution(),
@@ -226,7 +226,7 @@ fn scenario3_architecture_resists_topology_poisoning() {
     );
     let outcome = synth.synthesize(&attacker, &scenario_config(5));
     let arch = outcome.architecture().expect("architecture exists");
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let hardened = attacker.clone().secure_buses(&arch.secured_buses);
     assert!(!verifier.verify(&hardened).is_feasible());
     // Sanity: the same budget *without* those buses leaves topology

@@ -28,7 +28,7 @@ fn witnesses_replay_stealthily() {
         let seed = rng.next_u64() % 40;
         let sys = random_system(buses, extra, seed);
         let target = 1 + (rng.range_usize(1, 14) % (buses - 1));
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model =
             AttackModel::new(buses).target(BusId(target), StateTarget::MustChange);
         if let Some(attack) = verifier.verify(&model).vector() {
@@ -48,7 +48,7 @@ fn protection_is_monotone() {
         let extra = rng.range_usize(2, 5);
         let seed = rng.next_u64() % 30;
         let sys = random_system(buses, extra, seed);
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let target = BusId(buses / 2);
         let a = BusId(rng.below(buses));
         let b = BusId(rng.below(buses));
@@ -78,7 +78,7 @@ fn cut_bound_holds() {
         let sys = random_system(buses, extra, seed);
         let target = BusId(buses / 2);
         if let Some(cut) = cutattack::best_cut_attack(&sys, target, 0.1) {
-            let verifier = AttackVerifier::new(&sys);
+            let verifier = AttackVerifier::new(&sys).unwrap();
             let model = AttackModel::new(buses)
                 .target(target, StateTarget::MustChange)
                 .max_altered_measurements(cut.cost);
@@ -101,7 +101,7 @@ fn budget_monotonicity() {
         let seed = rng.next_u64() % 30;
         let k = rng.range_usize(3, 10);
         let sys = random_system(buses, extra, seed);
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let target = BusId(buses / 2);
         let tight = AttackModel::new(buses)
             .target(target, StateTarget::MustChange)
@@ -129,7 +129,7 @@ fn untaken_meters_never_altered() {
         for m in (0..sys.measurements.len()).step_by(drop_stride) {
             sys.measurements.set_taken(MeasurementId(m), false);
         }
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(buses);
         if let Some(v) = verifier.verify(&model).vector() {
             for alt in &v.alterations {

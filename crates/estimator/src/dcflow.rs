@@ -7,7 +7,7 @@
 //! estimator validation.
 
 use sta_grid::{BusId, Grid, LineId, Topology};
-use sta_linalg::{Lu, SingularMatrixError, Vector};
+use sta_linalg::{SparseCholesky, Vector};
 
 /// A solved operating point of the system.
 #[derive(Debug, Clone)]
@@ -22,31 +22,53 @@ pub struct OperatingPoint {
     pub bus_consumption: Vector,
 }
 
-/// Error from [`solve`] when the susceptance system is singular — the
-/// topology is split into islands or the injections are inconsistent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PowerFlowError;
+/// Why [`solve`] found no operating point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PowerFlowError {
+    /// The in-service lines split the grid into `islands` electrical
+    /// islands; one reference bus cannot pin the angles of all of them.
+    Islanded {
+        /// Number of islands (at least two).
+        islands: usize,
+    },
+    /// The grid is connected but the reduced susceptance matrix still
+    /// has a non-positive pivot — the numerical backstop for admittances
+    /// so disparate that the factorization loses positive definiteness.
+    NotPositiveDefinite,
+}
 
 impl std::fmt::Display for PowerFlowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DC power flow is singular (check topology connectivity)")
+        match self {
+            PowerFlowError::Islanded { islands } => write!(
+                f,
+                "no DC operating point: the in-service lines split the grid into \
+                 {islands} islands"
+            ),
+            PowerFlowError::NotPositiveDefinite => f.write_str(
+                "no DC operating point: the reduced susceptance matrix is not \
+                 positive definite",
+            ),
+        }
     }
 }
 
 impl std::error::Error for PowerFlowError {}
 
-impl From<SingularMatrixError> for PowerFlowError {
-    fn from(_: SingularMatrixError) -> Self {
-        PowerFlowError
-    }
-}
-
 /// Solves the DC power flow for the given *net injections* (generation
 /// minus load, per bus; the reference bus balances the rest).
 ///
+/// Drops the reference bus from `B·θ = P` and factors the reduced
+/// susceptance matrix ([`sta_grid::topology::b_matrix`]) with the
+/// AMD-ordered sparse `LDLᵀ` ([`SparseCholesky`]): on a connected grid it
+/// is symmetric positive definite, and its factor stays O(b + l)-sized,
+/// so the solve costs milliseconds at thousands of buses.
+///
 /// # Errors
-/// Returns [`PowerFlowError`] if the in-service topology does not connect
-/// all buses.
+/// Returns [`PowerFlowError::Islanded`] if the in-service topology does
+/// not connect all buses (checked before factoring), and
+/// [`PowerFlowError::NotPositiveDefinite`] if the factorization meets a
+/// non-positive pivot anyway.
 ///
 /// # Panics
 /// Panics if `injections.len() != grid.num_buses()`.
@@ -56,7 +78,6 @@ impl From<SingularMatrixError> for PowerFlowError {
 /// ```
 /// use sta_estimator::dcflow;
 /// use sta_grid::{ieee14, BusId};
-/// use sta_linalg::Vector;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sys = ieee14::system();
@@ -76,12 +97,16 @@ pub fn solve(
 ) -> Result<OperatingPoint, PowerFlowError> {
     let b = grid.num_buses();
     assert_eq!(injections.len(), b, "one injection per bus");
-    // Reduced susceptance matrix: drop the reference row/column.
-    let full = sta_grid::topology::b_matrix(grid, topo);
+    let islands = topo.island_count(grid);
+    if islands > 1 {
+        return Err(PowerFlowError::Islanded { islands });
+    }
     let keep: Vec<usize> = (0..b).filter(|&j| j != reference.0).collect();
-    let reduced = full.select_rows(&keep).select_cols(&keep);
     let rhs: Vector = keep.iter().map(|&j| injections[j]).collect();
-    let sol = Lu::factor(&reduced)?.solve(&rhs)?;
+    let reduced = sta_grid::topology::b_matrix(grid, topo, reference);
+    let sol = SparseCholesky::factor(&reduced)
+        .and_then(|factor| factor.solve(&rhs))
+        .map_err(|_| PowerFlowError::NotPositiveDefinite)?;
     let mut theta = Vector::zeros(b);
     for (k, &j) in keep.iter().enumerate() {
         theta[j] = sol[k];
@@ -173,12 +198,36 @@ mod tests {
     }
 
     #[test]
-    fn islanded_topology_fails() {
+    fn islanded_topology_names_its_island_count() {
         let grid = Grid::new(2, vec![Line::new(BusId(0), BusId(1), 4.0)]);
         let topo = Topology::all_closed(&grid).with_line_open(LineId(0));
+        let err = solve(&grid, &topo, &[1.0, -1.0], BusId(0)).unwrap_err();
+        assert_eq!(err, PowerFlowError::Islanded { islands: 2 });
+        assert!(err.to_string().contains("2 islands"), "{err}");
+        // Opening line 7–8 strands bus 8, which hangs off bus 7 alone.
+        let sys = ieee14::system();
+        let stranded = sys.topology.with_line_open(LineId(13));
+        assert_eq!(stranded.island_count(&sys.grid), 2);
         assert_eq!(
-            solve(&grid, &topo, &[1.0, -1.0], BusId(0)).unwrap_err(),
-            PowerFlowError
+            solve(&sys.grid, &stranded, &synthetic_injections(14, 0), sys.reference_bus)
+                .unwrap_err(),
+            PowerFlowError::Islanded { islands: 2 }
+        );
+    }
+
+    #[test]
+    fn disparate_admittances_hit_the_pivot_backstop() {
+        // Connected, but the weak line's pivot falls below the factor's
+        // relative tolerance: the numerical backstop reports it.
+        let grid = Grid::new(
+            3,
+            vec![Line::new(BusId(0), BusId(1), 1e15), Line::new(BusId(1), BusId(2), 1e-6)],
+        );
+        let topo = Topology::all_closed(&grid);
+        assert_eq!(topo.island_count(&grid), 1);
+        assert_eq!(
+            solve(&grid, &topo, &[1.0, 0.0, -1.0], BusId(1)).unwrap_err(),
+            PowerFlowError::NotPositiveDefinite
         );
     }
 

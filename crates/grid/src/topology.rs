@@ -194,22 +194,33 @@ pub fn h_matrix_sparse(grid: &Grid, topo: &Topology) -> CsrMatrix {
     CsrMatrix::from_triplets(2 * l + b, b, &triplets)
 }
 
-/// The DC power-flow susceptance matrix `B = AᵀDA` (`b × b`) restricted to
-/// the in-service topology.
-pub fn b_matrix(grid: &Grid, topo: &Topology) -> Matrix {
-    let b = grid.num_buses();
-    let mut m = Matrix::zeros(b, b);
-    for (i, line) in grid.lines().iter().enumerate() {
-        if !topo.is_in_service(LineId(i)) {
-            continue;
+/// The reduced DC power-flow susceptance matrix: `B = AᵀDA` over the
+/// in-service lines with the `reference` bus's row and column dropped, so
+/// `(b−1) × (b−1)`, buses after the reference shifted down one index.
+/// Built directly from triplets — a line contributes at most four
+/// entries — so the matrix has O(b + l) nonzeros at any grid size. It is
+/// symmetric, and positive definite exactly when the in-service lines
+/// connect every bus (admittances are positive).
+pub fn b_matrix(grid: &Grid, topo: &Topology, reference: BusId) -> CsrMatrix {
+    let n = grid.num_buses().saturating_sub(1);
+    let reduced = |bus: BusId| match bus.0.cmp(&reference.0) {
+        std::cmp::Ordering::Less => Some(bus.0),
+        std::cmp::Ordering::Equal => None,
+        std::cmp::Ordering::Greater => Some(bus.0 - 1),
+    };
+    let mut triplets = Vec::with_capacity(4 * grid.num_lines());
+    for line in topo.in_service_lines().map(|i| grid.line(i)) {
+        let y = line.admittance;
+        let (f, t) = (reduced(line.from), reduced(line.to));
+        for k in [f, t].into_iter().flatten() {
+            triplets.push((k, k, y));
         }
-        let (f, t, y) = (line.from.0, line.to.0, line.admittance);
-        m[(f, f)] += y;
-        m[(t, t)] += y;
-        m[(f, t)] -= y;
-        m[(t, f)] -= y;
+        if let (Some(f), Some(t)) = (f, t) {
+            triplets.push((f, t, -y));
+            triplets.push((t, f, -y));
+        }
     }
-    m
+    CsrMatrix::from_triplets(n, n, &triplets)
 }
 
 /// Disjoint-set forest used for island detection.
@@ -371,18 +382,27 @@ mod tests {
     }
 
     #[test]
-    fn b_matrix_matches_ata() {
+    fn b_matrix_is_ata_without_the_reference() {
         let g = triangle();
-        let topo = Topology::all_closed(&g);
-        let a = connectivity_matrix(&g, &topo);
+        let a = connectivity_matrix(&g, &Topology::all_closed(&g));
         let d = admittance_matrix(&g);
-        let expected = a.transpose().mul_mat(&d).mul_mat(&a);
-        let got = b_matrix(&g, &topo);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((expected[(i, j)] - got[(i, j)]).abs() < 1e-12);
+        let full = a.transpose().mul_mat(&d).mul_mat(&a);
+        for reference in 0..3 {
+            let keep: Vec<usize> = (0..3).filter(|&j| j != reference).collect();
+            let expected = full.select_rows(&keep).select_cols(&keep);
+            let got = b_matrix(&g, &Topology::all_closed(&g), BusId(reference));
+            assert_eq!((got.num_rows(), got.num_cols()), (2, 2));
+            for i in 0..2 {
+                for j in 0..2 {
+                    assert!((expected[(i, j)] - got.get(i, j)).abs() < 1e-12);
+                }
             }
         }
+        // An open line drops out of every entry it touched.
+        let cut = b_matrix(&g, &Topology::all_closed(&g).with_line_open(LineId(1)), BusId(0));
+        assert_eq!(cut.get(0, 0), 2.0);
+        assert_eq!(cut.get(0, 1), 0.0);
+        assert_eq!(cut.get(1, 1), 8.0);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! Large grids additionally get a sparse path: [`CsrMatrix`] (compressed
 //! sparse rows, built from triplets) and [`SparseCholesky`] (up-looking
 //! `LDLᵀ` with an approximate-minimum-degree ordering, split into
-//! symbolic ([`SparseSymbolic`]) and numeric phases). The dense types are
-//! the correctness oracle: sparse results must match them to within
-//! round-off, and equivalence is pinned by property tests.
+//! symbolic ([`SparseSymbolic`]) and numeric phases), which factors both
+//! the WLS gain and the DC power flow's reduced susceptance matrix. The
+//! dense types are the correctness oracle: sparse results must match them
+//! to within round-off, and equivalence is pinned by property tests.
 //!
 //! # Examples
 //!
@@ -36,7 +37,6 @@
 
 pub mod cholesky;
 pub mod lu;
-pub mod qr;
 pub mod matrix;
 pub mod rng;
 pub mod sparse;
@@ -46,7 +46,6 @@ pub mod vector;
 
 pub use cholesky::{Cholesky, CholeskyError};
 pub use lu::{Lu, SingularMatrixError};
-pub use qr::{Qr, RankDeficientError};
 pub use matrix::Matrix;
 pub use sparse::CsrMatrix;
 pub use sparse_cholesky::{amd_order, SparseCholesky, SparseSymbolic};

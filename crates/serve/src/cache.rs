@@ -123,7 +123,7 @@ mod tests {
 
     fn session() -> VerifySession {
         let sys = ieee14::system();
-        VerifySession::new(&sys, false)
+        VerifySession::new(&sys, false).unwrap()
     }
 
     #[test]

@@ -737,15 +737,16 @@ fn run_verify(
     }
     .with_cancel_token(Arc::clone(token));
     let key: SessionKey = (q.case.clone(), model.allow_topology_attack, q.certify);
-    let (mut session, warm) = match lock(&state.sessions).take(&key) {
-        Some(session) => (session, true),
-        None => (
-            VerifySession::with_verifier(
-                AttackVerifier::shared(Arc::clone(system)).with_certify(q.certify),
-                model.allow_topology_attack,
-            ),
-            false,
-        ),
+    let checked_out = match lock(&state.sessions).take(&key) {
+        Some(session) => Ok((session, true)),
+        None => AttackVerifier::shared(Arc::clone(system)).map(|verifier| {
+            let verifier = verifier.with_certify(q.certify);
+            (VerifySession::with_verifier(verifier, model.allow_topology_attack), false)
+        }),
+    };
+    let (mut session, warm) = match checked_out {
+        Ok(checked_out) => checked_out,
+        Err(e) => return query_error(state, MetricOp::Verify, id, &e.to_string()),
     };
     let report = session.verify_with_budget(&model, &budget);
     // Sessions survive every outcome — a timed-out check leaves the base
@@ -805,7 +806,10 @@ fn run_synthesize(
         // `inconclusive`), mirroring the campaign engine.
         attacker.timeout_ms = q.timeout_ms;
     }
-    let synth = Synthesizer::new(system).with_certify(q.certify);
+    let synth = match Synthesizer::new(system) {
+        Ok(synth) => synth.with_certify(q.certify),
+        Err(e) => return query_error(state, MetricOp::Synthesize, id, &e.to_string()),
+    };
     let config = SynthesisConfig::with_budget(budget).with_incremental(q.incremental);
     let (outcome, obs) = synth.synthesize_with_metrics(&attacker, &config);
     let wall = state.clock.now().saturating_sub(started);
@@ -867,6 +871,9 @@ fn run_campaign(
     } else {
         sta_campaign::run(&spec, q.workers.max(1))
     };
+    if let Some(message) = report.input_error() {
+        return query_error(state, MetricOp::Campaign, id, &message);
+    }
     let wall = state.clock.now().saturating_sub(started);
     let mut out = protocol::response_head(id, "campaign");
     let _ = write!(out, ",\"jobs\":{},\"summary\":{{", report.results.len());

@@ -248,6 +248,37 @@ fn huge_timeout_ms_is_no_deadline_not_a_worker_panic() {
 }
 
 #[test]
+fn islanded_case_is_a_bad_request_and_the_worker_survives() {
+    // Regression: a case whose in-service lines island the grid has no
+    // DC operating point. Building its verifier used to panic the only
+    // worker, so that request never got a reply and every later job hung.
+    let case = std::env::temp_dir().join(format!("sta-serve-islanded-{}.case", std::process::id()));
+    std::fs::write(&case, "system islanded3\nbuses 3\nline 1 2 10.0\nline 2 3 5.0 open\n")
+        .expect("write case file");
+    let mut path = String::new();
+    escape_into(case.to_str().expect("utf-8 temp path"), &mut path);
+    let handle = boot("islanded", 1, 2);
+    for (id, line) in [
+        ("v", verify_line("v", case.to_str().expect("utf-8 temp path"), None, "")),
+        ("s", format!("{{\"id\":\"s\",\"op\":\"synthesize\",\"case\":{path},\"budget\":1}}")),
+        ("c", format!("{{\"id\":\"c\",\"op\":\"campaign\",\"case\":{path},\"workers\":1}}")),
+    ] {
+        let reply = final_json(&client::request(handle.addr(), &line).expect("reply arrives"));
+        assert_eq!(str_at(&reply, &["type"]), Some("error"), "{id}");
+        assert_eq!(str_at(&reply, &["error"]), Some("bad-request"), "{id}");
+        assert_eq!(str_at(&reply, &["id"]), Some(id));
+        let message = str_at(&reply, &["message"]).expect("error message");
+        assert!(message.contains("2 islands"), "{id}: {message}");
+    }
+    // The worker is still there to answer the next verify.
+    let next = client::request(handle.addr(), &verify_line("next", "ieee14", None, ""))
+        .expect("ieee14 verify completes");
+    assert_eq!(str_at(&final_json(&next), &["verdict"]), Some("sat"));
+    handle.stop().expect("clean shutdown");
+    let _ = std::fs::remove_file(&case);
+}
+
+#[test]
 fn trace_lines_interleave_before_the_response() {
     let handle = boot("trace", 2, 2);
     let lines = client::request(

@@ -28,12 +28,12 @@ fn print_outcome(label: &str, outcome: &sta::core::AttackOutcome) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The §III-I configuration: Table III's taken set, no secured
     // measurements (see ieee14::system_unsecured docs), admittances of
     // lines 3, 7 and 17 unknown to the attacker.
     let sys = ieee14::system_unsecured();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys)?;
     let unknown = ieee14::EXAMPLE_UNKNOWN_LINES.map(|l| l - 1);
 
     println!("== Attack Objective 1: states 9 and 10, different amounts ==");
@@ -47,7 +47,7 @@ fn main() {
     let outcome = verifier.verify(&objective1);
     print_outcome("objective 1 (≤16 meas, ≤7 buses)", &outcome);
     if let Some(v) = outcome.vector() {
-        let replay = validation::replay_default(&sys, v).unwrap();
+        let replay = validation::replay_default(&sys, v)?;
         println!("  end-to-end replay: {replay}");
     }
 
@@ -85,7 +85,8 @@ fn main() {
         &outcome,
     );
     if let Some(v) = outcome.vector() {
-        let replay = validation::replay_default(&sys, v).unwrap();
+        let replay = validation::replay_default(&sys, v)?;
         println!("  end-to-end replay under poisoned topology: {replay}");
     }
+    Ok(())
 }

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Ask the formal model: can the attacker corrupt bus 10's state
     //    with at most 16 altered measurements in at most 7 substations?
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys)?;
     let model = AttackModel::new(14)
         .target(BusId(9), StateTarget::MustChange)
         .max_altered_measurements(16)

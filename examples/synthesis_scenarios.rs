@@ -15,9 +15,9 @@ fn report(label: &str, outcome: &sta::core::SynthesisOutcome) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sys = ieee14::system_unsecured();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys)?;
     // All §IV-E architectures in the paper include bus 1, the reference.
     let config = |budget: usize| SynthesisConfig::with_budget(budget).with_reference_secured();
 
@@ -45,7 +45,7 @@ fn main() {
         .architecture()
         .cloned()
     {
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys)?;
         let hardened = attacker2.clone().secure_buses(&arch.secured_buses);
         println!(
             "re-verification: attack against the 5-bus architecture is {}",
@@ -62,7 +62,7 @@ fn main() {
         basic.len(),
         basic_1idx,
     );
-    let greedy = baselines::kim_poor_greedy(&sys, &AttackModel::new(14))
+    let greedy = baselines::kim_poor_greedy(&sys, &AttackModel::new(14))?
         .expect("greedy converges");
     let greedy_buses: Vec<usize> =
         greedy.secured_buses.iter().map(|b| b.0 + 1).collect();
@@ -88,4 +88,5 @@ fn main() {
         );
     }
     let _ = BusId(0);
+    Ok(())
 }

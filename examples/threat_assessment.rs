@@ -11,13 +11,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Assess the paper's 14-bus system: per-state minimal attacker
     //    effort (measurements and substations), cheapest targets first.
     let sys = ieee14::system_unsecured();
-    let assessment = ThreatAnalyzer::new(&sys).assess();
+    let assessment = ThreatAnalyzer::new(&sys)?.assess();
     println!("== threat assessment: IEEE 14-bus (unsecured) ==");
     print!("{assessment}");
 
     // 2. The same sweep with Table III's protections applied: costs rise.
     let secured = ieee14::system();
-    let hardened = ThreatAnalyzer::new(&secured).assess();
+    let hardened = ThreatAnalyzer::new(&secured)?.assess();
     println!();
     println!("== with Table III's secured measurements ==");
     print!("{hardened}");
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "== distinct attacks on the cheapest target (bus {}) ==",
         cheapest.0 + 1
     );
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys)?;
     let model = AttackModel::new(14)
         .target(cheapest, StateTarget::MustChange)
         .max_altered_measurements(8);
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parsed.grid.num_buses(),
         parsed.grid.num_lines()
     );
-    let custom_assessment = ThreatAnalyzer::new(&parsed).assess();
+    let custom_assessment = ThreatAnalyzer::new(&parsed)?.assess();
     print!("{custom_assessment}");
     let _ = BusId(0);
     Ok(())

@@ -10,7 +10,7 @@ use sta::grid::{ieee14, BusId, LineId, MeasurementId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sys = ieee14::system_unsecured();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys)?;
 
     // The scenario from the paper's Attack Objective 2: corrupt state 12
     // only, with measurement 46 (bus 6's injection meter) secured. No
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (making it non-excludable) closes the channel again.
     let mut hardened_sys = sys.clone();
     hardened_sys.secured_line_status[12] = true;
-    let hardened_verifier = AttackVerifier::new(&hardened_sys);
+    let hardened_verifier = AttackVerifier::new(&hardened_sys)?;
     println!(
         "after securing line 13's status telemetry: {}",
         if hardened_verifier.verify(&poisoned).is_feasible() {

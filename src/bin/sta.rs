@@ -315,6 +315,7 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         model.timeout_ms = flags.timeout_ms;
     }
     let mut verifier = AttackVerifier::new(&sys)
+        .map_err(|e| format!("case {case}: {e}"))?
         .with_certify(flags.certify)
         .with_simplex(flags.simplex);
     let profiler = flags.profile.then(Profiler::new);
@@ -369,6 +370,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         model.timeout_ms = flags.timeout_ms;
     }
     let verifier = AttackVerifier::new(&sys)
+        .map_err(|e| format!("case {case}: {e}"))?
         .with_certify(flags.certify)
         .with_simplex(flags.simplex);
     match verifier.verify(&model) {
@@ -397,7 +399,9 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     let case = args.first().ok_or("missing case")?;
     let sys = load_case(case)?;
-    let assessment = ThreatAnalyzer::new(&sys).assess();
+    let assessment = ThreatAnalyzer::new(&sys)
+        .map_err(|e| format!("case {case}: {e}"))?
+        .assess();
     print!("{assessment}");
     Ok(ExitCode::SUCCESS)
 }
@@ -452,7 +456,10 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
             "--trace/--metrics/--profile are not supported with --measurements".into(),
         );
     }
-    let mut synth = Synthesizer::new(&sys).with_certify(certify).with_simplex(simplex);
+    let mut synth = Synthesizer::new(&sys)
+        .map_err(|e| format!("case {case}: {e}"))?
+        .with_certify(certify)
+        .with_simplex(simplex);
     let profiler = profile.then(Profiler::new);
     if let Some(p) = &profiler {
         synth = synth.with_profiler(p.clone());
@@ -614,6 +621,9 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     };
     let report = run_campaign(&spec, &options, sink.as_ref());
     drop(sink); // flush the trace file before reporting
+    if let Some(message) = report.input_error() {
+        return Err(message);
+    }
     print!("{}", report.table());
     if metrics {
         print!("{}", report.metrics_rollup().table());

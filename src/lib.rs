@@ -13,7 +13,7 @@
 //! | Layer | Crate | What it provides |
 //! |---|---|---|
 //! | [`smt`] | `sta-smt` | CDCL(T) SMT solver for QF_LRA, exact rationals, cardinality |
-//! | [`linalg`] | `sta-linalg` | Dense matrices, LU, Cholesky |
+//! | [`linalg`] | `sta-linalg` | Dense matrices, LU, Cholesky; sparse CSR and AMD-ordered LDLᵀ |
 //! | [`grid`] | `sta-grid` | Grid model, topology processor, measurements, IEEE cases |
 //! | [`estimator`] | `sta-estimator` | DC power flow, WLS estimation, bad-data detection |
 //! | [`core`] | `sta-core` | UFDI attack verification, synthesis, baselines, validation |
@@ -29,8 +29,11 @@
 //!
 //! // Can an attacker corrupt the estimate of bus 12's angle without
 //! // touching any other state, and stay invisible to bad-data detection?
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sys = ieee14::system_unsecured();
-//! let verifier = AttackVerifier::new(&sys);
+//! // The verifier anchors on the grid's DC operating point; an islanded
+//! // topology has none and comes back as an error.
+//! let verifier = AttackVerifier::new(&sys)?;
 //! let mut model = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
 //! for j in 0..14 {
 //!     if j != 11 {
@@ -39,6 +42,8 @@
 //! }
 //! let attack = verifier.verify(&model).expect_feasible();
 //! assert_eq!(attack.num_alterations(), 5); // the paper's five meters
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and

@@ -122,6 +122,33 @@ fn bad_inputs_give_errors() {
     assert_eq!(out.status.code(), Some(2)); // missing --budget
 }
 
+/// Regression: a case whose in-service lines island the grid has no DC
+/// operating point to anchor the attack model on. Every command that
+/// needs one reports it as an input error (exit 2, an `error:` line
+/// naming the island count) instead of panicking (exit 101).
+#[test]
+fn islanded_case_is_an_input_error() {
+    let dir = std::env::temp_dir().join("sta-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let case_path = dir.join("islanded3.case");
+    std::fs::write(&case_path, "system islanded3\nbuses 3\nline 1 2 10.0\nline 2 3 5.0 open\n")
+        .unwrap();
+    let case = case_path.to_str().unwrap();
+    for args in [
+        &["verify", case, "-"][..],
+        &["replay", case, "-"],
+        &["synthesize", case, "-", "--budget", "1"],
+        &["campaign", case, "--jobs", "1"],
+        &["assess", case],
+    ] {
+        let out = sta(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+        assert!(stderr.contains("2 islands"), "{args:?}: {stderr}");
+    }
+}
+
 /// Satellite: worker-count usage errors are exit code 2, not a panic or a
 /// hung pool — `--jobs 0` and a non-numeric `--jobs` both refuse cleanly
 /// before any solver work starts.

@@ -66,7 +66,7 @@ fn smt_state_attackable(
     target: usize,
     secured_buses: &[BusId],
 ) -> bool {
-    let verifier = AttackVerifier::new(sys);
+    let verifier = AttackVerifier::new(sys).unwrap();
     let model = AttackModel::new(sys.grid.num_buses())
         .target(BusId(target), StateTarget::MustChange)
         .secure_buses(secured_buses);
@@ -134,7 +134,7 @@ fn smt_attack_vector_satisfies_a_equals_hc() {
     // Every extracted plain attack vector must satisfy a = H·c on the
     // taken rows, with a supported off the protected rows.
     let sys = sta::grid::ieee14::system_unsecured();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let h = sta::grid::topology::h_matrix(&sys.grid, &sys.topology);
     for target in 1..14 {
         let model = AttackModel::new(14).target(BusId(target), StateTarget::MustChange);

@@ -19,7 +19,7 @@ fn default_op(sys: &TestSystem) -> dcflow::OperatingPoint {
 fn pipeline_attack_and_replay_across_sizes() {
     for &b in &[14usize, 30, 57] {
         let sys = synthetic::ieee_case(b);
-        let verifier = AttackVerifier::new(&sys);
+        let verifier = AttackVerifier::new(&sys).unwrap();
         let model = AttackModel::new(b).target(BusId(b / 2), StateTarget::MustChange);
         let attack = verifier.verify(&model).expect_feasible();
         let replay = validation::replay_default(&sys, &attack).unwrap();
@@ -37,7 +37,7 @@ fn pipeline_detector_blind_to_verified_attacks() {
     let op = default_op(&sys);
     let estimator = WlsEstimator::for_system(&sys).unwrap();
     let detector = BadDataDetector::new(0.05);
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
 
     for target in 1..14 {
         let model =
@@ -65,14 +65,14 @@ fn pipeline_detector_blind_to_verified_attacks() {
 #[test]
 fn pipeline_synthesis_blocks_then_replay_fails_to_find_attack() {
     let sys = ieee14::system_unsecured();
-    let synth = Synthesizer::new(&sys);
+    let synth = Synthesizer::new(&sys).unwrap();
     let attacker = AttackModel::new(14).max_altered_measurements(10);
     let outcome = synth.synthesize(&attacker, &SynthesisConfig::with_budget(5));
     let arch = outcome.architecture().expect("solution");
     // Harden the actual system configuration and re-verify from scratch.
     let mut hardened_sys = sys.clone();
     hardened_sys.measurements = synth.apply(arch);
-    let verifier = AttackVerifier::new(&hardened_sys);
+    let verifier = AttackVerifier::new(&hardened_sys).unwrap();
     assert!(!verifier
         .verify(&AttackModel::new(14).max_altered_measurements(10))
         .is_feasible());
@@ -84,7 +84,7 @@ fn pipeline_topology_poisoned_attack_replays_on_synthetic_grid() {
     // line), a topology-armed attacker finds something, and the replay
     // stays stealthy under the poisoned topology.
     let sys = synthetic::ieee_case(30);
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let model = AttackModel::new(30).with_topology_attack();
     let attack = verifier.verify(&model).expect_feasible();
     match validation::replay_default(&sys, &attack) {
@@ -104,7 +104,7 @@ fn pipeline_coordinated_topology_attack_evades_topology_detector() {
 
     let sys = ieee14::system_unsecured();
     let op = default_op(&sys);
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     let mut model = AttackModel::new(14)
         .target(BusId(11), StateTarget::MustChange)
         .secure_measurement(sta::grid::MeasurementId(45))
@@ -159,7 +159,7 @@ fn pipeline_unobservable_system_is_rejected_before_attack_analysis() {
 #[test]
 fn pipeline_secured_bus_measurements_never_altered() {
     let sys = ieee14::system_unsecured();
-    let verifier = AttackVerifier::new(&sys);
+    let verifier = AttackVerifier::new(&sys).unwrap();
     for bus in [3usize, 5, 8] {
         let model = AttackModel::new(14)
             .target(BusId(9), StateTarget::MustChange)

@@ -57,9 +57,11 @@ fn revised_matches_dense_verdict_model_and_pivots_at_every_size() {
         let sys = system_for(b);
         for (label, model) in scenarios(b) {
             let dense = AttackVerifier::new(&sys)
+                .unwrap()
                 .with_simplex(SimplexMode::Dense)
                 .verify_with_stats(&model);
             let revised = AttackVerifier::new(&sys)
+                .unwrap()
                 .with_simplex(SimplexMode::Revised)
                 .verify_with_stats(&model);
             match (&dense.outcome, &revised.outcome) {
@@ -107,6 +109,7 @@ fn certified_runs_agree_across_engines() {
         for (label, model) in scenarios(b) {
             for mode in [SimplexMode::Dense, SimplexMode::Revised] {
                 let report = AttackVerifier::new(&sys)
+                    .unwrap()
                     .with_certify(CertifyLevel::Full)
                     .with_simplex(mode)
                     .verify_with_stats(&model);
@@ -133,7 +136,7 @@ fn zero_budget_interrupts_without_poisoning_the_warm_core() {
     let open = AttackModel::new(b).target(BusId(b / 2), StateTarget::MustChange);
 
     let mut session = VerifySession::with_verifier(
-        AttackVerifier::new(&sys).with_simplex(SimplexMode::Revised),
+        AttackVerifier::new(&sys).unwrap().with_simplex(SimplexMode::Revised),
         false,
     );
     // Interrupt the very first check (cold core: the factor path polls),
@@ -153,6 +156,7 @@ fn zero_budget_interrupts_without_poisoning_the_warm_core() {
         // Same trajectory as a fresh dense run — the interrupted attempt
         // left no partial pivot state behind.
         let dense = AttackVerifier::new(&sys)
+            .unwrap()
             .with_simplex(SimplexMode::Dense)
             .verify_with_stats(&open);
         let AttackOutcome::Feasible(wd) = &dense.outcome else {
@@ -170,9 +174,11 @@ fn auto_mode_agrees_with_pinned_engines() {
         let sys = system_for(b);
         let model = AttackModel::new(b).target(BusId(b / 2), StateTarget::MustChange);
         let auto = AttackVerifier::new(&sys)
+            .unwrap()
             .with_simplex(SimplexMode::Auto)
             .verify_with_stats(&model);
         let dense = AttackVerifier::new(&sys)
+            .unwrap()
             .with_simplex(SimplexMode::Dense)
             .verify_with_stats(&model);
         let (AttackOutcome::Feasible(wa), AttackOutcome::Feasible(wd)) =

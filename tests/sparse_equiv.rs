@@ -6,12 +6,14 @@
 //! on seeded `synthetic::generate` grids at every IEEE evaluation size
 //! that fits in test time: identical estimates to 1e-9, identical
 //! observability verdicts, valid AMD permutations, and bit-identical
-//! symbolic-reuse refactorization.
+//! symbolic-reuse refactorization. The DC operating point gets the same
+//! treatment against a dense LU of the reduced susceptance matrix.
 
+use sta::core::decimal;
 use sta::estimator::{dcflow, WlsEstimator};
-use sta::grid::synthetic;
-use sta::grid::topology::h_matrix_sparse;
-use sta::linalg::{amd_order, Cholesky, SparseCholesky, SparseSymbolic, Vector};
+use sta::grid::topology::{b_matrix, h_matrix_sparse};
+use sta::grid::{ieee14, synthetic, TestSystem};
+use sta::linalg::{amd_order, Cholesky, Lu, SparseCholesky, SparseSymbolic, Vector};
 
 const SIZES: [usize; 4] = [14, 30, 57, 118];
 
@@ -169,5 +171,53 @@ fn observability_verdicts_agree_with_dense_rank_oracle_on_generated_grids() {
         let dense_verdict = observability::rank(&h) == h.num_cols();
         assert_eq!(sparse_verdict, dense_verdict, "case {b}");
         assert!(!sparse_verdict, "3 rows cannot observe {b} buses");
+    }
+}
+
+/// The dense oracle for `dcflow::solve`: the reduced susceptance matrix
+/// expanded to dense and solved by LU with partial pivoting.
+fn dense_operating_angles(sys: &TestSystem, injections: &[f64]) -> Vec<f64> {
+    let keep: Vec<usize> = (0..sys.grid.num_buses())
+        .filter(|&j| j != sys.reference_bus.0)
+        .collect();
+    let rhs: Vector = keep.iter().map(|&j| injections[j]).collect();
+    let reduced = b_matrix(&sys.grid, &sys.topology, sys.reference_bus).to_dense();
+    let sol = Lu::factor(&reduced).unwrap().solve(&rhs).unwrap();
+    let mut theta = vec![0.0; sys.grid.num_buses()];
+    for (k, &j) in keep.iter().enumerate() {
+        theta[j] = sol[k];
+    }
+    theta
+}
+
+/// The sparse operating point agrees with the dense LU oracle to 1e-10
+/// on every bus, and its nine-decimal rounding — the exact constants the
+/// verifier anchors topology attacks on — is bit-identical. The larger
+/// cases stay out: a debug-build dense LU there takes seconds.
+#[test]
+fn dc_operating_point_matches_the_dense_lu_oracle() {
+    let mut cases = vec![ieee14::system(), ieee14::system_unsecured()];
+    cases.extend([30, 57, 118, 300].map(synthetic::ieee_case));
+    for sys in &cases {
+        let b = sys.grid.num_buses();
+        for seed in [0u64, 1, 7] {
+            let injections = dcflow::synthetic_injections(b, seed);
+            let op = dcflow::solve(&sys.grid, &sys.topology, &injections, sys.reference_bus)
+                .unwrap();
+            let oracle = dense_operating_angles(sys, &injections);
+            for (j, (&sparse, &dense)) in op.theta.iter().zip(&oracle).enumerate() {
+                assert!(
+                    (sparse - dense).abs() <= 1e-10,
+                    "{} seed {seed} bus {j}: sparse {sparse} vs dense {dense}",
+                    sys.name
+                );
+                assert_eq!(
+                    decimal::angle(sparse),
+                    decimal::angle(dense),
+                    "{} seed {seed} bus {j}: rounded angles differ",
+                    sys.name
+                );
+            }
+        }
     }
 }

@@ -38,8 +38,11 @@
 #      the dense-oracle median (the sparse numerics lift the estimation
 #      ceiling); the pivot-heavy 300-bus engine A/B pair must show the
 #      revised simplex strictly beating the dense tableau (the factorized
-#      basis lifts the solver ceiling); and the 2000-bus verify rung must
-#      answer `unsat` — completing within its deadline, not timing out
+#      basis lifts the solver ceiling); the 2000-bus verify rung must
+#      answer `unsat` — completing within its deadline, not timing out;
+#      and on the 1354- and 2000-bus verify rungs the wall time outside
+#      the encode and search phases (verifier set-up: the DC operating
+#      point and the session build) must stay under 1% of the wall
 #  11. telemetry smoke (inside the serve smoke): the metrics registry
 #      counts the two verify requests exactly, the Prometheus exposition
 #      carries the same totals, and `sta top --once` renders a frame
@@ -368,5 +371,23 @@ if [ "$v2000" != "unsat" ]; then
     echo "2000-bus verify rung did not complete (verdict: '${v2000:-missing}')" >&2
     exit 1
 fi
+
+echo "==> scale bench: verify set-up outside encode and search stays under 1% of wall"
+for b in 1354 2000; do
+    row="$(grep -o "\"label\":\"verify-$b\"[^}]*" BENCH_scale.ci.json)"
+    wall_us="$(echo "$row" | sed -n 's/.*"wall_us":\([0-9]*\).*/\1/p')"
+    encode_us="$(echo "$row" | sed -n 's/.*"encode_us":\([0-9]*\).*/\1/p')"
+    search_us="$(echo "$row" | sed -n 's/.*"search_us":\([0-9]*\).*/\1/p')"
+    if [ -z "$wall_us" ] || [ -z "$encode_us" ] || [ -z "$search_us" ]; then
+        echo "could not extract the verify-$b timings from BENCH_scale.ci.json" >&2
+        exit 1
+    fi
+    rest_us=$((wall_us - encode_us - search_us))
+    echo "    verify-$b: ${rest_us} us of ${wall_us} us outside encode and search"
+    if [ $((rest_us * 100)) -ge "$wall_us" ]; then
+        echo "verify-$b spends ${rest_us} us of ${wall_us} us outside encode and search (bound: 1% of wall)" >&2
+        exit 1
+    fi
+done
 
 echo "verify.sh: all checks passed"
