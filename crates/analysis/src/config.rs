@@ -244,18 +244,8 @@ const ALLOW_PANIC: &[Allow] = &[
         file: "smt/src/solver.rs",
         needle: "Err(e) => panic!(\"{e}\\nassertions:\\n{}\", self.dump_assertions()),",
         why: "certification failure is a soundness bug: aborting with the \
-              assertion dump is the designed response",
-    },
-    Allow {
-        file: "smt/src/solver.rs",
-        needle: "Err(e) => panic!(\"{e}\\nassertions:\\n{}\", self.dump_assertions()),",
-        why: "certification failure is a soundness bug (unsat-side twin of \
-              the entry above)",
-    },
-    Allow {
-        file: "smt/src/solver.rs",
-        needle: "ScopeGuard::Lazy => unreachable!(\"lazy guards are resolved above\"),",
-        why: "the match arm above the loop resolves all lazy guards",
+              assertion dump is the designed response (the one helper behind \
+              both check and check_assuming)",
     },
 ];
 

@@ -158,8 +158,9 @@ impl AllowLedger {
     }
 }
 
-/// The detector tokens of the clock rule.
-const CLOCK_TOKENS: &[&str] = &["Instant::now()", "SystemTime::now()"];
+/// The detector tokens of the clock rule: bare paths, so a function
+/// pointer (`flag.then(Instant::now)`) is caught as well as a call.
+const CLOCK_TOKENS: &[&str] = &["Instant::now", "SystemTime::now"];
 
 /// The detector tokens of the panic rule.
 const PANIC_TOKENS: &[&str] =
@@ -571,6 +572,15 @@ mod tests {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_CLOCK);
         assert_eq!(hits[0].line, 4);
+    }
+
+    #[test]
+    fn clock_rule_catches_function_pointer_reads() {
+        let src = "fn f(x: bool) {\n    let _ = x.then(std::time::Instant::now);\n}\n";
+        let hits = run("crates/smt/src/x.rs", src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, RULE_CLOCK);
+        assert_eq!(hits[0].line, 2);
     }
 
     #[test]

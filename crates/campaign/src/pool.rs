@@ -13,17 +13,21 @@
 //! Each worker keeps one [`VerifySession`] per `(case, topology)` pair it
 //! encounters, so the scenario-independent base encoding (line semantics,
 //! alteration linking, `cz → cb`) is asserted once per worker and every
-//! job only pays for its own variant delta — the solver's incremental
-//! base cache does the heavy lifting underneath.
+//! job only pays for its own variant delta — the solver's encoded
+//! template does the heavy lifting underneath. Synthesis jobs build their
+//! own sessions, whose CEGIS loops run on persistent solver cores that
+//! live exactly as long as the job.
 //!
 //! # Determinism
 //!
 //! A job's deterministic outputs (verdict, witness, stats) depend only on
-//! its spec: sessions hand every check a fresh clone of the same base
-//! encoding, so neither the executing worker nor the order of jobs on
-//! that worker can leak into the results. The aggregated report is sorted
-//! by job id. Only the `timing` fields (wall clock, worker id) vary
-//! between runs.
+//! its spec: sessions hand every verification check a fresh clone of the
+//! same never-solved template, and a synthesis job's persistent cores
+//! start empty with the job, so neither the executing worker nor the
+//! order of jobs on that worker can leak into the results — which is why
+//! `Solver::check` stays clone-per-check rather than reusing one warm
+//! core. The aggregated report is sorted by job id. Only the `timing`
+//! fields (wall clock, worker id) vary between runs.
 //!
 //! # Deadlines
 //!
@@ -379,12 +383,7 @@ fn execute(
             if attacker.timeout_ms.is_none() {
                 attacker.timeout_ms = timeout;
             }
-            // The campaign-wide A/B switch can only downgrade a job to the
-            // clone-per-check baseline, never force a core on a job whose
-            // own config opted out.
-            let mut config = config.clone();
-            config.incremental &= spec.incremental;
-            let (outcome, obs) = synth.synthesize_with_metrics(&attacker, &config);
+            let (outcome, obs) = synth.synthesize_with_metrics(&attacker, config);
             result.metrics = Some(obs.metrics);
             result.phase_wall = Some(obs.timings);
             result.verdict = match outcome {

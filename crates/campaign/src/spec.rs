@@ -68,13 +68,6 @@ pub struct CampaignSpec {
     pub certify: CertifyLevel,
     /// Default per-job deadline in milliseconds; `None` = unlimited.
     pub timeout_ms: Option<u64>,
-    /// Run synthesis jobs on persistent incremental solver cores (learned
-    /// clauses and the simplex basis survive across CEGIS rounds). On by
-    /// default; `false` forces the clone-per-check baseline everywhere —
-    /// the `sta --incremental off` A/B switch. Verification jobs are
-    /// clone-per-check in both modes, so their reports never depend on
-    /// this flag.
-    pub incremental: bool,
     /// Simplex engine selection for every job's solver checks (the
     /// `sta --simplex` A/B switch). Verdicts, witnesses and deterministic
     /// counters are identical across modes — only timings move — so
@@ -91,16 +84,8 @@ impl CampaignSpec {
             jobs: Vec::new(),
             certify: CertifyLevel::Off,
             timeout_ms: None,
-            incremental: true,
             simplex: SimplexMode::Auto,
         }
-    }
-
-    /// Chooses between the persistent incremental cores (default) and the
-    /// clone-per-check baseline for every synthesis job's loop solvers.
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// Selects the simplex engine for every job's solver checks (see

@@ -6,9 +6,13 @@
 //! variant wastes most of the work: the line semantics, alteration
 //! linking, protection and `cz → cb` constraints depend only on the
 //! system. A [`VerifySession`] asserts that scenario-independent base
-//! once, then runs each variant inside a solver push/pop scope, letting
-//! [`sta_smt::Solver`]'s incremental base cache reuse the encoded CNF and
-//! simplex tableau across checks.
+//! once, then runs each variant inside a solver push/pop scope:
+//! [`sta_smt::Solver::check`] encodes the base into a template once and
+//! solves a fresh clone of it per variant, so every verdict and counter
+//! depends on its variant alone. Re-verifying one scenario under growing
+//! secured sets ([`VerifySession::verify_assuming`]) instead runs on the
+//! solver's persistent core, which keeps learned clauses and the simplex
+//! basis across calls.
 //!
 //! Sessions are keyed by topology support: a base built with `el`/`il`
 //! variables serves both topology and non-topology scenarios (the latter
@@ -105,15 +109,6 @@ impl VerifySession {
     pub fn set_progress_sampling(&mut self, on: bool) {
         self.verifier.set_progress_sampling(on);
         self.solver.set_progress_sampling(on);
-    }
-
-    /// Chooses between the solver's persistent incremental core (default)
-    /// and the clone-per-check fallback for
-    /// [`VerifySession::verify_assuming`] checks (see
-    /// [`sta_smt::Solver::set_incremental`]). [`VerifySession::verify`]
-    /// always uses the clone-per-check path either way.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.solver.set_incremental(on);
     }
 
     /// Selects the simplex engine for the session's checks (see
@@ -408,8 +403,7 @@ mod tests {
     }
 
     /// Assumption-based re-verification of an open scenario must agree
-    /// with the equivalent assert-based hardened model, on both the
-    /// incremental core and the clone-per-check fallback.
+    /// with the equivalent assert-based hardened model.
     #[test]
     fn scenario_assumptions_match_hardened_model_verdicts() {
         let sys = ieee14::system_unsecured();
@@ -423,24 +417,18 @@ mod tests {
             &[BusId(3), BusId(10)],
             &[BusId(2), BusId(5), BusId(11), BusId(12)],
         ];
-        for incremental in [true, false] {
-            let mut session = VerifySession::new(&sys, false).unwrap();
-            session.set_incremental(incremental);
-            session.begin_scenario(&attacker);
-            for buses in bus_sets {
-                let assumed = session
-                    .verify_assuming(buses, &[], &sta_smt::Budget::unlimited())
-                    .outcome
-                    .is_feasible();
-                let hardened = attacker.clone().secure_buses(buses);
-                let asserted = one_shot.verify(&hardened).is_feasible();
-                assert_eq!(
-                    assumed, asserted,
-                    "incremental={incremental} buses={buses:?}"
-                );
-            }
-            session.end_scenario();
+        let mut session = VerifySession::new(&sys, false).unwrap();
+        session.begin_scenario(&attacker);
+        for buses in bus_sets {
+            let assumed = session
+                .verify_assuming(buses, &[], &sta_smt::Budget::unlimited())
+                .outcome
+                .is_feasible();
+            let hardened = attacker.clone().secure_buses(buses);
+            let asserted = one_shot.verify(&hardened).is_feasible();
+            assert_eq!(assumed, asserted, "buses={buses:?}");
         }
+        session.end_scenario();
     }
 
     /// Measurement-granular assumption deltas agree with the assert-based

@@ -85,11 +85,6 @@ pub struct SynthesisConfig {
     /// before the next candidate solve. Values above 1 sharply reduce
     /// round trips on larger systems. Ignored under `CandidateOnly`.
     pub counterexamples_per_round: usize,
-    /// Run both loop solvers on their persistent incremental cores
-    /// (learned-clause retention, simplex warm starts) instead of
-    /// clone-per-check. On by default; the `false` setting is the A/B
-    /// baseline behind `sta --incremental off`.
-    pub incremental: bool,
 }
 
 impl SynthesisConfig {
@@ -103,15 +98,7 @@ impl SynthesisConfig {
             blocking: BlockingStrategy::default(),
             require_reference_secured: false,
             counterexamples_per_round: 4,
-            incremental: true,
         }
-    }
-
-    /// Chooses between the persistent incremental solver cores (default)
-    /// and the clone-per-check baseline for both CEGIS loop solvers.
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// Switches to the paper's candidate-only blocking (Algorithm 1).
@@ -287,7 +274,6 @@ impl<'a> Synthesizer<'a> {
         let b = self.system.grid.num_buses();
         let mut selection = Solver::new();
         selection.set_certify(self.certify.max(attacker.certify));
-        selection.set_incremental(config.incremental);
         if let Some(p) = &self.profiler {
             selection.set_profiler(p.clone());
         }
@@ -331,7 +317,6 @@ impl<'a> Synthesizer<'a> {
             self.verifier.clone(),
             attacker.allow_topology_attack,
         );
-        session.set_incremental(config.incremental);
         session.begin_scenario(attacker);
         let verify_budget = match attacker.timeout_ms {
             Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
@@ -349,7 +334,7 @@ impl<'a> Synthesizer<'a> {
             let _sp_iter = self.profiler.as_ref().map(|p| p.span("iterate"));
             let selection_result = {
                 let _sp = self.profiler.as_ref().map(|p| p.span("select"));
-                // Assumption-based check: under the incremental core the
+                // Assumption-based check: on the persistent core the
                 // selection solver's learned clauses survive across rounds
                 // even as blocking clauses accumulate at the base level.
                 selection.check_assuming(&[])
@@ -696,16 +681,12 @@ mod tests {
         }
     }
 
-    /// The incremental loop (live cores, assumption deltas) and the
-    /// clone-per-check baseline must agree on the *verdict*: an
-    /// architecture exists at this budget or it does not. The bus sets may
-    /// differ — a warm core walks a different (equally sound)
-    /// counterexample path than a cold one, exactly as with MiniSat-style
-    /// incremental solving — so each mode's architecture is checked
-    /// against the attack model independently. This is the
-    /// `--incremental on|off` A/B soundness pin.
+    /// Soundness of the warm loop (persistent cores, assumption deltas):
+    /// every architecture it returns fits the budget and, re-verified on a
+    /// one-shot verifier with the buses asserted secure, leaves the attack
+    /// infeasible.
     #[test]
-    fn incremental_and_clone_per_check_synthesis_agree() {
+    fn synthesized_architectures_reverify_infeasible() {
         let sys = ieee14::system_unsecured();
         let synth = Synthesizer::new(&sys).unwrap();
         let verifier = AttackVerifier::new(&sys).unwrap();
@@ -720,29 +701,14 @@ mod tests {
         ];
         for attacker in &attackers {
             for budget in [2usize, 3] {
-                let warm = synth.synthesize(
-                    attacker,
-                    &SynthesisConfig::with_budget(budget),
-                );
-                let cold = synth.synthesize(
-                    attacker,
-                    &SynthesisConfig::with_budget(budget).with_incremental(false),
-                );
-                assert_eq!(
-                    warm.is_solution(),
-                    cold.is_solution(),
-                    "warm {warm:?} vs cold {cold:?} at budget {budget}"
-                );
-                for outcome in [&warm, &cold] {
-                    if let Some(arch) = outcome.architecture() {
-                        assert!(arch.secured_buses.len() <= budget);
-                        let hardened =
-                            attacker.clone().secure_buses(&arch.secured_buses);
-                        assert!(
-                            !verifier.verify(&hardened).is_feasible(),
-                            "synthesized architecture fails to block: {arch}"
-                        );
-                    }
+                let outcome = synth.synthesize(attacker, &SynthesisConfig::with_budget(budget));
+                if let Some(arch) = outcome.architecture() {
+                    assert!(arch.secured_buses.len() <= budget);
+                    let hardened = attacker.clone().secure_buses(&arch.secured_buses);
+                    assert!(
+                        !verifier.verify(&hardened).is_feasible(),
+                        "synthesized architecture fails to block: {arch}"
+                    );
                 }
             }
         }
@@ -769,12 +735,6 @@ mod tests {
                 obs.metrics
             );
         }
-        // The cold baseline never reports retention.
-        let (_, cold_obs) = synth.synthesize_with_metrics(
-            &attacker,
-            &SynthesisConfig::with_budget(3).with_incremental(false),
-        );
-        assert_eq!(cold_obs.metrics.retained_clauses, 0);
     }
 
     #[test]

@@ -86,8 +86,6 @@ pub struct Query {
     pub timeout_ms: Option<u64>,
     /// Synthesis resource budget (number of securable buses).
     pub budget: Option<usize>,
-    /// Synthesis: reuse one incremental core across CEGIS checks.
-    pub incremental: bool,
     /// Campaign: worker threads for the nested sweep.
     pub workers: usize,
     /// Emit the trailing `timing` object (default true; set false for
@@ -203,7 +201,6 @@ fn query(json: &Json, id: &str) -> Result<Query, ProtocolError> {
         certify: certify_field(json, id)?,
         timeout_ms: u64_field(json, id, "timeout_ms")?,
         budget: u64_field(json, id, "budget")?.map(|n| n as usize),
-        incremental: bool_field(json, id, "incremental", true)?,
         workers: u64_field(json, id, "workers")?.unwrap_or(2) as usize,
         timing: bool_field(json, id, "timing", true)?,
         trace: bool_field(json, id, "trace", false)?,
@@ -336,9 +333,10 @@ mod tests {
 
     #[test]
     fn parses_a_full_verify_request() {
+        // `incremental` is a retired key that older clients still send.
         let line = "{\"id\":\"r1\",\"op\":\"verify\",\"case\":\"ieee14\",\
              \"scenario\":\"target-state 12\\n\",\"certify\":\"models\",\
-             \"timeout_ms\":250,\"timing\":false,\"trace\":true}";
+             \"timeout_ms\":250,\"timing\":false,\"trace\":true,\"incremental\":false}";
         let req = parse_request(line).expect("parses");
         assert_eq!(req.id, "r1");
         let Op::Verify(q) = req.op else { panic!("expected verify") };
@@ -348,7 +346,6 @@ mod tests {
         assert_eq!(q.timeout_ms, Some(250));
         assert!(!q.timing);
         assert!(q.trace);
-        assert!(q.incremental);
     }
 
     #[test]

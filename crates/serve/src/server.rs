@@ -810,7 +810,7 @@ fn run_synthesize(
         Ok(synth) => synth.with_certify(q.certify),
         Err(e) => return query_error(state, MetricOp::Synthesize, id, &e.to_string()),
     };
-    let config = SynthesisConfig::with_budget(budget).with_incremental(q.incremental);
+    let config = SynthesisConfig::with_budget(budget);
     let (outcome, obs) = synth.synthesize_with_metrics(&attacker, &config);
     let wall = state.clock.now().saturating_sub(started);
     let mut out = protocol::response_head(id, "synthesize");
@@ -849,9 +849,8 @@ fn run_campaign(
     started: Duration,
     writer: &Arc<Mutex<net::Stream>>,
 ) -> Vec<String> {
-    let mut spec = CampaignSpec::standard_sweep(&q.case, (**system).clone())
-        .with_certify(q.certify)
-        .with_incremental(q.incremental);
+    let mut spec =
+        CampaignSpec::standard_sweep(&q.case, (**system).clone()).with_certify(q.certify);
     if let Some(ms) = q.timeout_ms {
         spec = spec.with_timeout_ms(ms);
     }

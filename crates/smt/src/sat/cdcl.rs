@@ -140,6 +140,9 @@ pub struct CdclSolver {
     order: Vec<SatVar>,
     order_pos: Vec<usize>,
     seen: Vec<bool>,
+    /// The clause database is refuted at the root level, by an added
+    /// clause or by a root-level conflict in search. Sticky: a persistent
+    /// core solved again must not resume propagation past the conflict.
     unsat_at_root: bool,
     counters: SatCounters,
     /// Variables the theory cares about; others skip the theory feed.
@@ -247,10 +250,10 @@ impl CdclSolver {
         self.proof.take()
     }
 
-    /// The proof recorded so far, with logging left enabled. The persistent
-    /// incremental core snapshots this once per check — the log spans the
-    /// whole solver session, so [`CdclSolver::take_proof`] (which stops
-    /// logging) would truncate every later check's proof.
+    /// The proof recorded so far, with logging left enabled. Certification
+    /// borrows it: a persistent core's log spans the whole solver session,
+    /// so [`CdclSolver::take_proof`] (which stops logging) would truncate
+    /// every later check's proof.
     pub fn proof(&self) -> Option<&ProofLog> {
         self.proof.as_ref()
     }
@@ -833,39 +836,6 @@ impl CdclSolver {
         self.solve_under_assumptions(&[], theory)
     }
 
-    /// Solves under `assumptions`: the given literals are placed as
-    /// pseudo-decisions (one per level, in order, before any branching),
-    /// MiniSat style. Placement is keyed on the current decision-level
-    /// count, so it self-heals across restarts and backjumps. On `Unsat`
-    /// with a non-empty [`CdclSolver::failed_assumptions`] core the clause
-    /// set itself is *not* refuted — only its conjunction with the
-    /// assumptions — and the solver stays usable for further calls after
-    /// [`CdclSolver::reset_to_root`].
-    pub fn solve_under_assumptions<T: Theory>(
-        &mut self,
-        assumptions: &[Lit],
-        theory: &mut T,
-    ) -> SatOutcome {
-        let debug = std::env::var_os("STA_SMT_DEBUG").is_some();
-        let mut t_prop = std::time::Duration::ZERO;
-        let mut t_theory = std::time::Duration::ZERO;
-        let mut theory_steps = 0u64;
-        let outcome = self.solve_inner(
-            assumptions,
-            theory,
-            debug,
-            &mut t_prop,
-            &mut t_theory,
-            &mut theory_steps,
-        );
-        if debug {
-            eprintln!(
-                "[sta-smt] propagate {t_prop:.2?} theory {t_theory:.2?} ({theory_steps} steps)"
-            );
-        }
-        outcome
-    }
-
     /// The failed-assumption core of the most recent
     /// [`CdclSolver::solve_under_assumptions`] `Unsat` answer: a clause of
     /// negated assumption literals (a subset of the assumptions, negated)
@@ -923,14 +893,18 @@ impl CdclSolver {
         out
     }
 
-    fn solve_inner<T: Theory>(
+    /// Solves under `assumptions`: the given literals are placed as
+    /// pseudo-decisions (one per level, in order, before any branching),
+    /// MiniSat style. Placement is keyed on the current decision-level
+    /// count, so it self-heals across restarts and backjumps. On `Unsat`
+    /// with a non-empty [`CdclSolver::failed_assumptions`] core the clause
+    /// set itself is *not* refuted — only its conjunction with the
+    /// assumptions — and the solver stays usable for further calls after
+    /// [`CdclSolver::reset_to_root`].
+    pub fn solve_under_assumptions<T: Theory>(
         &mut self,
         assumptions: &[Lit],
         theory: &mut T,
-        debug: bool,
-        t_prop: &mut std::time::Duration,
-        t_theory: &mut std::time::Duration,
-        theory_steps: &mut u64,
     ) -> SatOutcome {
         self.failed.clear();
         if self.unsat_at_root {
@@ -957,21 +931,11 @@ impl CdclSolver {
                 }
             }
             rounds += 1;
-            let prop_start = debug.then(std::time::Instant::now);
             let boolean_conflict = self.propagate();
-            if let Some(s) = prop_start {
-                *t_prop += s.elapsed();
-            }
             let conflict: Option<Vec<Lit>> = if let Some(ci) = boolean_conflict {
                 Some(self.clauses[ci].lits.clone())
             } else {
-                let th_start = debug.then(std::time::Instant::now);
-                *theory_steps += 1;
-                let result = self.theory_step(theory);
-                if let Some(s) = th_start {
-                    *t_theory += s.elapsed();
-                }
-                match result {
+                match self.theory_step(theory) {
                     TheoryResult::Ok => None,
                     TheoryResult::Interrupted => {
                         // The theory's own budget check fired (shared with
@@ -997,19 +961,17 @@ impl CdclSolver {
                 Some(cl) => {
                     self.counters.conflicts += 1;
                     conflicts_since_restart += 1;
-                    if self.trail_lim.is_empty() {
-                        self.log_refutation();
-                        return SatOutcome::Unsat;
-                    }
                     // Guard: ensure the conflict involves the current level
                     // (always true for Boolean conflicts; theory conflicts
-                    // could in principle be older).
+                    // could in principle be older). A conflict among root
+                    // literals refutes the clause database itself.
                     let max_level = cl
                         .iter()
                         .map(|l| self.level[l.var() as usize] as usize)
                         .max()
                         .unwrap_or(0);
-                    if max_level == 0 {
+                    if self.trail_lim.is_empty() || max_level == 0 {
+                        self.unsat_at_root = true;
                         self.log_refutation();
                         return SatOutcome::Unsat;
                     }

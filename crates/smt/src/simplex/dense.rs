@@ -232,12 +232,9 @@ impl DenseCore {
     pub(crate) fn check(&mut self, sh: &mut Shared) -> TheoryResult {
         sh.theory_checks += 1;
         self.ensure_vars(sh.assignment.len());
-        let debug = sh.debug_timing();
-        let t0 = debug.then(std::time::Instant::now);
+        let t0 = sh.timer_start();
         self.repair_nonbasic(sh);
-        if let Some(t) = t0 {
-            sh.debug_timers.repair += t.elapsed();
-        }
+        sh.debug_timers.repair += sh.timer_since(t0);
         #[cfg(feature = "certify-debug")]
         self.audit_invariants(sh);
         let limited = sh.budget.is_limited();
@@ -251,30 +248,24 @@ impl DenseCore {
             }
             iters += 1;
             sh.debug_timers.iterations += 1;
-            let t_scan = debug.then(std::time::Instant::now);
+            let t_scan = sh.timer_start();
             // Leaving: smallest-index basic variable violating a bound.
             let violation =
                 find_violation(sh, self.basic.iter().copied().enumerate());
             let Some((r, xb, below, target)) = violation else {
-                if let Some(t) = t_scan {
-                    sh.debug_timers.scan += t.elapsed();
-                }
+                sh.debug_timers.scan += sh.timer_since(t_scan);
                 return TheoryResult::Ok;
             };
             // Entering: smallest-index nonbasic that can move xb toward the
             // violated bound.
             let entering =
                 select_entering(sh, self.rows[r].iter().map(|(&v, c)| (v, c)), below);
-            if let Some(t) = t_scan {
-                sh.debug_timers.scan += t.elapsed();
-            }
+            sh.debug_timers.scan += sh.timer_since(t_scan);
             match entering {
                 Some(xn) => {
-                    let t_piv = debug.then(std::time::Instant::now);
+                    let t_piv = sh.timer_start();
                     self.pivot_and_update(sh, r, xn, target);
-                    if let Some(t) = t_piv {
-                        sh.debug_timers.pivot += t.elapsed();
-                    }
+                    sh.debug_timers.pivot += sh.timer_since(t_piv);
                     #[cfg(feature = "certify-debug")]
                     self.audit_invariants(sh);
                 }

@@ -44,6 +44,7 @@ mod revised;
 use crate::budget::Budget;
 use crate::certify::{AtomSemantics, TheoryContext};
 use crate::expr::{LinExpr, RealVar};
+use crate::profile::Clock;
 use crate::rational::{DeltaRational, Rational};
 use crate::sat::proof::FarkasCertificate;
 use crate::sat::{Lit, SatVar, Theory, TheoryResult};
@@ -51,6 +52,7 @@ use dense::DenseCore;
 use revised::RevisedCore;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Internal solver-variable index (problem variables and slacks).
 pub(crate) type SVar = usize;
@@ -197,14 +199,13 @@ pub(crate) struct Shared {
     pub(crate) last_certificate: Option<FarkasCertificate>,
     /// Deadline / cancellation budget polled in the pivot loop.
     pub(crate) budget: Budget,
-    /// Populate [`Simplex::debug_timers`] even without `STA_SMT_DEBUG`
-    /// (turned on by the span profiler, which attaches the accumulated
-    /// simplex self-time as a leaf under the search span).
-    pub(crate) timing_enabled: bool,
-    /// Debug accounting (populated when `STA_SMT_DEBUG` is set or timing
-    /// was enabled by a profiler): time in nonbasic repair, in the
-    /// violation/entering scans, and in pivoting, plus scan-iteration
-    /// count.
+    /// The clock [`Simplex::debug_timers`] reads, installed by the span
+    /// profiler (which attaches the accumulated simplex self-time as a
+    /// leaf under the search span); `None` leaves the timers at zero.
+    pub(crate) timing: Option<Clock>,
+    /// Phase accounting (timed only once a profiler installed a clock):
+    /// time in nonbasic repair, in the violation/entering scans, and in
+    /// pivoting, plus scan-iteration count.
     pub(crate) debug_timers: DebugTimers,
 }
 
@@ -219,9 +220,17 @@ impl Shared {
         v
     }
 
-    /// True when `STA_SMT_DEBUG` or the profiler asked for phase timers.
-    pub(crate) fn debug_timing(&self) -> bool {
-        self.timing_enabled || std::env::var_os("STA_SMT_DEBUG").is_some()
+    /// A phase-timer start reading; `None` while timing is off.
+    pub(crate) fn timer_start(&self) -> Option<Duration> {
+        self.timing.as_ref().map(Clock::now)
+    }
+
+    /// Time since a [`Shared::timer_start`] reading (zero with timing off).
+    pub(crate) fn timer_since(&self, start: Option<Duration>) -> Duration {
+        match (&self.timing, start) {
+            (Some(clock), Some(t)) => clock.now().saturating_sub(t),
+            _ => Duration::ZERO,
+        }
     }
 }
 
@@ -333,12 +342,12 @@ impl Simplex {
         self.shared.budget = budget;
     }
 
-    /// Turns on [`Simplex::debug_timers`] accounting unconditionally
-    /// (instead of only under `STA_SMT_DEBUG`). The per-phase `Instant`
-    /// reads cost a few percent on pivot-heavy instances, so this stays
-    /// opt-in with the profiler.
-    pub fn enable_timing(&mut self) {
-        self.shared.timing_enabled = true;
+    /// Turns on [`Simplex::debug_timers`] accounting, read through
+    /// `clock` (the profiler's, so simplex leaves and spans share one time
+    /// source). The per-phase clock reads cost a few percent on
+    /// pivot-heavy instances, so this stays opt-in with the profiler.
+    pub fn enable_timing(&mut self, clock: Clock) {
+        self.shared.timing = Some(clock);
     }
 
     /// The accumulated per-phase debug timers (see [`DebugTimers`]).

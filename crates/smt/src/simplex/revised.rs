@@ -161,16 +161,14 @@ impl RevisedCore {
         sh: &mut Shared,
         poll: &mut dyn FnMut() -> bool,
     ) -> Result<(), LuError> {
-        let t0 = sh.debug_timing().then(std::time::Instant::now);
+        let t0 = sh.timer_start();
         let cols: Vec<Vec<(usize, Rational)>> =
             self.basis.iter().map(|&v| self.column_of(sh, v)).collect();
         let lu = SparseLu::factor(&cols, poll)?;
         self.factor = Some(FactorizedBasis::new(lu));
         self.stale = false;
         sh.refactorizations += 1;
-        if let Some(t) = t0 {
-            sh.debug_timers.factor += t.elapsed();
-        }
+        sh.debug_timers.factor += sh.timer_since(t0);
         Ok(())
     }
 
@@ -380,12 +378,9 @@ impl RevisedCore {
     pub(crate) fn check(&mut self, sh: &mut Shared) -> TheoryResult {
         sh.theory_checks += 1;
         self.ensure_vars(sh.assignment.len());
-        let debug = sh.debug_timing();
-        let t0 = debug.then(std::time::Instant::now);
+        let t0 = sh.timer_start();
         self.repair_nonbasic(sh);
-        if let Some(t) = t0 {
-            sh.debug_timers.repair += t.elapsed();
-        }
+        sh.debug_timers.repair += sh.timer_since(t0);
         // Kernel-level poll, threaded through factorization, FTRAN/BTRAN
         // and eta application so deep solves on large bases stay
         // interruptible between pivot boundaries.
@@ -409,34 +404,26 @@ impl RevisedCore {
             }
             iters += 1;
             sh.debug_timers.iterations += 1;
-            let t_scan = debug.then(std::time::Instant::now);
+            let t_scan = sh.timer_start();
             let violation = find_violation(sh, self.basis.iter().copied().enumerate());
             let Some((pos, xb, below, target)) = violation else {
-                if let Some(t) = t_scan {
-                    sh.debug_timers.scan += t.elapsed();
-                }
+                sh.debug_timers.scan += sh.timer_since(t_scan);
                 return TheoryResult::Ok;
             };
             let row = match self.tableau_row(sh, pos, &mut poll) {
                 Ok(row) => row,
                 Err(e) => {
-                    if let Some(t) = t_scan {
-                        sh.debug_timers.scan += t.elapsed();
-                    }
+                    sh.debug_timers.scan += sh.timer_since(t_scan);
                     return fail(e);
                 }
             };
             let entering = select_entering(sh, row.iter().map(|(&v, c)| (v, c)), below);
-            if let Some(t) = t_scan {
-                sh.debug_timers.scan += t.elapsed();
-            }
+            sh.debug_timers.scan += sh.timer_since(t_scan);
             match entering {
                 Some(xn) => {
-                    let t_piv = debug.then(std::time::Instant::now);
+                    let t_piv = sh.timer_start();
                     let pivoted = self.pivot_and_update(sh, pos, xn, target, &mut poll);
-                    if let Some(t) = t_piv {
-                        sh.debug_timers.pivot += t.elapsed();
-                    }
+                    sh.debug_timers.pivot += sh.timer_since(t_piv);
                     if let Err(e) = pivoted {
                         return fail(e);
                     }

@@ -4,42 +4,46 @@
 //! [`Solver::pop`] scoping, and [`Solver::check`] decides their conjunction
 //! over QF_LRA.
 //!
-//! # Incremental reuse
+//! # Two front-ends, one solve body
 //!
-//! [`Solver::check`] reuses work across the assertion stack without ever
-//! reusing solver *search* state: the assertions below the first open scope
-//! (the "base") are encoded once into a cached, never-solved
-//! CDCL/simplex/encoder trio, and each check clones that trio and encodes
-//! only the scoped deltas into the clone before solving it. The
-//! push/pop-heavy campaign pattern (assert the grid constraints once, push
-//! a per-variant delta, check, pop) thus pays base encoding once per solver
-//! instead of once per check, while learned clauses, theory state and
-//! proof-log steps stay strictly per-check — popping a scope can never leak
-//! retracted constraints or out-of-scope proof steps into later answers. A
-//! [`Solver::pop`] that retracts assertions the cache has already encoded
-//! (possible only when certification levels changed mid-stack) drains the
-//! cache entirely.
+//! Every check encodes into a CDCL/simplex/encoder trio (a core) and hands
+//! it to one private routine that searches, assembles [`SolverStats`],
+//! certifies and extracts the model. The two query shapes differ only in
+//! which core they hand over:
 //!
-//! [`Solver::check_assuming`] goes further: it solves on a single
-//! *persistent* core that lives across checks, so learned clauses, variable
-//! activity, saved phases and the simplex basis all carry over. Scoped
-//! assertions are guarded by per-scope activation literals (assumed true
-//! while the scope is open); a pop retires the scope by asserting the
-//! guard's negation as a root unit and hard-deleting every clause that
-//! carries it — including learned clauses derived under the scope — so
-//! retracted constraints can never resurface in an answer or a replayed
-//! proof. [`Solver::set_incremental`] (default on) switches
-//! `check_assuming` back to the clone-per-check path for A/B comparison;
-//! `check` itself always uses the clone path, keeping its answers and
-//! metrics identical in both modes.
+//! * [`Solver::check`] solves a fresh clone of a never-solved template.
+//!   The assertions below the first open scope (the "base") are encoded
+//!   into the template once; each check clones it and encodes only the
+//!   scoped deltas into the clone. The push/pop-heavy campaign pattern
+//!   (assert the grid constraints once, push a per-variant delta, check,
+//!   pop) thus pays base encoding once per solver, while learned clauses,
+//!   theory state and proof-log steps stay strictly per-check. That
+//!   isolation is why `check` stays clone-per-check: an answer's witness
+//!   and counters depend only on the assertion stack, never on the checks
+//!   that ran before it on the same solver. A [`Solver::pop`] that
+//!   retracts assertions the template has already encoded (possible only
+//!   when certification levels changed mid-stack) drops the template.
+//! * [`Solver::check_assuming`] solves a single *persistent* core in
+//!   place, so learned clauses, variable activity, saved phases and the
+//!   simplex basis all carry over. Scoped assertions are guarded by
+//!   per-scope activation literals (assumed true while the scope is open);
+//!   a pop retires the scope by asserting the guard's negation as a root
+//!   unit and hard-deleting every clause that carries it — including
+//!   learned clauses derived under the scope — so retracted constraints
+//!   can never resurface in an answer or a replayed proof.
+//!
+//! Per-check counters are the core's counters minus a snapshot taken when
+//! the search begins: zero for a template clone (whose counts thus include
+//! encode-time root propagation), the post-encode state for the persistent
+//! core.
 //!
 //! Checks accept a [`Budget`]: deadlines and cooperative cancellation are
 //! polled at every phase — Tseitin/cardinality encoding (including base
 //! extension), the CDCL decision and conflict loops, and simplex pivoting —
 //! surfacing as [`SatResult::Unknown`] instead of hanging. An interrupt
-//! during base extension drains the cache (the half-encoded assertion
-//! would poison the template); an interrupt while encoding scoped deltas
-//! only discards the per-check clone.
+//! while encoding drops whichever core holds the half-encoded assertion:
+//! the template or the persistent core (both rebuilt by the next check),
+//! or only the per-check clone when it hit a scoped delta.
 //!
 //! # Examples
 //!
@@ -65,10 +69,11 @@ use crate::formula::{BoolVar, Formula};
 use crate::lint::{self, LintReport, Severity};
 use crate::profile::{Clock, Profiler};
 use crate::rational::Rational;
-use crate::sat::{CdclSolver, LBool, Lit, SatOutcome};
-use crate::simplex::{Simplex, SimplexMode};
+use crate::sat::{CdclSolver, LBool, Lit, SatCounters, SatOutcome};
+use crate::simplex::{DebugTimers, Simplex, SimplexMode};
 use crate::stats::SolverStats;
 use std::fmt;
+use std::time::Duration;
 
 /// A satisfying assignment for the problem variables.
 ///
@@ -167,25 +172,7 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// The cached base encoding: the assertion-stack prefix below the first
-/// open scope, encoded into a CDCL/simplex/encoder trio that is *never*
-/// solved. Checks clone it and solve the clone (see the module docs).
-#[derive(Debug, Clone)]
-struct BaseEncoding {
-    sat: CdclSolver,
-    simplex: Simplex,
-    encoder: Encoder,
-    /// Leading assertions already encoded (`assertions[..encoded]`).
-    encoded: usize,
-    /// Problem reals materialized into the tableau so far.
-    reals: u32,
-    /// Whether proof logging was on when the base was built; a mismatch
-    /// with the current certification level forces a rebuild, since proofs
-    /// must log the complete original CNF.
-    proof: bool,
-}
-
-/// How the live core guards one open assertion scope.
+/// How the persistent core guards one open assertion scope.
 #[derive(Debug, Clone, Copy)]
 enum ScopeGuard {
     /// A [`Solver::push`] scope none of whose assertions have been encoded
@@ -201,16 +188,12 @@ enum ScopeGuard {
     Sticky,
 }
 
-/// The persistent incremental core behind [`Solver::check_assuming`]: one
-/// CDCL/simplex/encoder trio solved *in place* across checks, so learned
-/// clauses, variable activity, saved phases and the warm simplex basis all
-/// carry over. Scoped assertions are guarded by per-scope activation
-/// literals; popped scopes are retired lazily at the next check's preamble
-/// (root unit `¬act` plus hard deletion of every clause carrying `¬act`).
-/// Sticky scopes skip the guard — and the core — instead (see
-/// [`ScopeGuard`]).
-#[derive(Debug)]
-struct LiveCore {
+/// An encoded CDCL/simplex/encoder trio: [`Solver::check`]'s template
+/// (cloned per check, never solved itself) or [`Solver::check_assuming`]'s
+/// persistent core (solved in place across checks; popped scopes are
+/// retired lazily at the next check's preamble).
+#[derive(Debug, Clone)]
+struct Core {
     sat: CdclSolver,
     simplex: Simplex,
     encoder: Encoder,
@@ -218,13 +201,130 @@ struct LiveCore {
     encoded: usize,
     /// Problem reals materialized into the tableau so far.
     reals: u32,
-    /// Per-open-scope guards, parallel to `Solver::scopes`.
+    /// Per-open-scope guards, parallel to `Solver::scopes` (empty on the
+    /// template, which never encodes a scoped assertion).
     scope_guards: Vec<ScopeGuard>,
     /// Activation literals of popped scopes awaiting retirement.
     retired: Vec<Lit>,
     /// Whether proof logging was on when the core was built; a mismatch
-    /// with the current certification level forces a rebuild.
+    /// with the current certification level forces a rebuild, since
+    /// proofs must log the complete original CNF.
     proof: bool,
+}
+
+impl Core {
+    fn new(proof: bool, mode: SimplexMode, scope_guards: Vec<ScopeGuard>) -> Self {
+        let mut sat = CdclSolver::new();
+        if proof {
+            sat.enable_proof();
+        }
+        Core {
+            sat,
+            simplex: Simplex::with_mode(mode),
+            encoder: Encoder::new(),
+            encoded: 0,
+            reals: 0,
+            scope_guards,
+            retired: Vec::new(),
+            proof,
+        }
+    }
+
+    /// Materializes every declared real variable, so models cover them and
+    /// template clones share one tableau layout.
+    fn declare_reals(&mut self, n_reals: u32) {
+        for i in self.reals..n_reals {
+            self.simplex.solver_var(RealVar(i));
+        }
+        self.reals = n_reals;
+    }
+
+    /// The activation literal guarding `scope` (1-based; 0 is the base),
+    /// allocated on first use, or `None` where assertions encode
+    /// unguarded: the base and sticky scopes.
+    fn guard(&mut self, scope: usize) -> Option<Lit> {
+        let slot = &mut self.scope_guards[scope.checked_sub(1)?];
+        match *slot {
+            ScopeGuard::Sticky => None,
+            ScopeGuard::Act(act) => Some(act),
+            ScopeGuard::Lazy => {
+                let act = Lit::positive(self.sat.new_var());
+                *slot = ScopeGuard::Act(act);
+                Some(act)
+            }
+        }
+    }
+
+    /// Encodes `assertions[self.encoded..]`, each under its scope's guard
+    /// (`scopes` holds the open scopes' start marks), polling `budget`.
+    /// An interrupt leaves the assertion it hit half-encoded, so the
+    /// caller must drop the core.
+    fn encode(
+        &mut self,
+        assertions: &[Formula],
+        scopes: &[usize],
+        budget: &Budget,
+    ) -> Result<(), Interrupt> {
+        self.encoder.set_budget(budget.clone());
+        let mut done = Ok(());
+        while self.encoded < assertions.len() {
+            let i = self.encoded;
+            let f = &assertions[i];
+            let encoded = match self.guard(scopes.partition_point(|&mark| mark <= i)) {
+                None => self.encoder.assert_root(f, &mut self.sat, &mut self.simplex),
+                Some(act) => {
+                    self.encoder.assert_root_guarded(f, act, &mut self.sat, &mut self.simplex)
+                }
+            };
+            if let Err(why) = encoded {
+                done = Err(why);
+                break;
+            }
+            self.encoded += 1;
+        }
+        // The template must not keep this check's deadline for later,
+        // unlimited checks.
+        self.encoder.set_budget(Budget::unlimited());
+        done
+    }
+
+    /// `stats` with this core's encoding sizes filled in.
+    fn sized(&self, stats: SolverStats) -> SolverStats {
+        SolverStats {
+            sat_vars: self.sat.num_vars(),
+            clauses: self.encoder.clauses,
+            clause_lits: self.encoder.clause_lits,
+            atoms: self.encoder.num_atoms(),
+            ..stats
+        }
+    }
+}
+
+/// A core's cumulative counters when its search begins; a check reports
+/// the difference from here. What was already present *is* a persistent
+/// core's warm-start payoff: learned clauses carried in, and pivots whose
+/// work the retained basis embodies.
+#[derive(Debug, Default)]
+struct Snapshot {
+    sat: SatCounters,
+    pivots: u64,
+    bound_asserts: u64,
+    theory_checks: u64,
+    refactorizations: u64,
+    timers: DebugTimers,
+}
+
+impl Snapshot {
+    fn of(core: &Core) -> Self {
+        Snapshot {
+            sat: core.sat.counters(),
+            pivots: core.simplex.pivots(),
+            bound_asserts: core.simplex.bound_asserts(),
+            theory_checks: core.simplex.theory_checks(),
+            refactorizations: core.simplex.refactorizations(),
+            timers: core.simplex.debug_timers().clone(),
+        }
+    }
 }
 
 /// An SMT solver for Boolean combinations of linear real arithmetic.
@@ -243,15 +343,13 @@ pub struct Solver {
     last_stats: Option<SolverStats>,
     certify: CertifyLevel,
     budget: Budget,
-    base: Option<BaseEncoding>,
+    /// The never-solved template [`Solver::check`] clones.
+    template: Option<Core>,
     /// Persistent core for [`Solver::check_assuming`]; built lazily,
     /// dropped on encode interrupts and mode/certification flips.
-    live: Option<LiveCore>,
-    /// Whether `check_assuming` uses the persistent core (default) or
-    /// falls back to the clone-per-check path.
-    incremental: bool,
+    live: Option<Core>,
     /// Which simplex engine checks use (see [`SimplexMode`]). Applied when
-    /// a base/live core is built; changing it drops both caches.
+    /// a template or live core is built; changing it drops both.
     simplex_mode: SimplexMode,
     /// The single time source for every per-check wall clock in
     /// [`SolverStats`] (tests inject a fake; see [`crate::profile`]).
@@ -274,9 +372,8 @@ impl Default for Solver {
             last_stats: None,
             certify: CertifyLevel::default(),
             budget: Budget::default(),
-            base: None,
+            template: None,
             live: None,
-            incremental: true,
             simplex_mode: SimplexMode::Auto,
             clock: Clock::default(),
             profiler: None,
@@ -345,13 +442,13 @@ impl Solver {
             return Err(UsageError::new("pop without matching push"));
         };
         self.assertions.truncate(mark);
-        // Drain the cached base if the pop retracted assertions it has
-        // encoded — its clause database and proof log would otherwise leak
+        // Drop the template if the pop retracted assertions it has encoded
+        // — its clause database and proof log would otherwise leak
         // out-of-scope constraints and proof steps into later checks. (The
-        // cache only ever covers the prefix below the first open scope, so
-        // this fires only on caches built before that scope was opened.)
-        if self.base.as_ref().is_some_and(|b| b.encoded > mark) {
-            self.base = None;
+        // template only ever covers the prefix below the first open scope,
+        // so this fires only on templates built before that scope opened.)
+        if self.template.as_ref().is_some_and(|t| t.encoded > mark) {
+            self.template = None;
         }
         self.sticky.pop();
         let mut drop_core = false;
@@ -391,34 +488,17 @@ impl Solver {
         self.certify = level;
     }
 
-    /// Chooses between the persistent incremental core (the default) and
-    /// the clone-per-check fallback for [`Solver::check_assuming`].
-    /// Turning the mode off drops any live core; [`Solver::check`] is
-    /// unaffected either way.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-        if !on {
-            self.live = None;
-        }
-    }
-
-    /// Whether [`Solver::check_assuming`] uses the persistent core.
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
     /// Chooses the simplex engine for subsequent checks: `Auto` (the
     /// default) starts dense and upgrades to the revised engine once the
     /// tableau crosses the size threshold, `Dense`/`Revised` pin one
     /// backend. Both engines replay identical pivot trajectories over
     /// exact rationals, so answers, models and deterministic counters do
-    /// not depend on the mode. Changing the mode drops the cached base
-    /// encoding and the live incremental core (they embed a simplex built
-    /// in the old mode).
+    /// not depend on the mode. Changing the mode drops the template and
+    /// the persistent core (they embed a simplex built in the old mode).
     pub fn set_simplex_mode(&mut self, mode: SimplexMode) {
         if self.simplex_mode != mode {
             self.simplex_mode = mode;
-            self.base = None;
+            self.template = None;
             self.live = None;
         }
     }
@@ -497,10 +577,8 @@ impl Solver {
     /// the answer fails to certify — a solver bug, reported together with a
     /// dump of the assertion set for reproduction.
     pub fn check(&mut self) -> SatResult {
-        match self.check_certified() {
-            Ok(result) => result,
-            Err(e) => panic!("{e}\nassertions:\n{}", self.dump_assertions()),
-        }
+        let result = self.check_certified();
+        self.certified_or_abort(result)
     }
 
     /// Decides satisfiability, returning certification failures as errors.
@@ -517,262 +595,69 @@ impl Solver {
         // boundary, so the intervals in one stats row are consistent
         // (encode + search never exceeds solve).
         let start = self.clock.now();
-        let prof = self.profiler.clone();
+        let mut lint_report = self.deny_mode_lint()?;
         let full = self.certify >= CertifyLevel::Full;
-        let mut lint_report = LintReport::new();
-        if full {
-            lint_report = self.lint();
-            if lint_report.has_errors() {
-                return Err(CertifyError::new(format!(
-                    "lint errors in deny mode:\n{lint_report}"
-                )));
-            }
+        let prof = self.profiler.clone();
+        // Template maintenance: rebuild on a proof-enablement change,
+        // otherwise extend it over any new below-scope assertions. Only
+        // the prefix below the first open scope is ever encoded into it,
+        // so scoped deltas never enter the template.
+        if self.template.as_ref().is_some_and(|t| t.proof != full) {
+            self.template = None;
         }
-        // Base cache maintenance: rebuild on a proof-enablement change,
-        // otherwise extend it over any new below-scope assertions. Only the
-        // prefix below the first open scope is ever cached, so scoped
-        // deltas never enter the template.
-        let base_limit = self.scopes.first().copied().unwrap_or(self.assertions.len());
-        if self.base.as_ref().is_some_and(|b| b.proof != full) {
-            self.base = None;
-        }
-        let cache_hit = self.base.is_some();
+        let reused = self.template.is_some();
         let mode = self.simplex_mode;
-        let base = self.base.get_or_insert_with(|| {
-            let mut sat = CdclSolver::new();
-            if full {
-                sat.enable_proof();
-            }
-            BaseEncoding {
-                sat,
-                simplex: Simplex::with_mode(mode),
-                encoder: Encoder::new(),
-                encoded: 0,
-                reals: 0,
-                proof: full,
-            }
-        });
-        // Materialize every declared real variable so models cover them and
-        // the clone sees a stable tableau layout.
-        for i in base.reals..self.n_reals {
-            base.simplex.solver_var(RealVar(i));
-        }
-        base.reals = self.n_reals;
-        // The encoder honors the budget: a huge Tseitin/cardinality
-        // expansion must not blow past the deadline before the search loop
-        // ever polls. The base template is encoded under the budget and
-        // reset to unlimited afterwards so later unlimited checks reuse it.
+        let template = self.template.get_or_insert_with(|| Core::new(full, mode, Vec::new()));
+        template.declare_reals(self.n_reals);
+        let base_limit = self.scopes.first().copied().unwrap_or(self.assertions.len());
         let sp_encode = prof.as_ref().map(|p| p.span("encode"));
-        base.encoder.set_budget(self.budget.clone());
-        let mut base_interrupt = None;
-        {
+        let extended = {
             let _sp_base = prof.as_ref().map(|p| p.span("base"));
-            while base.encoded < base_limit {
-                let f = &self.assertions[base.encoded];
-                if let Err(why) = base.encoder.assert_root(f, &mut base.sat, &mut base.simplex) {
-                    base_interrupt = Some(why);
-                    break;
-                }
-                base.encoded += 1;
-            }
-        }
-        base.encoder.set_budget(Budget::unlimited());
-        if let Some(why) = base_interrupt {
-            // The interrupted assertion is half-encoded into the template —
-            // drop the cache so the next check rebuilds it cleanly.
-            self.base = None;
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.base_cache_hit = cache_hit;
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            // The whole check was encoding; one clock read covers both.
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
-        }
+            template.encode(&self.assertions[..base_limit], &[], &self.budget)
+        };
         // Per-check clone: scoped deltas are encoded into it and it alone
         // is solved, keeping learned clauses, theory state and proof steps
         // isolated to this check.
-        let mut sat = base.sat.clone();
-        let mut simplex = base.simplex.clone();
-        let mut encoder = base.encoder.clone();
-        encoder.set_budget(self.budget.clone());
-        let mut delta_interrupt = None;
-        {
-            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
-            for f in &self.assertions[base_limit..] {
-                if let Err(why) = encoder.assert_root(f, &mut sat, &mut simplex) {
-                    delta_interrupt = Some(why);
-                    break;
-                }
+        let mut core = match extended {
+            Ok(()) => template.clone(),
+            Err(why) => {
+                // The interrupted assertion is half-encoded into the
+                // template: drop it so the next check rebuilds it cleanly.
+                self.template = None;
+                let stats = self.stats_head(&lint_report, reused);
+                return self.encode_interrupted(why, start, stats);
             }
-        }
-        if let Some(why) = delta_interrupt {
-            // Only the clone saw the partial delta; the base stays valid.
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.sat_vars = sat.num_vars();
-            stats.clauses = encoder.clauses;
-            stats.clause_lits = encoder.clause_lits;
-            stats.atoms = encoder.num_atoms();
-            stats.base_cache_hit = cache_hit;
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
+        };
+        let delta = {
+            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
+            core.encode(&self.assertions, &[], &self.budget)
+        };
+        if let Err(why) = delta {
+            // Only the clone saw the partial delta; the template stays valid.
+            let stats = core.sized(self.stats_head(&lint_report, reused));
+            return self.encode_interrupted(why, start, stats);
         }
         drop(sp_encode);
         if full {
             // Encoding-level pass (duplicate / subsumed clauses) over the
             // clause database before any learning happens.
-            lint_report.merge(lint::lint_clauses(&sat.clause_list()));
+            lint_report.merge(lint::lint_clauses(&core.sat.clause_list()));
         }
-        sat.set_budget(self.budget.clone());
-        simplex.set_budget(self.budget.clone());
-        if self.progress {
-            sat.enable_progress(self.clock.clone());
-        }
-        if prof.is_some() {
-            // The per-check clone starts from the never-solved base, so
-            // its timers accumulate exactly this check's simplex work.
-            simplex.enable_timing();
-        }
-        let encode_done = self.clock.now();
-        let outcome = {
-            let _sp_search = prof.as_ref().map(|p| p.span("search"));
-            let outcome = sat.solve(&mut simplex);
-            if let Some(p) = &prof {
-                let t = &simplex.debug_timers();
-                p.record_leaf("simplex", t.repair + t.scan + t.pivot, t.iterations);
-                if simplex.refactorizations() > 0 {
-                    p.record_leaf("simplex-factor", t.factor, simplex.refactorizations());
-                }
-            }
-            outcome
-        };
-        let search_done = self.clock.now();
-        let search_time = search_done.saturating_sub(encode_done);
-        if std::env::var_os("STA_SMT_DEBUG").is_some() {
-            let t = &simplex.debug_timers();
-            eprintln!(
-                "[sta-smt] encode {:.2?} search {:.2?} | simplex repair {:.2?} \
-                 scan {:.2?} pivot {:.2?} iters {}",
-                encode_done.saturating_sub(start),
-                search_time,
-                t.repair,
-                t.scan,
-                t.pivot,
-                t.iterations,
-            );
-        }
-        let counters = sat.counters();
-        let progress = sat.take_progress();
-        let mut stats = SolverStats {
-            bool_vars: self.n_bools as usize,
-            real_vars: self.n_reals as usize,
-            assertions: self.assertions.len(),
-            sat_vars: sat.num_vars(),
-            clauses: encoder.clauses,
-            clause_lits: encoder.clause_lits,
-            atoms: encoder.num_atoms(),
-            simplex_vars: simplex.num_vars(),
-            simplex_rows: simplex.num_rows(),
-            tableau_entries: simplex.tableau_entries(),
-            pivots: simplex.pivots(),
-            refactorizations: simplex.refactorizations(),
-            decisions: counters.decisions,
-            propagations: counters.propagations,
-            conflicts: counters.conflicts,
-            theory_conflicts: counters.theory_conflicts,
-            restarts: counters.restarts,
-            learned_clauses: counters.learned_clauses,
-            clause_db: sat.num_clauses() as u64,
-            bound_asserts: simplex.bound_asserts(),
-            theory_checks: simplex.theory_checks(),
-            retained_clauses: 0,
-            deleted_clauses: 0,
-            warm_pivots_saved: 0,
-            base_cache_hit: cache_hit,
-            proof_steps: 0,
-            certified: false,
-            lint_errors: lint_report.count(Severity::Error),
-            lint_warnings: lint_report.count(Severity::Warning),
-            lint_infos: lint_report.count(Severity::Info),
-            solve_time: search_done.saturating_sub(start),
-            encode_time: encode_done.saturating_sub(start),
-            search_time,
-            progress,
-        };
-        let result = match outcome {
-            SatOutcome::Unsat => {
-                if full {
-                    let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    let proof = sat
-                        .take_proof()
-                        .ok_or_else(|| CertifyError::new("proof logging produced no proof"))?;
-                    stats.proof_steps = proof.num_derivations() as u64;
-                    check_unsat_proof(&proof, &simplex.certificate_context())?;
-                    stats.certified = true;
-                }
-                SatResult::Unsat
-            }
-            SatOutcome::Sat => {
-                let reals = simplex.concrete_model();
-                let bools: Vec<bool> = (0..self.n_bools)
-                    .map(|i| match encoder.lookup_bool(BoolVar(i)) {
-                        Some(v) => sat.value(v) == LBool::True,
-                        None => false,
-                    })
-                    .collect();
-                if self.certify >= CertifyLevel::CheckModels {
-                    let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    for f in &self.assertions {
-                        if !eval_formula(f, &bools, &reals) {
-                            return Err(CertifyError::new(format!(
-                                "model does not satisfy asserted formula {f}"
-                            )));
-                        }
-                    }
-                    stats.certified = true;
-                }
-                SatResult::Sat(Model { bools, reals })
-            }
-            SatOutcome::Unknown(why) => SatResult::Unknown(why),
-        };
-        // Final wall clock includes certification; still one read.
-        stats.solve_time = self.clock.now().saturating_sub(start);
-        self.last_stats = Some(stats);
-        Ok(result)
+        let stats = self.stats_head(&lint_report, reused);
+        self.solve_encoded(&mut core, &[], &[], start, Snapshot::default(), stats)
     }
 
     /// Decides satisfiability of the asserted conjunction together with a
     /// set of per-call Boolean assumptions, without changing the assertion
-    /// stack.
-    ///
-    /// In incremental mode (the default, see [`Solver::set_incremental`])
-    /// this solves on a persistent core that carries learned clauses,
-    /// branching heuristics and the simplex basis across calls; with the
-    /// mode off it expresses the assumptions as a scoped delta and runs
-    /// the clone-per-check path, which is answer-equivalent.
+    /// stack. Solves on the persistent core, which carries learned
+    /// clauses, branching heuristics and the simplex basis across calls.
     ///
     /// # Panics
     /// Panics if certification is enabled and the answer fails to certify —
     /// a solver bug, reported with a dump of the assertion set.
     pub fn check_assuming(&mut self, assumptions: &[(BoolVar, bool)]) -> SatResult {
-        match self.check_assuming_certified(assumptions) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}\nassertions:\n{}", self.dump_assertions()),
-        }
+        let result = self.check_assuming_certified(assumptions);
+        self.certified_or_abort(result)
     }
 
     /// [`Solver::check_assuming`], returning certification failures as
@@ -784,72 +669,28 @@ impl Solver {
         &mut self,
         assumptions: &[(BoolVar, bool)],
     ) -> Result<SatResult, CertifyError> {
-        if !self.incremental {
-            // A/B fallback: a scoped unit-assertion delta on the
-            // clone-per-check path is answer-equivalent to assuming.
-            self.push();
-            for &(v, positive) in assumptions {
-                let f = Formula::var(v);
-                self.assert_formula(&if positive { f } else { f.not() });
-            }
-            let result = self.check_certified();
-            // The matching push is three lines up, so this cannot fail.
-            let popped = self.pop();
-            debug_assert!(popped.is_ok());
-            return result;
-        }
-        self.check_assuming_live(assumptions)
-    }
-
-    /// The persistent-core solve path behind [`Solver::check_assuming`].
-    fn check_assuming_live(
-        &mut self,
-        assumptions: &[(BoolVar, bool)],
-    ) -> Result<SatResult, CertifyError> {
         let start = self.clock.now();
-        let prof = self.profiler.clone();
+        let lint_report = self.deny_mode_lint()?;
         let full = self.certify >= CertifyLevel::Full;
-        let mut lint_report = LintReport::new();
-        if full {
-            lint_report = self.lint();
-            if lint_report.has_errors() {
-                return Err(CertifyError::new(format!(
-                    "lint errors in deny mode:\n{lint_report}"
-                )));
-            }
-        }
         // A certification flip invalidates the core: proofs must log the
         // complete original CNF from the first clause on.
         if self.live.as_ref().is_some_and(|c| c.proof != full) {
             self.live = None;
         }
-        let core_reused = self.live.is_some();
-        let n_scopes = self.scopes.len();
+        let reused = self.live.is_some();
         // Scopes already open when the core is first built keep their
         // declared kind: sticky ones encode unguarded from the start.
-        let initial_guards: Vec<ScopeGuard> = self
-            .sticky
-            .iter()
-            .map(|&s| if s { ScopeGuard::Sticky } else { ScopeGuard::Lazy })
-            .collect();
-        let mode = self.simplex_mode;
-        let live = self.live.get_or_insert_with(|| {
-            let mut sat = CdclSolver::new();
-            if full {
-                sat.enable_proof();
-            }
-            LiveCore {
-                sat,
-                simplex: Simplex::with_mode(mode),
-                encoder: Encoder::new(),
-                encoded: 0,
-                reals: 0,
-                scope_guards: initial_guards,
-                retired: Vec::new(),
-                proof: full,
-            }
+        let mut core = self.live.take().unwrap_or_else(|| {
+            let guards = self.sticky.iter().map(|&s| {
+                if s {
+                    ScopeGuard::Sticky
+                } else {
+                    ScopeGuard::Lazy
+                }
+            });
+            Core::new(full, self.simplex_mode, guards.collect())
         });
-        debug_assert_eq!(live.scope_guards.len(), n_scopes);
+        debug_assert_eq!(core.scope_guards.len(), self.scopes.len());
         // Preamble: return the core to the root level (it may hold the
         // previous check's trail, or a mid-search trail if that check was
         // interrupted), then retire popped scopes — a root unit `¬act`
@@ -857,99 +698,33 @@ impl Solver {
         // hard delete removes those clauses plus every learned clause
         // derived under the scope (each carries `¬act`), so retracted
         // constraints cannot resurface in answers or replayed proofs.
-        live.sat.reset_to_root(&mut live.simplex);
+        core.sat.reset_to_root(&mut core.simplex);
         let mut deleted_clauses = 0u64;
-        for act in std::mem::take(&mut live.retired) {
-            live.sat.add_clause(vec![!act]);
-            deleted_clauses += live.sat.purge_literal(!act);
+        for act in std::mem::take(&mut core.retired) {
+            core.sat.add_clause(vec![!act]);
+            deleted_clauses += core.sat.purge_literal(!act);
         }
-        // Materialize every declared real so models cover them.
-        for i in live.reals..self.n_reals {
-            live.simplex.solver_var(RealVar(i));
-        }
-        live.reals = self.n_reals;
+        core.declare_reals(self.n_reals);
         // Extend the encoding over assertions added (or re-added) since
         // the last check. Base assertions (below the first open scope) are
         // permanent; scoped ones get their scope's activation guard.
-        let sp_encode = prof.as_ref().map(|p| p.span("encode"));
-        live.encoder.set_budget(self.budget.clone());
-        let mut encode_interrupt = None;
-        {
-            let _sp_delta = prof.as_ref().map(|p| p.span("delta"));
-            while live.encoded < self.assertions.len() {
-                let i = live.encoded;
-                let f = &self.assertions[i];
-                let scope = self.scopes.partition_point(|&mark| mark <= i);
-                let guard = if scope == 0 {
-                    ScopeGuard::Sticky
-                } else {
-                    let slot = &mut live.scope_guards[scope - 1];
-                    if let ScopeGuard::Lazy = slot {
-                        *slot = ScopeGuard::Act(Lit::positive(live.sat.new_var()));
-                    }
-                    *slot
-                };
-                let outcome = match guard {
-                    // Base and sticky-scope assertions are permanent for
-                    // the core's lifetime: encode unguarded.
-                    ScopeGuard::Sticky => {
-                        live.encoder.assert_root(f, &mut live.sat, &mut live.simplex)
-                    }
-                    ScopeGuard::Act(act) => live
-                        .encoder
-                        .assert_root_guarded(f, act, &mut live.sat, &mut live.simplex),
-                    ScopeGuard::Lazy => unreachable!("lazy guards are resolved above"),
-                };
-                if let Err(why) = outcome {
-                    encode_interrupt = Some(why);
-                    break;
-                }
-                live.encoded += 1;
-            }
-        }
-        live.encoder.set_budget(Budget::unlimited());
-        drop(sp_encode);
-        if let Some(why) = encode_interrupt {
-            // The interrupted assertion is half-encoded into the core —
-            // drop it so the next check rebuilds cleanly from the stack.
-            self.live = None;
-            let mut stats = SolverStats::default();
-            stats.bool_vars = self.n_bools as usize;
-            stats.real_vars = self.n_reals as usize;
-            stats.assertions = self.assertions.len();
-            stats.lint_errors = lint_report.count(Severity::Error);
-            stats.lint_warnings = lint_report.count(Severity::Warning);
-            stats.lint_infos = lint_report.count(Severity::Info);
-            stats.encode_time = self.clock.now().saturating_sub(start);
-            stats.solve_time = stats.encode_time;
-            self.last_stats = Some(stats);
-            return Ok(SatResult::Unknown(why));
-        }
-        // Entry snapshots: the core's counters are cumulative across its
-        // lifetime, so per-check figures are deltas from here. What was
-        // already present *is* the warm-start payoff — learned clauses
-        // carried in, and pivots whose work the retained basis embodies.
-        let entry = live.sat.counters();
-        let entry_pivots = live.simplex.pivots();
-        let entry_bounds = live.simplex.bound_asserts();
-        let entry_checks = live.simplex.theory_checks();
-        let entry_refactors = live.simplex.refactorizations();
-        let retained_clauses = if core_reused { entry.learned_clauses } else { 0 };
-        live.sat.set_budget(self.budget.clone());
-        live.simplex.set_budget(self.budget.clone());
-        if self.progress {
-            live.sat.enable_progress(self.clock.clone());
-        }
-        let timers_entry = if prof.is_some() {
-            live.simplex.enable_timing();
-            live.simplex.debug_timers().clone()
-        } else {
-            Default::default()
+        let encoded = {
+            let prof = self.profiler.as_ref();
+            let _sp_encode = prof.map(|p| p.span("encode"));
+            let _sp_delta = prof.map(|p| p.span("delta"));
+            core.encode(&self.assertions, &self.scopes, &self.budget)
         };
+        if let Err(why) = encoded {
+            // The interrupted assertion is half-encoded into the core, which
+            // is dropped here; the next check rebuilds it from the stack.
+            let stats = self.stats_head(&lint_report, reused);
+            return self.encode_interrupted(why, start, stats);
+        }
+        let at = Snapshot::of(&core);
         // Assumptions: every open guarded scope's activation literal
         // (sticky scopes are asserted, not assumed), then the caller's
         // Boolean assumptions.
-        let mut sat_assumptions: Vec<Lit> = live
+        let mut sat_assumptions: Vec<Lit> = core
             .scope_guards
             .iter()
             .filter_map(|g| match g {
@@ -958,112 +733,164 @@ impl Solver {
             })
             .collect();
         for &(v, positive) in assumptions {
-            let sv = live.encoder.sat_var_of_bool(v, &mut live.sat);
+            let sv = core.encoder.sat_var_of_bool(v, &mut core.sat);
             sat_assumptions.push(Lit::with_polarity(sv, positive));
+        }
+        let stats = SolverStats { deleted_clauses, ..self.stats_head(&lint_report, reused) };
+        let result =
+            self.solve_encoded(&mut core, &sat_assumptions, assumptions, start, at, stats);
+        self.live = Some(core);
+        result
+    }
+
+    /// Unwraps a front-end's answer for the panicking entry points: a
+    /// certification failure is a solver bug, aborted with a dump of the
+    /// assertion set for reproduction.
+    fn certified_or_abort(&self, result: Result<SatResult, CertifyError>) -> SatResult {
+        match result {
+            Ok(result) => result,
+            Err(e) => panic!("{e}\nassertions:\n{}", self.dump_assertions()),
+        }
+    }
+
+    /// The deny-mode lint gate of [`CertifyLevel::Full`]: error findings
+    /// abort the check before anything is encoded. Below `Full` nothing is
+    /// linted.
+    fn deny_mode_lint(&self) -> Result<LintReport, CertifyError> {
+        if self.certify < CertifyLevel::Full {
+            return Ok(LintReport::new());
+        }
+        let report = self.lint();
+        if report.has_errors() {
+            return Err(CertifyError::new(format!("lint errors in deny mode:\n{report}")));
+        }
+        Ok(report)
+    }
+
+    /// The stats a front-end knows before searching: problem sizes, lint
+    /// findings, and whether it reused an already-encoded core.
+    fn stats_head(&self, lint_report: &LintReport, reused: bool) -> SolverStats {
+        SolverStats {
+            bool_vars: self.n_bools as usize,
+            real_vars: self.n_reals as usize,
+            assertions: self.assertions.len(),
+            base_cache_hit: reused,
+            lint_errors: lint_report.count(Severity::Error),
+            lint_warnings: lint_report.count(Severity::Warning),
+            lint_infos: lint_report.count(Severity::Info),
+            ..SolverStats::default()
+        }
+    }
+
+    /// Records the stats of a check whose budget ran out while encoding
+    /// and answers `Unknown`. The whole check was encoding, so one clock
+    /// read covers both intervals.
+    fn encode_interrupted(
+        &mut self,
+        why: Interrupt,
+        start: Duration,
+        mut stats: SolverStats,
+    ) -> Result<SatResult, CertifyError> {
+        stats.encode_time = self.clock.now().saturating_sub(start);
+        stats.solve_time = stats.encode_time;
+        self.last_stats = Some(stats);
+        Ok(SatResult::Unknown(why))
+    }
+
+    /// The solve body both front-ends share, run on a fully encoded core:
+    /// search under `assumptions`, fill `stats` with counters relative to
+    /// `at`, then certify — replay the refutation (or the failed-assumption
+    /// core) under [`CertifyLevel::Full`], or re-evaluate the model against
+    /// every assertion and every caller assumption in `user`.
+    fn solve_encoded(
+        &mut self,
+        core: &mut Core,
+        assumptions: &[Lit],
+        user: &[(BoolVar, bool)],
+        start: Duration,
+        at: Snapshot,
+        stats: SolverStats,
+    ) -> Result<SatResult, CertifyError> {
+        let prof = self.profiler.clone();
+        core.sat.set_budget(self.budget.clone());
+        core.simplex.set_budget(self.budget.clone());
+        if self.progress {
+            core.sat.enable_progress(self.clock.clone());
+        }
+        if prof.is_some() {
+            core.simplex.enable_timing(self.clock.clone());
         }
         let encode_done = self.clock.now();
         let outcome = {
             let _sp_search = prof.as_ref().map(|p| p.span("search"));
-            let outcome = live
-                .sat
-                .solve_under_assumptions(&sat_assumptions, &mut live.simplex);
+            let outcome = core.sat.solve_under_assumptions(assumptions, &mut core.simplex);
             if let Some(p) = &prof {
-                let t = &live.simplex.debug_timers();
+                let (t, t0) = (core.simplex.debug_timers(), &at.timers);
                 p.record_leaf(
                     "simplex",
-                    (t.repair + t.scan + t.pivot).saturating_sub(
-                        timers_entry.repair + timers_entry.scan + timers_entry.pivot,
-                    ),
-                    t.iterations.saturating_sub(timers_entry.iterations),
+                    (t.repair + t.scan + t.pivot).saturating_sub(t0.repair + t0.scan + t0.pivot),
+                    t.iterations.saturating_sub(t0.iterations),
                 );
                 let refactors =
-                    live.simplex.refactorizations().saturating_sub(entry_refactors);
+                    core.simplex.refactorizations().saturating_sub(at.refactorizations);
                 if refactors > 0 {
-                    p.record_leaf(
-                        "simplex-factor",
-                        t.factor.saturating_sub(timers_entry.factor),
-                        refactors,
-                    );
+                    p.record_leaf("simplex-factor", t.factor.saturating_sub(t0.factor), refactors);
                 }
             }
             outcome
         };
         let search_done = self.clock.now();
-        let counters = live.sat.counters();
-        let progress = live.sat.take_progress();
+        let counters = core.sat.counters();
         let mut stats = SolverStats {
-            bool_vars: self.n_bools as usize,
-            real_vars: self.n_reals as usize,
-            assertions: self.assertions.len(),
-            sat_vars: live.sat.num_vars(),
-            clauses: live.encoder.clauses,
-            clause_lits: live.encoder.clause_lits,
-            atoms: live.encoder.num_atoms(),
-            simplex_vars: live.simplex.num_vars(),
-            simplex_rows: live.simplex.num_rows(),
-            tableau_entries: live.simplex.tableau_entries(),
-            pivots: live.simplex.pivots().saturating_sub(entry_pivots),
-            refactorizations: live
-                .simplex
-                .refactorizations()
-                .saturating_sub(entry_refactors),
-            decisions: counters.decisions.saturating_sub(entry.decisions),
-            propagations: counters.propagations.saturating_sub(entry.propagations),
-            conflicts: counters.conflicts.saturating_sub(entry.conflicts),
-            theory_conflicts: counters
-                .theory_conflicts
-                .saturating_sub(entry.theory_conflicts),
-            restarts: counters.restarts.saturating_sub(entry.restarts),
+            simplex_vars: core.simplex.num_vars(),
+            simplex_rows: core.simplex.num_rows(),
+            tableau_entries: core.simplex.tableau_entries(),
+            pivots: core.simplex.pivots().saturating_sub(at.pivots),
+            refactorizations: core.simplex.refactorizations().saturating_sub(at.refactorizations),
+            decisions: counters.decisions.saturating_sub(at.sat.decisions),
+            propagations: counters.propagations.saturating_sub(at.sat.propagations),
+            conflicts: counters.conflicts.saturating_sub(at.sat.conflicts),
+            theory_conflicts: counters.theory_conflicts.saturating_sub(at.sat.theory_conflicts),
+            restarts: counters.restarts.saturating_sub(at.sat.restarts),
             learned_clauses: counters.learned_clauses,
-            clause_db: live.sat.num_clauses() as u64,
-            bound_asserts: live.simplex.bound_asserts().saturating_sub(entry_bounds),
-            theory_checks: live.simplex.theory_checks().saturating_sub(entry_checks),
-            retained_clauses,
-            deleted_clauses,
-            warm_pivots_saved: if core_reused { entry_pivots } else { 0 },
-            base_cache_hit: core_reused,
-            proof_steps: 0,
-            certified: false,
-            lint_errors: lint_report.count(Severity::Error),
-            lint_warnings: lint_report.count(Severity::Warning),
-            lint_infos: lint_report.count(Severity::Info),
-            solve_time: search_done.saturating_sub(start),
+            clause_db: core.sat.num_clauses() as u64,
+            bound_asserts: core.simplex.bound_asserts().saturating_sub(at.bound_asserts),
+            theory_checks: core.simplex.theory_checks().saturating_sub(at.theory_checks),
+            retained_clauses: at.sat.learned_clauses,
+            warm_pivots_saved: at.pivots,
             encode_time: encode_done.saturating_sub(start),
             search_time: search_done.saturating_sub(encode_done),
-            progress,
+            progress: core.sat.take_progress(),
+            ..core.sized(stats)
         };
         let result = match outcome {
             SatOutcome::Unsat => {
-                if full {
+                if self.certify >= CertifyLevel::Full {
                     let _sp_certify = prof.as_ref().map(|p| p.span("certify"));
-                    // The session-long proof log stays attached (a later
-                    // check keeps appending to it), so borrow and clone
-                    // rather than take.
-                    let proof = live
+                    let proof = core
                         .sat
                         .proof()
-                        .cloned()
                         .ok_or_else(|| CertifyError::new("proof logging produced no proof"))?;
                     stats.proof_steps = proof.num_derivations() as u64;
-                    let ctx = live.simplex.certificate_context();
-                    if live.sat.failed_assumptions().is_empty() {
-                        check_unsat_proof(&proof, &ctx)?;
+                    let ctx = core.simplex.certificate_context();
+                    if core.sat.failed_assumptions().is_empty() {
+                        check_unsat_proof(proof, &ctx)?;
                     } else {
-                        let negated: Vec<Lit> = sat_assumptions.iter().map(|&l| !l).collect();
-                        check_assumption_unsat_proof(&proof, &ctx, &negated)?;
+                        let negated: Vec<Lit> = assumptions.iter().map(|&l| !l).collect();
+                        check_assumption_unsat_proof(proof, &ctx, &negated)?;
                     }
                     stats.certified = true;
                 }
                 SatResult::Unsat
             }
             SatOutcome::Sat => {
-                // Read the model before anything resets the core (the
-                // trail and tableau stay put until the next check's
-                // preamble).
-                let reals = live.simplex.concrete_model();
+                // Read the model before anything resets the core (a
+                // persistent core's trail and tableau stay put until the
+                // next check's preamble).
+                let reals = core.simplex.concrete_model();
                 let bools: Vec<bool> = (0..self.n_bools)
-                    .map(|i| match live.encoder.lookup_bool(BoolVar(i)) {
-                        Some(v) => live.sat.value(v) == LBool::True,
+                    .map(|i| match core.encoder.lookup_bool(BoolVar(i)) {
+                        Some(v) => core.sat.value(v) == LBool::True,
                         None => false,
                     })
                     .collect();
@@ -1076,7 +903,7 @@ impl Solver {
                             )));
                         }
                     }
-                    for &(v, positive) in assumptions {
+                    for &(v, positive) in user {
                         if bools[v.0 as usize] != positive {
                             return Err(CertifyError::new(format!(
                                 "model does not satisfy assumption on b{}",
@@ -1090,6 +917,7 @@ impl Solver {
             }
             SatOutcome::Unknown(why) => SatResult::Unknown(why),
         };
+        // Final wall clock includes certification; still one read.
         stats.solve_time = self.clock.now().saturating_sub(start);
         self.last_stats = Some(stats);
         Ok(result)
@@ -1590,42 +1418,52 @@ mod tests {
         assert!(s.pop().is_err());
     }
 
-    /// One persistent core, many checks: assumption subsets select among
-    /// mutually exclusive configurations without any push/pop, and the
-    /// answers match the clone-per-check fallback on an identical solver.
-    #[test]
-    fn check_assuming_matches_non_incremental_fallback() {
-        let build = |incremental: bool| {
-            let mut s = Solver::new();
-            s.set_incremental(incremental);
-            let p = s.new_bool();
-            let q = s.new_bool();
-            let x = s.new_real();
-            s.assert_formula(&Formula::var(p).implies(LinExpr::var(x).ge(LinExpr::from(5))));
-            s.assert_formula(&Formula::var(q).implies(LinExpr::var(x).le(LinExpr::from(2))));
-            (s, p, q, x)
-        };
-        for incremental in [true, false] {
-            let (mut s, p, q, x) = build(incremental);
-            assert_eq!(s.incremental(), incremental);
-            // p ∧ q forces 5 ≤ x ≤ 2: unsat.
-            assert!(!s.check_assuming(&[(p, true), (q, true)]).is_sat());
-            // p alone: sat with x ≥ 5.
-            let m = s.check_assuming(&[(p, true), (q, false)]).expect_sat();
-            assert!(m.bool_value(p) && !m.bool_value(q));
-            assert!(m.real_value(x) >= &r(5, 1));
-            // The same contradictory pair again — the core must still know.
-            assert!(!s.check_assuming(&[(p, true), (q, true)]).is_sat());
-            // No assumptions at all: sat.
-            assert!(s.check_assuming(&[]).is_sat());
-            // The assertion stack was never disturbed.
-            assert_eq!(s.num_assertions(), 2);
+    /// `check()` on the same question asked as a scoped delta of unit
+    /// assertions: push, assert each assumption, check, pop.
+    fn check_scoped(s: &mut Solver, assumptions: &[(BoolVar, bool)]) -> SatResult {
+        s.push();
+        for &(v, positive) in assumptions {
+            let f = Formula::var(v);
+            s.assert_formula(&if positive { f } else { f.not() });
         }
+        let result = s.check();
+        s.pop().unwrap();
+        result
+    }
+
+    /// One persistent core, many checks: assumption subsets select among
+    /// mutually exclusive configurations without any push/pop, and each
+    /// answer matches `check()` on the same question as a scoped delta.
+    #[test]
+    fn check_assuming_matches_scoped_check() {
+        let mut s = Solver::new();
+        let p = s.new_bool();
+        let q = s.new_bool();
+        let x = s.new_real();
+        s.assert_formula(&Formula::var(p).implies(LinExpr::var(x).ge(LinExpr::from(5))));
+        s.assert_formula(&Formula::var(q).implies(LinExpr::var(x).le(LinExpr::from(2))));
+        // p ∧ q forces 5 ≤ x ≤ 2: unsat.
+        assert!(!s.check_assuming(&[(p, true), (q, true)]).is_sat());
+        assert!(!check_scoped(&mut s, &[(p, true), (q, true)]).is_sat());
+        // p alone: sat with x ≥ 5.
+        let m = s.check_assuming(&[(p, true), (q, false)]).expect_sat();
+        assert!(m.bool_value(p) && !m.bool_value(q));
+        assert!(m.real_value(x) >= &r(5, 1));
+        let m = check_scoped(&mut s, &[(p, true), (q, false)]).expect_sat();
+        assert!(m.bool_value(p) && !m.bool_value(q));
+        assert!(m.real_value(x) >= &r(5, 1));
+        // The same contradictory pair again — the core must still know.
+        assert!(!s.check_assuming(&[(p, true), (q, true)]).is_sat());
+        // No assumptions at all: sat.
+        assert!(s.check_assuming(&[]).is_sat());
+        assert!(s.check().is_sat());
+        // The assertion stack was never disturbed.
+        assert_eq!(s.num_assertions(), 2);
     }
 
     /// The warm-start ledger: a second check on a reused core reports the
-    /// carried-in learned clauses and basis work; the fallback path
-    /// reports zeros for all three incremental counters.
+    /// carried-in learned clauses and basis work; `check()` (clone per
+    /// check) reports zeros for all three incremental counters.
     #[test]
     fn incremental_stats_expose_retention_and_warm_start() {
         let mut s = Solver::new();
@@ -1651,9 +1489,8 @@ mod tests {
             second.warm_pivots_saved,
             first.pivots
         );
-        // The fallback path never reports incremental reuse.
-        s.set_incremental(false);
-        assert!(s.check_assuming(&[(p, true)]).is_sat());
+        // The clone-per-check front-end never reports persistent reuse.
+        assert!(check_scoped(&mut s, &[(p, true)]).is_sat());
         let cold = s.last_stats().expect("stats").clone();
         assert_eq!(cold.retained_clauses, 0);
         assert_eq!(cold.deleted_clauses, 0);
@@ -1803,6 +1640,30 @@ mod tests {
         assert!(m.real_value(x) >= &r(5, 1));
     }
 
+    /// A root-level refutation found by search is permanent for the
+    /// persistent core: later checks, with or without assumptions, stay
+    /// unsat (and certify) instead of resuming search past the conflict.
+    #[test]
+    fn root_refutation_sticks_across_live_checks() {
+        let mut s = Solver::new();
+        s.set_certify(CertifyLevel::Full);
+        let p = s.new_bool();
+        let x = s.new_real();
+        let y = s.new_real();
+        s.assert_formula(&LinExpr::var(x).ge(LinExpr::from(1)));
+        s.assert_formula(&LinExpr::var(y).ge(LinExpr::from(1)));
+        s.assert_formula(&(LinExpr::var(x) + LinExpr::var(y)).le(LinExpr::from(1)));
+        s.assert_formula(&Formula::or(vec![
+            Formula::var(p),
+            LinExpr::var(x).ge(LinExpr::from(3)),
+        ]));
+        let questions: [&[(BoolVar, bool)]; 4] = [&[], &[(p, true)], &[(p, false)], &[]];
+        for assumptions in questions {
+            assert!(!s.check_assuming(assumptions).is_sat(), "{assumptions:?}");
+            assert!(s.last_stats().expect("stats").certified, "{assumptions:?}");
+        }
+    }
+
     /// Contradictory assumptions on one variable certify as a
     /// failed-assumption core without touching any clause.
     #[test]
@@ -1866,11 +1727,8 @@ mod tests {
         s.set_budget(Budget::with_timeout(std::time::Duration::from_millis(30)));
         let result = s.check_assuming(&[(vars[0][0], true)]);
         assert!(matches!(result, SatResult::Unknown(Interrupt::Timeout)), "{result:?}");
-        // Same core, budget lifted, easy query: assume pigeon 0 in hole 0
-        // and drop the hard part by asking only for consistency of that
-        // one assumption — the full instance is still unsat, so instead
-        // check that the solver is reusable at all via the fallback-free
-        // incremental path on a satisfiable sub-question.
+        // Same core, budget lifted: the full instance is still unsat, so
+        // what this checks is that the surviving core answers at all.
         s.set_budget(Budget::unlimited());
         let result = s.check_assuming(&[(vars[0][0], true), (vars[1][1], true)]);
         // The instance as a whole is unsat; what matters is a decided

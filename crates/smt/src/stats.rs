@@ -105,8 +105,9 @@ pub struct SolverStats {
     /// at check entry (zero on the clone-per-check path, which rebuilds
     /// the tableau from scratch).
     pub warm_pivots_saved: u64,
-    /// Whether this check reused an already-encoded base (the solver's
-    /// incremental base-encoding cache).
+    /// Whether this check reused an already-encoded core: the template
+    /// behind `Solver::check` or the persistent core behind
+    /// `Solver::check_assuming`.
     pub base_cache_hit: bool,
     /// Derivation steps in the logged proof (learned clauses plus theory
     /// lemmas); zero unless proof logging was enabled by certification.

@@ -8,13 +8,13 @@
 //!                                      verify, then replay end to end
 //! sta assess <case>                    grid-wide threat assessment
 //! sta synthesize <case> <scenario> --budget N [--reference-secured]
-//!            [--incremental on|off] [--trace FILE] [--metrics]
+//!            [--trace FILE] [--metrics]
 //!                                      synthesize a security architecture
 //! sta synthesize <case> <scenario> --budget N --measurements
 //!                                      measurement-granular variant
 //! sta campaign [<case>] [--jobs N] [--timeout-ms MS] [--certify L]
 //!              [--topology] [--force-timeout] [--out FILE] [--strip-timing]
-//!              [--incremental on|off] [--trace FILE] [--metrics] [--profile]
+//!              [--trace FILE] [--metrics] [--profile]
 //!                                      parallel sweep of attack variants
 //! sta bench [--suite S] [--reps N] [--jobs N] [--out FILE]
 //!           [--baseline FILE] [--against FILE] [--threshold PCT]
@@ -63,12 +63,10 @@
 //! `full` additionally lints the formulas (deny mode) and replays unsat
 //! proofs through an independent RUP/Farkas checker.
 //!
-//! `--incremental on|off` (default `on`) chooses between the persistent
-//! incremental solver cores in the CEGIS synthesis loop — learned clauses
-//! and the warm simplex basis survive across rounds — and the
-//! clone-per-check baseline. Verdicts are mode-invariant; the flag exists
-//! for A/B perf comparison (see `sta bench --suite cegis` and DESIGN.md
-//! §12). One-shot `verify` jobs are clone-per-check in both modes.
+//! The CEGIS synthesis loop runs on persistent solver cores — learned
+//! clauses and the warm simplex basis survive across rounds — while
+//! `verify` and campaign verification jobs solve a fresh clone of an
+//! encoded template per check (DESIGN.md §12).
 //!
 //! # Exit codes
 //!
@@ -175,9 +173,9 @@ fn usage() -> ExitCode {
          [--timeout-ms MS]\n  sta assess <case>\n  \
          sta synthesize <case> <scenario> --budget N \
          [--reference-secured] [--measurements] [--paper-blocking] [--certify off|models|full] \
-         [--incremental on|off] [--simplex auto|dense|revised] [--trace FILE] [--metrics]\n  \
+         [--simplex auto|dense|revised] [--trace FILE] [--metrics]\n  \
          sta campaign [<case>] [--jobs N] [--timeout-ms MS] [--certify off|models|full] \
-         [--topology] [--force-timeout] [--out FILE] [--strip-timing] [--incremental on|off] \
+         [--topology] [--force-timeout] [--out FILE] [--strip-timing] \
          [--simplex auto|dense|revised] [--trace FILE] [--metrics] [--profile]\n  \
          sta bench [--suite smoke|sweep|cegis|serve|scale] [--reps N] [--jobs N] [--out FILE] \
          [--baseline FILE] [--against FILE] [--threshold PCT]\n  \
@@ -188,7 +186,7 @@ fn usage() -> ExitCode {
          sta client <addr> metrics [--json] [--format json|prometheus]\n  \
          sta client <addr> watch [--interval-ms MS]\n  \
          sta client <addr> verify|synthesize <case> <scenario> [--certify off|models|full] \
-         [--timeout-ms MS] [--budget N] [--incremental on|off] [--no-timing] [--trace]\n  \
+         [--timeout-ms MS] [--budget N] [--no-timing] [--trace]\n  \
          sta client <addr> campaign <case> [--workers N] [--timeout-ms MS] [--no-timing] [--trace]\n  \
          sta client <addr> raw '<json-line>'\n  \
          sta top <addr> [--interval-ms MS] [--once]\n  \
@@ -196,14 +194,6 @@ fn usage() -> ExitCode {
          exit codes: 0 = sat/success, 1 = unsat/no solution/perf regression/lint findings, 2 = usage error, 3 = unknown (budget exhausted)"
     );
     ExitCode::from(2)
-}
-
-fn parse_incremental(v: &str) -> Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("--incremental needs on|off, got {other:?}")),
-    }
 }
 
 fn parse_simplex(v: &str) -> Result<SimplexMode, String> {
@@ -416,7 +406,6 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
     let mut paper_blocking = false;
     let mut certify = CertifyLevel::Off;
     let mut simplex = SimplexMode::Auto;
-    let mut incremental = true;
     let mut trace: Option<String> = None;
     let mut metrics = false;
     let mut profile = false;
@@ -430,10 +419,6 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
             "--reference-secured" => reference_secured = true,
             "--measurements" => measurements = true,
             "--paper-blocking" => paper_blocking = true,
-            "--incremental" => {
-                let v = it.next().ok_or("--incremental needs a value")?;
-                incremental = parse_incremental(v)?;
-            }
             "--certify" => {
                 let v = it.next().ok_or("--certify needs a value")?;
                 certify = parse_certify(v)?;
@@ -481,7 +466,7 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     } else {
-        let mut config = SynthesisConfig::with_budget(budget).with_incremental(incremental);
+        let mut config = SynthesisConfig::with_budget(budget);
         if reference_secured {
             config = config.with_reference_secured();
         }
@@ -535,7 +520,6 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let mut force_timeout = false;
     let mut out_file: Option<String> = None;
     let mut strip_timing = false;
-    let mut incremental = true;
     let mut simplex = SimplexMode::Auto;
     let mut trace: Option<String> = None;
     let mut metrics = false;
@@ -543,10 +527,6 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--incremental" => {
-                let v = it.next().ok_or("--incremental needs a value")?;
-                incremental = parse_incremental(v)?;
-            }
             "--simplex" => {
                 let v = it.next().ok_or("--simplex needs a value")?;
                 simplex = parse_simplex(v)?;
@@ -608,7 +588,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     if let Some(ms) = timeout_ms {
         spec = spec.with_timeout_ms(ms);
     }
-    spec = spec.with_certify(certify).with_incremental(incremental).with_simplex(simplex);
+    spec = spec.with_certify(certify).with_simplex(simplex);
     let sink = match &trace {
         Some(path) => Some(SharedSink::new(Box::new(open_trace(path)?))),
         None => None,
@@ -905,10 +885,6 @@ fn client_query_line(op: &str, args: &[String]) -> Result<String, String> {
                 let v = it.next().ok_or("--budget needs a value")?;
                 let n: u64 = v.parse().map_err(|_| "bad --budget value")?;
                 let _ = write!(line, ",\"budget\":{n}");
-            }
-            "--incremental" => {
-                let on = parse_incremental(it.next().ok_or("--incremental needs a value")?)?;
-                let _ = write!(line, ",\"incremental\":{on}");
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;

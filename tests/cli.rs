@@ -164,21 +164,21 @@ fn campaign_bad_jobs_flag_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// Satellite: `--incremental` takes exactly `on` or `off`; anything else
-/// is a usage error (exit 2) on both synthesize and campaign, and the
-/// message names the flag.
+/// `--incremental` (the retired warm/cold switch) is an unknown flag: a
+/// usage error (exit 2) on both synthesize and campaign, whatever value
+/// follows it, and the message names the flag.
 #[test]
 fn bad_incremental_flag_is_a_usage_error() {
-    let out = sta(&[
-        "synthesize", "ieee14", "-", "--budget", "3", "--incremental", "maybe",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--incremental"));
-    let out = sta(&["campaign", "ieee14", "--incremental", "1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--incremental"));
-    let out = sta(&["campaign", "ieee14", "--incremental"]);
-    assert_eq!(out.status.code(), Some(2));
+    for value in ["on", "off"] {
+        let out = sta(&[
+            "synthesize", "ieee14", "-", "--budget", "3", "--incremental", value,
+        ]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--incremental\""));
+        let out = sta(&["campaign", "ieee14", "--incremental", value]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--incremental\""));
+    }
 }
 
 /// Satellite: bad telemetry flags are usage errors (exit 2) rejected
@@ -200,33 +200,6 @@ fn bad_telemetry_flags_are_usage_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--interval-ms"));
     let out = sta(&["top"]);
     assert_eq!(out.status.code(), Some(2));
-}
-
-/// Tentpole: the warm (default) and cold (`--incremental off`) synthesis
-/// paths agree on the verdict from the command line too.
-#[test]
-fn synthesize_incremental_modes_agree_on_verdict() {
-    let dir = std::env::temp_dir().join("sta-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let scen_path = dir.join("synth-ab.scenario");
-    std::fs::write(&scen_path, "target 12 change\nmax-measurements 8\n").unwrap();
-    for mode in ["on", "off"] {
-        let out = sta(&[
-            "synthesize",
-            "ieee14-unsecured",
-            scen_path.to_str().unwrap(),
-            "--budget",
-            "3",
-            "--incremental",
-            mode,
-        ]);
-        assert!(
-            out.status.success(),
-            "--incremental {mode}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(stdout(&out).contains("secure buses"), "--incremental {mode}");
-    }
 }
 
 /// Tentpole: `--trace` writes parseable JSON Lines bracketed by

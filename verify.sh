@@ -13,11 +13,7 @@
 #      its --trace JSONL must be well-formed with non-zero phase counters;
 #      on machines with >= 4 CPUs the 4-worker run must also be >= 2x
 #      faster than the 1-worker run
-#   6. incremental equivalence: the same 33-job campaign with
-#      --incremental on vs off must produce byte-identical timing-stripped
-#      reports — the persistent solver core may only change how fast
-#      answers arrive, never the answers
-#   6b. engine equivalence: the same campaign pinned to `--simplex dense`
+#   6. engine equivalence: the same campaign pinned to `--simplex dense`
 #      and `--simplex revised` must produce byte-identical timing-stripped
 #      reports — the revised engine replays the dense pivot trajectory
 #      exactly, so only the clock may differ
@@ -169,29 +165,10 @@ cmp -s "$report1" "$report4" || {
     exit 1
 }
 
-echo "==> incremental equivalence: --incremental on/off stripped reports must match"
-# The 4-worker stripped report above ran with the default (--incremental
-# on); rerun the identical campaign with the persistent core disabled and
-# byte-compare. Verdicts, models and certificates must not depend on the
-# solve path.
-report_cold="$(mktemp)"
-trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_cold"' EXIT
-status=0
-./target/release/sta campaign ieee14 --jobs 4 --certify full --force-timeout \
-    --incremental off --out "$report_cold" --strip-timing >/dev/null || status=$?
-if [ "$status" -ne 3 ]; then
-    echo "expected exit 3 from the --incremental off run, got exit $status" >&2
-    exit 1
-fi
-cmp -s "$report4" "$report_cold" || {
-    echo "timing-stripped campaign reports differ between --incremental on and off" >&2
-    exit 1
-}
-
 echo "==> engine equivalence: --simplex dense/revised stripped reports must match"
 report_dense="$(mktemp)" report_revised="$(mktemp)"
-trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_cold" \
-     "$report_dense" "$report_revised"' EXIT
+trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_dense" \
+     "$report_revised"' EXIT
 for engine in dense revised; do
     status=0
     ./target/release/sta campaign ieee14 --jobs 4 --certify full --force-timeout \
@@ -244,8 +221,8 @@ grep -q '"schema":"sta-bench/v1"' BENCH_smoke.ci.json || {
 echo "==> serve smoke: warm session cache over a unix socket"
 sockdir="$(mktemp -d)"
 serve_pid=""
-trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_cold" \
-     "$report_dense" "$report_revised"; \
+trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_dense" \
+     "$report_revised"; \
      [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; \
      rm -rf "$sockdir"; true' EXIT
 sock="$sockdir/sta-serve-ci.sock"
