@@ -8,7 +8,7 @@
 
 use crate::chi2;
 use crate::wls::{StateEstimate, WlsEstimator};
-use sta_linalg::{CholeskyError, SparseCholesky, Vector};
+use sta_linalg::{CholeskyError, Vector};
 use std::fmt;
 
 /// Error from LNR identification: the residual covariance could not be
@@ -17,7 +17,7 @@ use std::fmt;
 /// [`BadDataDetector::identify`] reports as `Ok(None)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdentificationError {
-    /// `G = HᵀH` was not positive definite: the estimator's configuration
+    /// `G = HᵀWH` was not positive definite: the estimator's configuration
     /// is (or has numerically become) unobservable, so residual
     /// covariances are undefined. Worth surfacing — it means the estimate
     /// being screened is itself suspect.
@@ -160,11 +160,14 @@ impl BadDataDetector {
         result: &StateEstimate,
     ) -> Result<Option<(usize, f64)>, IdentificationError> {
         let omega = residual_covariance_diag(est)?;
+        let weights = est.weights();
         let mut best: Option<(usize, f64)> = None;
         for (i, r) in result.residual.iter().enumerate() {
             let var = omega[i];
-            if var <= 1e-10 {
-                continue; // critical measurement: residual always ~0
+            // Critical measurement: its residual is always ~0. Relative to
+            // the meter's own variance, so the test is independent of scale.
+            if weights[i] * var <= 1e-10 {
+                continue;
             }
             let rn = r.abs() / var.sqrt();
             if best.map_or(true, |(_, b)| rn > b) {
@@ -175,31 +178,28 @@ impl BadDataDetector {
     }
 }
 
-/// Diagonal of the residual covariance `Ω = S·R` with unit `R`, i.e. the
-/// diagonal of `I − H·G⁻¹·Hᵀ` (unit weights assumed, as everywhere in the
-/// paper's DC treatment). Formed sparsely: `G` inherits the bus-adjacency
-/// pattern, and each diagonal entry needs one sparse solve against a
-/// (≤ `deg+1`)-nonzero right-hand side.
+/// Diagonal of the residual covariance `Ω = S·R = R − H·G⁻¹·Hᵀ`, with
+/// `R = W⁻¹` the meters' error variances and `G = HᵀWH` the estimator's
+/// gain. Each entry `Ω_ii = 1/wᵢ − hᵢ·G⁻¹·hᵢᵀ` needs one solve against the
+/// estimator's cached gain factor with a (≤ `deg+1`)-nonzero right-hand
+/// side, which reuses one buffer across rows.
 fn residual_covariance_diag(est: &WlsEstimator) -> Result<Vector, IdentificationError> {
     let h = est.jacobian_sparse();
-    let g = h.transpose().mul_mat(h);
-    let chol = SparseCholesky::factor(&g)?;
-    let m = h.num_rows();
-    let n = h.num_cols();
-    // K = H·G⁻¹·Hᵀ diagonal: for each row hᵢ of H, hᵢ·G⁻¹·hᵢᵀ.
-    let mut diag = Vector::zeros(m);
-    for i in 0..m {
+    let weights = est.weights();
+    let mut rhs = Vector::zeros(h.num_cols());
+    let mut diag = Vector::zeros(h.num_rows());
+    for i in 0..h.num_rows() {
         let (cols, vals) = h.row(i);
-        let mut rhs = Vector::zeros(n);
         for (&j, &v) in cols.iter().zip(vals) {
             rhs[j] = v;
         }
-        let sol = chol.solve(&rhs)?;
+        let sol = est.solve_gain(&rhs)?;
         let mut k_ii = 0.0;
         for (&j, &v) in cols.iter().zip(vals) {
             k_ii += v * sol[j];
+            rhs[j] = 0.0;
         }
-        diag[i] = (1.0 - k_ii).max(0.0);
+        diag[i] = (1.0 / weights[i] - k_ii).max(0.0);
     }
     Ok(diag)
 }
@@ -317,6 +317,84 @@ mod tests {
             IdentificationError::from(CholeskyError::PatternMismatch),
             IdentificationError::CovarianceSolveFailed
         );
+    }
+
+    /// The residual-covariance diagonal `W⁻¹ − H·G⁻¹·Hᵀ` formed densely
+    /// from the estimator's Jacobian and weights.
+    fn dense_covariance_diag(est: &WlsEstimator) -> Vec<f64> {
+        let h = est.jacobian();
+        let w = est.weights();
+        let gain = h.transpose().scale_cols(w).mul_mat(h);
+        let gain_lu = sta_linalg::Lu::factor(&gain).unwrap();
+        (0..h.num_rows())
+            .map(|i| {
+                let hi: Vector = (0..h.num_cols()).map(|j| h[(i, j)]).collect();
+                let x = gain_lu.solve(&hi).unwrap();
+                1.0 / w[i] - hi.dot(&x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn weighted_covariance_matches_the_dense_oracle() {
+        let sys = ieee14::system();
+        let weights: Vec<f64> = (0..44).map(|i| 1.0 + 0.5 * (i % 6) as f64).collect();
+        for build in [WlsEstimator::new, WlsEstimator::new_dense] {
+            let est = build(
+                &sys.grid,
+                &sys.topology,
+                &sys.measurements,
+                sys.reference_bus,
+                Some(weights.clone()),
+            )
+            .unwrap();
+            let oracle = dense_covariance_diag(&est);
+            let omega = residual_covariance_diag(&est).unwrap();
+            for (i, &o) in oracle.iter().enumerate() {
+                assert!(
+                    (omega[i] - o.max(0.0)).abs() < 1e-12,
+                    "row {i}: {} vs {o}",
+                    omega[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn twenty_sigma_error_is_identified_under_meter_weights() {
+        // Meters with standard deviation σ (weight 1/σ²): a 20σ error on
+        // one meter is both detected and identified, at any σ. Normalizing
+        // by the unit-weight covariance instead leaves it at 20σ·√Ω_ii < 3
+        // and finds nothing; testing criticality on the unscaled variance
+        // would call every meter critical at σ = 1e-6.
+        let sys = ieee14::system();
+        let op = dcflow::solve(
+            &sys.grid,
+            &sys.topology,
+            &dcflow::synthetic_injections(14, 2),
+            sys.reference_bus,
+        )
+        .unwrap();
+        let det = BadDataDetector::new(0.05);
+        for sigma in [0.01, 1e-6] {
+            let weights = vec![1.0 / (sigma * sigma); sys.measurements.num_taken()];
+            let est = WlsEstimator::new(
+                &sys.grid,
+                &sys.topology,
+                &sys.measurements,
+                sys.reference_bus,
+                Some(weights),
+            )
+            .unwrap();
+            let mut z = est.measure(&op);
+            let row = 3;
+            z[row] += 20.0 * sigma;
+            let result = est.estimate(&z).unwrap();
+            assert!(det.detect(&est, &result).is_bad(), "σ = {sigma}");
+            let (idx, rn) = det.identify(&est, &result).unwrap().expect("identified");
+            assert_eq!(idx, row, "σ = {sigma}");
+            assert!(rn > 3.0, "σ = {sigma}");
+        }
     }
 
     #[test]

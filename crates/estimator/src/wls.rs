@@ -9,7 +9,7 @@
 
 use crate::chi2;
 use sta_grid::{BusId, Grid, MeasurementConfig, MeasurementId, Topology};
-use sta_linalg::{Cholesky, CsrMatrix, Matrix, SparseCholesky, Vector};
+use sta_linalg::{Cholesky, CholeskyError, CsrMatrix, Matrix, SparseCholesky, Vector};
 use std::fmt;
 
 /// Error from [`WlsEstimator::estimate`]: the taken measurements do not
@@ -226,6 +226,19 @@ impl WlsEstimator {
         &self.h_sparse
     }
 
+    /// Diagonal weights per taken row, in row order.
+    pub(crate) fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Solves `G·x = rhs` with the cached factor of the gain `G = HᵀWH`.
+    pub(crate) fn solve_gain(&self, rhs: &Vector) -> Result<Vector, CholeskyError> {
+        match &self.gain {
+            Gain::Sparse(gain) => gain.solve(rhs),
+            Gain::Dense(gain) => gain.solve(rhs),
+        }
+    }
+
     /// Potential-measurement indices of the taken rows, in row order.
     pub fn taken_rows(&self) -> &[usize] {
         &self.taken_rows
@@ -412,6 +425,27 @@ mod tests {
                 .unwrap_err(),
             UnobservableError
         );
+    }
+
+    #[test]
+    fn non_finite_weight_is_rejected() {
+        // A NaN or infinite weight makes a gain pivot non-finite, which
+        // both factorizations must refuse rather than hand back NaN angles.
+        let sys = ieee14::system();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut w = vec![1.0; 44];
+            w[5] = bad;
+            for build in [WlsEstimator::new, WlsEstimator::new_dense] {
+                let est = build(
+                    &sys.grid,
+                    &sys.topology,
+                    &sys.measurements,
+                    sys.reference_bus,
+                    Some(w.clone()),
+                );
+                assert_eq!(est.unwrap_err(), UnobservableError, "{bad}");
+            }
+        }
     }
 
     #[test]

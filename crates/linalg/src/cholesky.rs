@@ -51,6 +51,12 @@ impl fmt::Display for CholeskyError {
 
 impl std::error::Error for CholeskyError {}
 
+/// Whether a pivot is sufficiently positive: finite and above `tol`.
+/// Written so that a NaN pivot fails, which `d <= tol` alone lets through.
+pub(crate) fn pivot_is_positive(d: f64, tol: f64) -> bool {
+    d > tol && d.is_finite()
+}
+
 /// A Cholesky factorization `A = L·Lᵀ`.
 ///
 /// # Examples
@@ -81,7 +87,7 @@ impl Cholesky {
     /// # Errors
     /// Returns [`CholeskyError::NotSquare`] for non-square input, and
     /// [`CholeskyError::NotPositiveDefinite`] if a diagonal pivot is not
-    /// sufficiently positive.
+    /// sufficiently positive or not finite.
     pub fn factor(a: &Matrix) -> Result<Cholesky, CholeskyError> {
         if a.num_rows() != a.num_cols() {
             return Err(CholeskyError::NotSquare { rows: a.num_rows(), cols: a.num_cols() });
@@ -94,7 +100,7 @@ impl Cholesky {
             for k in 0..j {
                 d -= l[(j, k)] * l[(j, k)];
             }
-            if d <= tol {
+            if !pivot_is_positive(d, tol) {
                 return Err(CholeskyError::NotPositiveDefinite);
             }
             let dj = d.sqrt();

@@ -7,12 +7,14 @@
 //! `f64`; the exact-arithmetic side of the project lives in `sta-smt`.
 //!
 //! Large grids additionally get a sparse path: [`CsrMatrix`] (compressed
-//! sparse rows, built from triplets) and [`SparseCholesky`] (up-looking
-//! `LDLᵀ` with an approximate-minimum-degree ordering, split into
-//! symbolic ([`SparseSymbolic`]) and numeric phases), which factors both
-//! the WLS gain and the DC power flow's reduced susceptance matrix. The
-//! dense types are the correctness oracle: sparse results must match them
-//! to within round-off, and equivalence is pinned by property tests.
+//! sparse rows, built from triplets) and [`SparseCholesky`] (`LDLᵀ` with
+//! an approximate-minimum-degree ordering, split into symbolic
+//! ([`SparseSymbolic`]) and numeric phases; the numeric phase is an
+//! up-looking sweep plus a dense in-place kernel for the factor's
+//! trailing clique), which factors both the WLS gain and the DC power
+//! flow's reduced susceptance matrix. The dense types are the correctness
+//! oracle: sparse results must match them to within round-off, and
+//! equivalence is pinned by property tests.
 //!
 //! # Examples
 //!

@@ -10,22 +10,25 @@
 //!   chosen to keep the factor sparse (applied symmetrically to rows and
 //!   columns);
 //! * [`SparseSymbolic::analyze`] — the **symbolic** phase: ordering,
-//!   elimination tree and per-column fill counts, all functions of the
-//!   sparsity pattern alone. One analysis per measurement configuration;
-//! * [`SparseSymbolic::factor`] — the **numeric** phase: an up-looking
-//!   `LDLᵀ` factorization into the pre-sized factor, cheap to repeat when
-//!   only the values change (re-weighted measurements, new operating
-//!   points);
+//!   elimination tree, per-column fill counts and the start of the
+//!   trailing clique (the last columns of `L`, each full below the
+//!   diagonal), all functions of the sparsity pattern alone. One analysis
+//!   per measurement configuration;
+//! * [`SparseSymbolic::factor`] — the **numeric** phase into the
+//!   pre-sized factor: an up-looking `LDLᵀ` sweep over the sparse head,
+//!   then a dense in-place `LDLᵀ` of the trailing clique, which carries
+//!   most of the flops on large grids. Cheap to repeat when only the
+//!   values change (re-weighted measurements, new operating points);
 //! * [`SparseCholesky::solve`] — permute, forward-solve, diagonal scale,
 //!   back-solve, un-permute.
 //!
-//! Positive definiteness is decided with the same relative tolerance as
-//! the dense [`crate::Cholesky`], so "not positive definite" keeps its
-//! role as the unobservability signal. All failures are [`CholeskyError`]
-//! values — no panics, matching the dense path after the dimension-check
-//! conversion.
+//! Every pivot, head or clique, is decided with the same relative
+//! tolerance as the dense [`crate::Cholesky`], and a NaN or infinite
+//! pivot fails it, so "not positive definite" keeps its role as the
+//! unobservability signal. All failures are [`CholeskyError`] values — no
+//! panics, matching the dense path after the dimension-check conversion.
 
-use crate::cholesky::CholeskyError;
+use crate::cholesky::{pivot_is_positive, CholeskyError};
 use crate::sparse::CsrMatrix;
 use crate::vector::Vector;
 
@@ -190,6 +193,10 @@ pub struct SparseSymbolic {
     parent: Vec<usize>,
     /// Column pointers of `L` (sized from the symbolic fill counts).
     lp: Vec<usize>,
+    /// First column of the trailing clique: every column `k >= tail` of
+    /// `L` holds all rows `k+1..n`, so those columns' slots in `lx` form
+    /// a packed column-major lower triangle.
+    tail: usize,
     /// Analyzed permuted-upper pattern, for refactor compatibility checks.
     up_ptr: Vec<usize>,
     up_idx: Vec<usize>,
@@ -235,7 +242,11 @@ impl SparseSymbolic {
         for k in 0..n {
             lp[k + 1] = lp[k] + lnz[k];
         }
-        Ok(SparseSymbolic { n, perm, iperm, parent, lp, up_ptr, up_idx })
+        let mut tail = n;
+        while tail > 0 && lnz[tail - 1] == n - tail {
+            tail -= 1;
+        }
+        Ok(SparseSymbolic { n, perm, iperm, parent, lp, tail, up_ptr, up_idx })
     }
 
     /// The fill-reducing permutation (`perm[k]` = original index at
@@ -250,18 +261,22 @@ impl SparseSymbolic {
     }
 
     /// Runs the numeric phase: factors `a` (which must have the analyzed
-    /// pattern) as `P·A·Pᵀ = L·D·Lᵀ` using an up-looking sweep.
+    /// pattern) as `P·A·Pᵀ = L·D·Lᵀ`. An up-looking sweep computes every
+    /// row of `L` outside the trailing clique and the head part of every
+    /// row inside it, which leaves the clique's Schur complement in its
+    /// own slots of the factor; a dense `LDLᵀ` then finishes it in place.
     ///
     /// # Errors
     /// * [`CholeskyError::PatternMismatch`] if `a`'s pattern differs
     ///   from the analyzed one (shape or structure);
     /// * [`CholeskyError::NotPositiveDefinite`] if a pivot of `D` is not
-    ///   sufficiently positive — the unobservability signal.
+    ///   sufficiently positive or not finite — the unobservability signal.
     pub fn factor(&self, a: &CsrMatrix) -> Result<SparseCholesky, CholeskyError> {
         if a.num_rows() != self.n || a.num_cols() != self.n {
             return Err(CholeskyError::PatternMismatch);
         }
         let n = self.n;
+        let tail = self.tail;
         let (up_ptr, up_idx, up_val) = permuted_upper(a, &self.iperm);
         if up_ptr != self.up_ptr || up_idx != self.up_idx {
             return Err(CholeskyError::PatternMismatch);
@@ -278,8 +293,9 @@ impl SparseSymbolic {
         let mut lnz_next: Vec<usize> = self.lp[..n].to_vec();
         for k in 0..n {
             // Scatter column k of the permuted upper triangle into y and
-            // collect the nonzero pattern of row k of L in topological
-            // order (descendants before ancestors).
+            // collect the head part of row k's nonzero pattern in
+            // topological order (descendants before ancestors). Etree
+            // paths only climb, so a walk stops at the first tail column.
             let mut top = n;
             flag[k] = k;
             for p in up_ptr[k]..up_ptr[k + 1] {
@@ -287,7 +303,7 @@ impl SparseSymbolic {
                 y[i] += up_val[p];
                 path.clear();
                 let mut ii = i;
-                while flag[ii] != k {
+                while ii < tail && flag[ii] != k {
                     path.push(ii);
                     flag[ii] = k;
                     ii = self.parent[ii];
@@ -299,7 +315,8 @@ impl SparseSymbolic {
             }
             d[k] = y[k];
             y[k] = 0.0;
-            // Sparse triangular solve L(0..k, 0..k)·l = y, updating D.
+            // Sparse triangular solve L(0..k, 0..k)·l = y over the head
+            // columns, updating D.
             for t in top..n {
                 let i = pattern[t];
                 let yi = y[i];
@@ -313,10 +330,22 @@ impl SparseSymbolic {
                 lx[lnz_next[i]] = l_ki;
                 lnz_next[i] += 1;
             }
-            if d[k] <= tol {
-                return Err(CholeskyError::NotPositiveDefinite);
+            if k < tail {
+                if !pivot_is_positive(d[k], tol) {
+                    return Err(CholeskyError::NotPositiveDefinite);
+                }
+            } else {
+                // What is left in y's tail entries is row k of the
+                // clique's Schur complement; column j keeps row k at
+                // offset k - j - 1.
+                for (j, yj) in (tail..k).zip(&mut y[tail..k]) {
+                    let slot = self.lp[j] + (k - j - 1);
+                    li[slot] = k;
+                    lx[slot] = std::mem::take(yj);
+                }
             }
         }
+        factor_dense_tail(&mut lx[self.lp[tail]..], &mut d[tail..], tol)?;
         Ok(SparseCholesky {
             n,
             perm: self.perm.clone(),
@@ -326,6 +355,40 @@ impl SparseSymbolic {
             d,
         })
     }
+}
+
+/// Factors the trailing clique in place as a dense `LDLᵀ`. On entry `lx`
+/// holds the clique's strictly lower Schur complement as a packed
+/// column-major triangle (column `j` holds rows `j+1..s`, `s = d.len()`)
+/// and `d` its diagonal; on exit they hold the clique's columns of `L`
+/// and its pivots. Right-looking: each pivot column updates every later
+/// column with one axpy over contiguous slices, then is scaled into `L`.
+fn factor_dense_tail(lx: &mut [f64], d: &mut [f64], tol: f64) -> Result<(), CholeskyError> {
+    let s = d.len();
+    let mut rest = lx;
+    for j in 0..s {
+        let dj = d[j];
+        if !pivot_is_positive(dj, tol) {
+            return Err(CholeskyError::NotPositiveDefinite);
+        }
+        let (col, later) = std::mem::take(&mut rest).split_at_mut(s - 1 - j);
+        let mut offset = 0;
+        for (m, &v) in col.iter().enumerate() {
+            let l = v / dj;
+            d[j + 1 + m] -= l * v;
+            let below = &col[m + 1..];
+            let target = &mut later[offset..offset + below.len()];
+            for (x, &c) in target.iter_mut().zip(below) {
+                *x -= l * c;
+            }
+            offset += below.len();
+        }
+        for v in col.iter_mut() {
+            *v /= dj;
+        }
+        rest = later;
+    }
+    Ok(())
 }
 
 /// A sparse `P·A·Pᵀ = L·D·Lᵀ` factorization, ready for repeated solves.
@@ -660,6 +723,66 @@ mod tests {
                 assert!(
                     amd * 10 <= exact * 11,
                     "ieee{buses} {name}: AMD fill {amd} vs exact minimum degree {exact}"
+                );
+            }
+        }
+    }
+
+    /// The symmetric matrix with unit off-diagonal entries on `edges` and
+    /// a dominant diagonal.
+    fn from_edges(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let mut t: Vec<_> = (0..n).map(|i| (i, i, n as f64)).collect();
+        t.extend(edges.iter().flat_map(|&(a, b)| [(a, b, 1.0), (b, a, 1.0)]));
+        CsrMatrix::from_triplets(n, n, &t)
+    }
+
+    #[test]
+    fn trailing_clique_is_read_from_the_pattern() {
+        let tail = |a: &CsrMatrix| SparseSymbolic::analyze(a).expect("square").tail;
+        // Diagonal: only the last column is (trivially) in the clique.
+        assert_eq!(tail(&from_edges(6, &[])), 5);
+        // Dense: the whole matrix is one clique.
+        let all: Vec<_> = (0..6)
+            .flat_map(|a| (a + 1..6).map(move |b| (a, b)))
+            .collect();
+        assert_eq!(tail(&from_edges(6, &all)), 0);
+        // Arrowhead: the hub and the last leaf.
+        let star: Vec<_> = (1..6).map(|i| (0, i)).collect();
+        assert_eq!(tail(&from_edges(6, &star)), 4);
+        // Two cliques, of 3 and 5 vertices: minimum degree eliminates the
+        // smaller first, and only the later one trails.
+        let mut two = vec![(0, 1), (0, 2), (1, 2)];
+        two.extend((3..8).flat_map(|a| (a + 1..8).map(move |b| (a, b))));
+        assert_eq!(tail(&from_edges(8, &two)), 3);
+    }
+
+    #[test]
+    fn non_finite_pivots_are_not_positive_definite() {
+        // A NaN or infinite entry on a head pivot (eliminated first) or a
+        // trailing-clique pivot (eliminated last) must fail both the
+        // sparse and the dense factorization: `d <= tol` alone lets NaN
+        // through.
+        let a = banded(12);
+        let sym = SparseSymbolic::analyze(&a).expect("square");
+        assert!(sym.tail > 0, "the first pivot must be a head pivot");
+        for bad in [f64::NAN, f64::INFINITY] {
+            for orig in [sym.perm[0], sym.perm[11]] {
+                let mut t = Vec::new();
+                for i in 0..12 {
+                    let (cols, vals) = a.row(i);
+                    t.extend(cols.iter().zip(vals).map(|(&j, &v)| (i, j, v)));
+                }
+                t.push((orig, orig, bad));
+                let m = CsrMatrix::from_triplets(12, 12, &t);
+                assert_eq!(
+                    SparseCholesky::factor(&m).unwrap_err(),
+                    CholeskyError::NotPositiveDefinite,
+                    "sparse, {bad} at {orig}"
+                );
+                assert_eq!(
+                    Cholesky::factor(&m.to_dense()).unwrap_err(),
+                    CholeskyError::NotPositiveDefinite,
+                    "dense, {bad} at {orig}"
                 );
             }
         }

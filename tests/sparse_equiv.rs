@@ -7,13 +7,19 @@
 //! that fits in test time: identical estimates to 1e-9, identical
 //! observability verdicts, valid AMD permutations, and bit-identical
 //! symbolic-reuse refactorization. The DC operating point gets the same
-//! treatment against a dense LU of the reduced susceptance matrix.
+//! treatment against a dense LU of the reduced susceptance matrix, and
+//! the factorization's dense trailing-clique kernel is checked on seeded
+//! random patterns against the dense Cholesky.
 
 use sta::core::decimal;
 use sta::estimator::{dcflow, WlsEstimator};
 use sta::grid::topology::{b_matrix, h_matrix_sparse};
 use sta::grid::{ieee14, synthetic, TestSystem};
-use sta::linalg::{amd_order, Cholesky, Lu, SparseCholesky, SparseSymbolic, Vector};
+use sta::linalg::rng::Pcg32;
+use sta::linalg::{
+    amd_order, Cholesky, CholeskyError, CsrMatrix, Lu, Matrix, SparseCholesky, SparseSymbolic,
+    Vector,
+};
 
 const SIZES: [usize; 4] = [14, 30, 57, 118];
 
@@ -219,5 +225,219 @@ fn dc_operating_point_matches_the_dense_lu_oracle() {
                 );
             }
         }
+    }
+}
+
+/// A random symmetric matrix on `n` vertices with the given edges:
+/// off-diagonal weights drawn from ±[0.1, 1], and each diagonal entry the
+/// row's absolute sum plus a margin drawn from [0.1, 1], which makes it
+/// SPD. With `laplacian` the weights are all negative and there is no
+/// margin: a graph Laplacian, singular on every connected component.
+fn random_symmetric(
+    rng: &mut Pcg32,
+    n: usize,
+    edges: &[(usize, usize)],
+    laplacian: bool,
+) -> CsrMatrix {
+    let mut diag = vec![0.0; n];
+    let mut t = Vec::with_capacity(n + 2 * edges.len());
+    for &(a, b) in edges {
+        let mut v = rng.uniform_f64(0.1, 1.0);
+        if laplacian || rng.flip() {
+            v = -v;
+        }
+        t.push((a, b, v));
+        t.push((b, a, v));
+        diag[a] += v.abs();
+        diag[b] += v.abs();
+    }
+    for (i, d) in diag.into_iter().enumerate() {
+        let margin = if laplacian {
+            0.0
+        } else {
+            rng.uniform_f64(0.1, 1.0)
+        };
+        t.push((i, i, d + margin));
+    }
+    CsrMatrix::from_triplets(n, n, &t)
+}
+
+/// Edges of a random sparse connected graph on `lo..hi`: a random
+/// spanning tree plus `chords` random chords (the synthetic grids'
+/// shape).
+fn sparse_graph(rng: &mut Pcg32, lo: usize, hi: usize, chords: usize) -> Vec<(usize, usize)> {
+    let mut edges: Vec<_> = (lo + 1..hi).map(|i| (lo + rng.below(i - lo), i)).collect();
+    for _ in 0..if hi - lo > 1 { chords } else { 0 } {
+        let (a, b) = (rng.range_usize(lo, hi), rng.range_usize(lo, hi));
+        if a != b {
+            edges.push((a.min(b), a.max(b)));
+        }
+    }
+    edges
+}
+
+/// The pattern classes of the dense-tail differential test, each with
+/// the size of the trailing clique it is built to have.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Diagonal or a tree: the clique is the last one or two columns.
+    Absent,
+    /// Sparse graph with chords: a clique shorter than the matrix.
+    Partial,
+    /// Complete graph: the clique is the whole matrix.
+    Dense,
+    /// Several disconnected sparse components, each filling its own
+    /// clique; only the last one trails.
+    Components,
+}
+
+fn random_pattern(rng: &mut Pcg32, shape: Shape, n: usize) -> Vec<(usize, usize)> {
+    match shape {
+        Shape::Absent if rng.flip() => Vec::new(),
+        Shape::Absent => sparse_graph(rng, 0, n, 0),
+        Shape::Partial => sparse_graph(rng, 0, n, n / 2 + 2),
+        Shape::Dense => (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect(),
+        Shape::Components => {
+            let cuts = [0, n / 4, n / 2, n];
+            cuts.windows(2)
+                .flat_map(|w| sparse_graph(rng, w[0], w[1], (w[1] - w[0]) / 2 + 2))
+                .collect()
+        }
+    }
+}
+
+/// `P·A·Pᵀ` densely, for the sparse analysis's permutation.
+fn permuted_dense(a: &CsrMatrix, perm: &[usize]) -> Matrix {
+    let dense = a.to_dense();
+    let n = perm.len();
+    let mut out = Matrix::zeros(n, n);
+    for k in 0..n {
+        for l in 0..n {
+            out[(k, l)] = dense[(perm[k], perm[l])];
+        }
+    }
+    out
+}
+
+/// The sparse factorization agrees with the dense Cholesky on seeded
+/// random SPD matrices of up to 300 rows whose trailing clique is absent,
+/// partial, the whole matrix, or one of several components: solutions
+/// to 1e-10, and the fill the analysis counted is the fill the dense
+/// factor of the same ordering has. Random weights never cancel exactly,
+/// so an entry of the dense factor is zero exactly when it is outside
+/// the symbolic pattern.
+#[test]
+fn dense_tail_kernel_matches_the_dense_cholesky_on_random_patterns() {
+    let mut rng = Pcg32::new(0x7a11);
+    let mut tails = Vec::new();
+    for shape in [
+        Shape::Absent,
+        Shape::Partial,
+        Shape::Dense,
+        Shape::Components,
+    ] {
+        for n in [1usize, 2, 9, 40, 120, 300] {
+            let edges = random_pattern(&mut rng, shape, n);
+            let a = random_symmetric(&mut rng, n, &edges, false);
+            let sym = SparseSymbolic::analyze(&a).unwrap();
+            let sparse = sym.factor(&a).unwrap();
+            assert_eq!(sparse.factor_nnz(), sym.factor_nnz(), "{shape:?} n={n}");
+            let l = Cholesky::factor(&permuted_dense(&a, sym.permutation())).unwrap();
+            let l = l.lower();
+            let nonzero = |i: usize, k: usize| l[(i, k)] != 0.0;
+            let fill = (0..n)
+                .map(|k| (k + 1..n).filter(|&i| nonzero(i, k)).count())
+                .sum::<usize>();
+            assert_eq!(fill, sym.factor_nnz(), "{shape:?} n={n}: dense fill");
+            let clique = (0..n)
+                .rev()
+                .take_while(|&k| (k + 1..n).all(|i| nonzero(i, k)))
+                .count();
+            tails.push((shape, n, clique));
+            let b: Vector = (0..n).map(|_| rng.uniform_f64(-1.0, 1.0)).collect();
+            let xs = sparse.solve(&b).unwrap();
+            let xd = Cholesky::factor(&a.to_dense()).unwrap().solve(&b).unwrap();
+            for i in 0..n {
+                assert!(
+                    (xs[i] - xd[i]).abs() <= 1e-10,
+                    "{shape:?} n={n} component {i}: {} vs {}",
+                    xs[i],
+                    xd[i]
+                );
+            }
+        }
+    }
+    // Every class produced the clique it was built for, at n >= 40.
+    for &(shape, n, clique) in tails.iter().filter(|t| t.1 >= 40) {
+        let ok = match shape {
+            Shape::Absent => clique <= 2,
+            Shape::Partial | Shape::Components => clique > 2 && clique < n,
+            Shape::Dense => clique == n,
+        };
+        assert!(ok, "{shape:?} n={n}: trailing clique of {clique}");
+    }
+}
+
+/// Non-positive-definite input fails with `NotPositiveDefinite` on both
+/// paths whether the failing pivot is a head pivot (an isolated zero
+/// diagonal, which minimum degree eliminates first) or a trailing-clique
+/// pivot (an ungrounded Laplacian, singular only in its last pivot).
+#[test]
+fn non_positive_definite_pivots_fail_in_the_head_and_in_the_tail() {
+    let mut rng = Pcg32::new(0x0b5e);
+    for n in [12usize, 80, 250] {
+        // Vertex 0 has no edges, so zeroing its row leaves a stored zero
+        // on the diagonal and nothing else.
+        let edges = sparse_graph(&mut rng, 1, n, n / 2);
+        let mut zero_first = vec![1.0; n];
+        zero_first[0] = 0.0;
+        let a = random_symmetric(&mut rng, n, &edges, false).scale_rows(&zero_first);
+        assert_eq!(amd_order(&a).unwrap()[0], 0, "n={n}: isolated vertex first");
+        let edges = sparse_graph(&mut rng, 0, n, n / 2);
+        let laplacian = random_symmetric(&mut rng, n, &edges, true);
+        for (what, m) in [("zero diagonal", a), ("ungrounded Laplacian", laplacian)] {
+            assert_eq!(
+                SparseCholesky::factor(&m).unwrap_err(),
+                CholeskyError::NotPositiveDefinite,
+                "n={n}: sparse, {what}"
+            );
+            assert_eq!(
+                Cholesky::factor(&m.to_dense()).unwrap_err(),
+                CholeskyError::NotPositiveDefinite,
+                "n={n}: dense, {what}"
+            );
+        }
+    }
+}
+
+/// The gains where the trailing clique carries most of the work: the
+/// benchmark's seed-1 1354-bus grid and the 2000-bus preset. The fill is
+/// pinned and the solve checked by its residual (a debug-build dense
+/// oracle at these sizes is too slow for tier-1).
+#[test]
+fn large_gains_keep_their_fill_and_solve_to_a_small_residual() {
+    let open = TestSystem::fully_metered(
+        "open-1354-seed1",
+        synthetic::generate(1354, 1991, 1).unwrap(),
+    );
+    for (sys, fill) in [(open, 152_500), (synthetic::ieee_case(2000), 435_666)] {
+        let gain = sparse_gain(&sys);
+        let factor = SparseCholesky::factor(&gain).unwrap();
+        assert_eq!(factor.factor_nnz(), fill, "{}", sys.name);
+        let b: Vector = (0..gain.num_rows())
+            .map(|i| ((i as f64) * 0.37).sin())
+            .collect();
+        let x = factor.solve(&b).unwrap();
+        let r = &gain.mul_vec(&x) - &b;
+        let norm_inf = |v: &Vector| v.iter().fold(0.0f64, |m, e| m.max(e.abs()));
+        assert!(
+            norm_inf(&r) <= 1e-9 * norm_inf(&b),
+            "{}: residual {} against |b| {}",
+            sys.name,
+            norm_inf(&r),
+            norm_inf(&b)
+        );
     }
 }

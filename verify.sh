@@ -54,7 +54,7 @@ echo "==> tier-1: release build (deny warnings)"
 RUSTFLAGS="-D warnings" cargo build --release
 
 echo "==> tier-1: workspace tests"
-cargo test -q
+cargo test -q --workspace
 
 echo "==> source lint (invariant analyzer via cargo test)"
 cargo test -q --test lint
