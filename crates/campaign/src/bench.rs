@@ -167,8 +167,8 @@ pub fn run_scale_suite(reps: usize, workers: usize) -> Result<BenchResult, Strin
 /// with real pivot work — the regime the revised engine exists for. (A
 /// blocked scenario would measure encode time, where the engines tie;
 /// see `EXPERIMENTS.md`.) The verdict varies with topology (sat at 14
-/// and 300 buses, unsat between) but is identical across engines, as is
-/// the whole pivot trajectory.
+/// buses, unsat at 30 through 300) but is identical across engines, as
+/// is the whole pivot trajectory.
 pub fn scale_ab_model(b: usize) -> AttackModel {
     let t = [BusId(b / 4), BusId(b / 2), BusId(3 * b / 4), BusId(b - 1)];
     let mut model = AttackModel::new(b);

@@ -7,7 +7,6 @@
 //! Instead we round to a fixed decimal precision, which is exact for the
 //! published data and keeps every derived constant consistent.
 
-use sta_smt::bigint::BigInt;
 use sta_smt::Rational;
 
 /// Converts `v` to the exact rational `round(v·10^digits) / 10^digits`.
@@ -34,7 +33,7 @@ pub fn rational_from_f64(v: f64, digits: u32) -> Rational {
         scaled.abs() < 9.2e18,
         "value {v} out of range at {digits} digits"
     );
-    Rational::from_bigints(BigInt::from(scaled.round() as i64), BigInt::from(scale))
+    Rational::new(scaled.round() as i64, scale)
 }
 
 /// The nine-decimal precision used for operating-point angles.

@@ -1,9 +1,11 @@
 //! Arbitrary-precision signed integers.
 //!
-//! The simplex theory solver pivots with exact rational arithmetic; numerators
-//! and denominators grow without bound during elimination, so fixed-width
-//! integers are not an option. This module provides a compact sign-magnitude
-//! big integer with the operations the solver needs: ring arithmetic,
+//! The simplex theory solver pivots with exact rational arithmetic. Most
+//! values fit machine integers, and [`crate::rational::Rational`] keeps
+//! those inline; a numerator or denominator that outgrows an `i64` promotes
+//! its rational to a pair of these big integers, which serve as the
+//! overflow fallback. This module provides a compact sign-magnitude big
+//! integer with the operations that fallback needs: ring arithmetic,
 //! Euclidean division, gcd, comparisons and conversions.
 //!
 //! # Examples
@@ -95,12 +97,6 @@ impl BigInt {
             r.sign = Sign::Plus;
         }
         r
-    }
-
-    /// Number of limbs in the magnitude (0 for zero). Used by the memory
-    /// accounting in [`crate::stats`].
-    pub fn limb_len(&self) -> usize {
-        self.limbs.len()
     }
 
     fn from_limbs(sign: Sign, mut limbs: Vec<u64>) -> Self {
@@ -389,6 +385,18 @@ impl From<i64> for BigInt {
                 limbs: vec![(v as i128).unsigned_abs() as u64],
             },
         }
+    }
+}
+
+impl From<i128> for BigInt {
+    fn from(v: i128) -> Self {
+        let sign = match v.cmp(&0) {
+            Ordering::Less => Sign::Minus,
+            Ordering::Equal => Sign::Zero,
+            Ordering::Greater => Sign::Plus,
+        };
+        let m = v.unsigned_abs();
+        BigInt::from_limbs(sign, vec![m as u64, (m >> 64) as u64])
     }
 }
 

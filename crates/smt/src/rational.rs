@@ -1,10 +1,22 @@
 //! Exact rational numbers and delta-rationals.
 //!
-//! [`Rational`] is a normalized fraction of [`BigInt`]s — the coefficient
-//! domain for linear terms and the simplex tableau. [`DeltaRational`] extends
-//! it with an infinitesimal `δ` component so strict bounds (`x < c`) can be
+//! [`Rational`] is a normalized fraction — the coefficient domain for linear
+//! terms and the simplex tableau. [`DeltaRational`] extends it with an
+//! infinitesimal `δ` component so strict bounds (`x < c`) can be
 //! represented exactly as `x ≤ c − δ`, the standard trick from the
 //! Dutertre–de Moura general simplex.
+//!
+//! # Representation
+//!
+//! Every value has exactly one form. A reduced fraction whose numerator
+//! and denominator both fit an `i64` is stored inline, with no heap
+//! allocation; its numerator is never `i64::MIN`, so negation and the
+//! reciprocal cannot overflow. Arithmetic on two inline operands runs in
+//! `i128` intermediates with a binary gcd. Any other value is a boxed pair
+//! of [`BigInt`]s, and an operation with a boxed operand falls back to
+//! `BigInt` arithmetic. Every operation reduces its result and demotes it
+//! to the inline form whenever it fits, so the derived `Eq` and `Hash` are
+//! value equality.
 //!
 //! # Examples
 //!
@@ -18,17 +30,25 @@
 //! ```
 
 use crate::bigint::BigInt;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// An exact rational number `num / den`.
 ///
-/// Invariants: `den > 0`, `gcd(|num|, den) = 1`, zero is `0/1`.
+/// Invariants: `den > 0`, `gcd(|num|, den) = 1`, zero is `0/1`, and the
+/// value is boxed only when it does not fit the inline form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Rational {
-    num: BigInt,
-    den: BigInt,
+pub struct Rational(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// The inline form; `num != i64::MIN`.
+    Small { num: i64, den: i64 },
+    /// The overflow fallback: `(num, den)` for values the inline form
+    /// cannot hold.
+    Big(Box<(BigInt, BigInt)>),
 }
 
 /// Error returned by [`Rational::from_decimal_str`] for malformed input.
@@ -45,6 +65,63 @@ impl fmt::Display for ParseRationalError {
 
 impl std::error::Error for ParseRationalError {}
 
+/// Binary (Stein) gcd of two magnitudes; `gcd(0, b) = b`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    if a <= 1 || b <= 1 {
+        return if a == 0 || b == 0 { a | b } else { 1 };
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `a/b + c/d` on inline operands. With `g = gcd(b, d)` the sum is
+/// `t / (b/g · d)` where `t = a·(d/g) + c·(b/g)`, and only `gcd(t, g)` can
+/// cancel (Knuth, TAOCP §4.5.1). `|t| < 2¹²⁷`, so `i128` cannot overflow.
+fn add_small(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    if c == 0 {
+        return Rational(Repr::Small { num: a, den: b });
+    }
+    if a == 0 {
+        return Rational(Repr::Small { num: c, den: d });
+    }
+    let g1 = gcd(b as u64, d as u64) as i64;
+    let (b1, d1) = if g1 == 1 { (b, d) } else { (b / g1, d / g1) };
+    let t = i128::from(a) * i128::from(d1) + i128::from(c) * i128::from(b1);
+    if t == 0 {
+        return Rational::zero();
+    }
+    if g1 == 1 {
+        return Rational::from_reduced(t, i128::from(b) * i128::from(d));
+    }
+    let g2 = gcd((t.unsigned_abs() % g1 as u128) as u64, g1 as u64) as i64;
+    let num = if g2 == 1 { t } else { t / i128::from(g2) };
+    Rational::from_reduced(num, i128::from(b1) * i128::from(d / g2))
+}
+
+/// `a/b · c/d` on inline operands, cancelling across before multiplying so
+/// the product is already reduced.
+fn mul_small(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    if a == 0 || c == 0 {
+        return Rational::zero();
+    }
+    let g1 = gcd(a.unsigned_abs(), d as u64) as i64;
+    let g2 = gcd(c.unsigned_abs(), b as u64) as i64;
+    Rational::from_reduced(
+        i128::from(a / g1) * i128::from(c / g2),
+        i128::from(b / g2) * i128::from(d / g1),
+    )
+}
+
 impl Rational {
     /// Creates `num / den` from machine integers, normalizing the result.
     ///
@@ -52,7 +129,14 @@ impl Rational {
     ///
     /// Panics if `den == 0`.
     pub fn new(num: i64, den: i64) -> Self {
-        Self::from_bigints(BigInt::from(num), BigInt::from(den))
+        assert!(den != 0, "rational with zero denominator");
+        let g = i128::from(gcd(num.unsigned_abs(), den.unsigned_abs()));
+        let (num, den) = (i128::from(num) / g, i128::from(den) / g);
+        if den < 0 {
+            Self::from_reduced(-num, -den)
+        } else {
+            Self::from_reduced(num, den)
+        }
     }
 
     /// Creates `num / den` from big integers, normalizing the result.
@@ -64,59 +148,92 @@ impl Rational {
         assert!(!den.is_zero(), "rational with zero denominator");
         let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
         if num.is_zero() {
-            return Rational { num: BigInt::zero(), den: BigInt::one() };
+            return Rational::zero();
         }
         let g = num.gcd(&den);
         if g.is_one() {
-            Rational { num, den }
+            Self::from_reduced_bigints(num, den)
         } else {
-            Rational { num: &num / &g, den: &den / &g }
+            Self::from_reduced_bigints(&num / &g, &den / &g)
+        }
+    }
+
+    /// The canonical form of a reduced `num / den` with `den > 0`.
+    fn from_reduced(num: i128, den: i128) -> Self {
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(num), Ok(den)) if num != i64::MIN => Rational(Repr::Small { num, den }),
+            _ => Rational(Repr::Big(Box::new((BigInt::from(num), BigInt::from(den))))),
+        }
+    }
+
+    /// The canonical form of a reduced `num / den` with `den > 0`: demoted
+    /// to the inline form whenever it fits.
+    fn from_reduced_bigints(num: BigInt, den: BigInt) -> Self {
+        match (num.to_i64(), den.to_i64()) {
+            (Some(n), Some(d)) if n != i64::MIN => Rational(Repr::Small { num: n, den: d }),
+            _ => Rational(Repr::Big(Box::new((num, den)))),
+        }
+    }
+
+    /// Numerator and denominator as big integers, borrowed when boxed.
+    fn big_parts(&self) -> (Cow<'_, BigInt>, Cow<'_, BigInt>) {
+        match &self.0 {
+            Repr::Small { num, den } => {
+                (Cow::Owned(BigInt::from(*num)), Cow::Owned(BigInt::from(*den)))
+            }
+            Repr::Big(p) => (Cow::Borrowed(&p.0), Cow::Borrowed(&p.1)),
         }
     }
 
     /// Returns zero.
     pub fn zero() -> Self {
-        Rational { num: BigInt::zero(), den: BigInt::one() }
+        Rational(Repr::Small { num: 0, den: 1 })
     }
 
     /// Returns one.
     pub fn one() -> Self {
-        Rational { num: BigInt::one(), den: BigInt::one() }
+        Rational(Repr::Small { num: 1, den: 1 })
     }
 
     /// Numerator (sign-carrying).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
+    pub fn numer(&self) -> BigInt {
+        self.big_parts().0.into_owned()
     }
 
     /// Denominator (always positive).
-    pub fn denom(&self) -> &BigInt {
-        &self.den
+    pub fn denom(&self) -> BigInt {
+        self.big_parts().1.into_owned()
     }
 
     /// Whether this rational is zero.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        self.signum() == 0
     }
 
     /// Whether this rational is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        self.signum() > 0
     }
 
     /// Whether this rational is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        self.signum() < 0
     }
 
     /// Sign as `-1`, `0` or `1`.
     pub fn signum(&self) -> i32 {
-        self.num.signum()
+        match &self.0 {
+            Repr::Small { num, .. } => num.signum() as i32,
+            Repr::Big(p) => p.0.signum(),
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Self {
-        Rational { num: self.num.abs(), den: self.den.clone() }
+        match &self.0 {
+            Repr::Small { num, den } => Rational(Repr::Small { num: num.abs(), den: *den }),
+            Repr::Big(p) => Self::from_reduced_bigints(p.0.abs(), p.1.clone()),
+        }
     }
 
     /// Multiplicative inverse.
@@ -126,7 +243,14 @@ impl Rational {
     /// Panics if this rational is zero.
     pub fn recip(&self) -> Self {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Self::from_bigints(self.den.clone(), self.num.clone())
+        match &self.0 {
+            Repr::Small { num, den } if *num < 0 => {
+                Rational(Repr::Small { num: -den, den: -num })
+            }
+            Repr::Small { num, den } => Rational(Repr::Small { num: *den, den: *num }),
+            Repr::Big(p) if p.0.is_negative() => Self::from_reduced_bigints(-&p.1, -&p.0),
+            Repr::Big(p) => Self::from_reduced_bigints(p.1.clone(), p.0.clone()),
+        }
     }
 
     /// Parses a decimal literal such as `"16.90"`, `"-0.25"` or `"3"` into an
@@ -202,21 +326,21 @@ impl Rational {
 
     /// Lossy conversion to `f64` (reporting only; never used while solving).
     pub fn to_f64(&self) -> f64 {
+        let p = match &self.0 {
+            Repr::Small { num, den } => return *num as f64 / *den as f64,
+            Repr::Big(p) => p,
+        };
+        let (num, den) = (&p.0, &p.1);
         // Scale so the division happens in a range f64 can represent.
-        let nf = self.num.to_f64();
-        let df = self.den.to_f64();
+        let nf = num.to_f64();
+        let df = den.to_f64();
         if nf.is_finite() && df.is_finite() && df != 0.0 {
             nf / df
         } else {
             // Fall back to a quotient-based approximation for huge operands.
-            let (q, r) = self.num.divmod(&self.den);
-            q.to_f64() + r.to_f64() / self.den.to_f64()
+            let (q, r) = num.divmod(den);
+            q.to_f64() + r.to_f64() / df
         }
-    }
-
-    /// Total limbs across numerator and denominator (memory accounting).
-    pub fn limb_len(&self) -> usize {
-        self.num.limb_len() + self.den.limb_len()
     }
 }
 
@@ -228,13 +352,13 @@ impl Default for Rational {
 
 impl From<i64> for Rational {
     fn from(v: i64) -> Self {
-        Rational { num: BigInt::from(v), den: BigInt::one() }
+        Rational::from_reduced(i128::from(v), 1)
     }
 }
 
 impl From<BigInt> for Rational {
     fn from(v: BigInt) -> Self {
-        Rational { num: v, den: BigInt::one() }
+        Rational::from_reduced_bigints(v, BigInt::one())
     }
 }
 
@@ -246,34 +370,56 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        (&self.num * &other.den).cmp(&(&other.num * &self.den))
+        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return if b == d {
+                a.cmp(c)
+            } else {
+                (i128::from(*a) * i128::from(*d)).cmp(&(i128::from(*c) * i128::from(*b)))
+            };
+        }
+        let ((a, b), (c, d)) = (self.big_parts(), other.big_parts());
+        (&*a * &*d).cmp(&(&*c * &*b))
     }
 }
 
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, other: &Rational) -> Rational {
-        Rational::from_bigints(
-            &(&self.num * &other.den) + &(&other.num * &self.den),
-            &self.den * &other.den,
-        )
+        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return add_small(*a, *b, *c, *d);
+        }
+        let ((a, b), (c, d)) = (self.big_parts(), other.big_parts());
+        Rational::from_bigints(&(&*a * &*d) + &(&*c * &*b), &*b * &*d)
     }
 }
 
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, other: &Rational) -> Rational {
-        Rational::from_bigints(
-            &(&self.num * &other.den) - &(&other.num * &self.den),
-            &self.den * &other.den,
-        )
+        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return add_small(*a, *b, -c, *d);
+        }
+        let ((a, b), (c, d)) = (self.big_parts(), other.big_parts());
+        Rational::from_bigints(&(&*a * &*d) - &(&*c * &*b), &*b * &*d)
     }
 }
 
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, other: &Rational) -> Rational {
-        Rational::from_bigints(&self.num * &other.num, &self.den * &other.den)
+        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return mul_small(*a, *b, *c, *d);
+        }
+        let ((a, b), (c, d)) = (self.big_parts(), other.big_parts());
+        Rational::from_bigints(&*a * &*c, &*b * &*d)
     }
 }
 
@@ -281,21 +427,38 @@ impl Div for &Rational {
     type Output = Rational;
     fn div(self, other: &Rational) -> Rational {
         assert!(!other.is_zero(), "division by zero rational");
-        Rational::from_bigints(&self.num * &other.den, &self.den * &other.num)
+        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            // Multiply by the reciprocal `d/c`, its sign moved to the top.
+            let (rn, rd) = if *c < 0 { (-d, -c) } else { (*d, *c) };
+            return mul_small(*a, *b, rn, rd);
+        }
+        let ((a, b), (c, d)) = (self.big_parts(), other.big_parts());
+        Rational::from_bigints(&*a * &*d, &*b * &*c)
     }
 }
 
 impl Neg for &Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational { num: -&self.num, den: self.den.clone() }
+        match &self.0 {
+            Repr::Small { num, den } => Rational(Repr::Small { num: -num, den: *den }),
+            Repr::Big(p) => Rational::from_reduced_bigints(-&p.0, p.1.clone()),
+        }
     }
 }
 
 impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational { num: -self.num, den: self.den }
+        match self.0 {
+            Repr::Small { num, den } => Rational(Repr::Small { num: -num, den }),
+            Repr::Big(p) => {
+                let (num, den) = *p;
+                Rational::from_reduced_bigints(-num, den)
+            }
+        }
     }
 }
 
@@ -316,10 +479,11 @@ forward_owned_binop!(Div, div);
 
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        match &self.0 {
+            Repr::Small { num, den: 1 } => write!(f, "{num}"),
+            Repr::Small { num, den } => write!(f, "{num}/{den}"),
+            Repr::Big(p) if p.1.is_one() => write!(f, "{}", p.0),
+            Repr::Big(p) => write!(f, "{}/{}", p.0, p.1),
         }
     }
 }
@@ -489,7 +653,7 @@ mod tests {
         assert_eq!(r(-2, -4), r(1, 2));
         assert_eq!(r(2, -4), r(-1, 2));
         assert_eq!(r(0, 5), Rational::zero());
-        assert_eq!(r(0, -5).denom(), &BigInt::one());
+        assert_eq!(r(0, -5).denom(), BigInt::one());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Offline verification gate. Everything here must pass before merging:
 #
-#   1. tier-1: warning-free release build + full workspace test suite
+#   1. tier-1: warning-free release build + full workspace test suite,
+#      then the many-seed `Rational` differential sweep in release
+#      (tests/rational_equiv.rs; its ignored variant, so tier-1 runs
+#      only the few-seed one)
 #   2. source lint (tests/lint.rs): no unwrap/expect in smt/core library code
 #   3. sta-smt under --features certify-debug (simplex invariant auditor on)
 #   4. end-to-end certification smoke on IEEE 14-bus: one SAT answer with
@@ -55,6 +58,9 @@ RUSTFLAGS="-D warnings" cargo build --release
 
 echo "==> tier-1: workspace tests"
 cargo test -q --workspace
+
+echo "==> tier-1: many-seed Rational differential sweep (release)"
+cargo test -q --release --test rational_equiv -- --ignored
 
 echo "==> source lint (invariant analyzer via cargo test)"
 cargo test -q --test lint
