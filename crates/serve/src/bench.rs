@@ -16,6 +16,16 @@
 //! histogram recording off. The telemetry-on/off medians price the
 //! measurement plane itself, and `verify.sh` gates that the overhead
 //! stays within a small bound.
+//!
+//! A fourth job, `warm-verify-keepalive`, is the one that crosses TCP.
+//! Each repetition boots a server on a kernel-assigned loopback port,
+//! opens one [`client::Connection`], primes the session with one verify
+//! and then sends the warm request five times on that same connection;
+//! every one of those round trips is a sample. A one-shot connection
+//! never shows a transport stall (the kernel ACKs a fresh connection's
+//! first segments at once); the second and later requests on a kept
+//! connection would, so `verify.sh` gates this median against the unix
+//! `warm-verify` one.
 
 use crate::client;
 use crate::server::{spawn, ServeConfig};
@@ -55,6 +65,9 @@ fn median(samples: &mut [u64]) -> u64 {
     }
 }
 
+/// Warm requests per keep-alive connection, after its priming verify.
+const KEEPALIVE_REQUESTS: usize = 5;
+
 /// One measured round trip: client-side wall plus the server-reported
 /// phase split and verdict.
 struct Sample {
@@ -64,9 +77,18 @@ struct Sample {
     verdict: String,
 }
 
+/// A round trip on a fresh connection, dial included.
 fn round_trip(clock: &Clock, addr: &str, line: &str) -> Result<Sample, String> {
+    timed(clock, || client::request(addr, line))
+}
+
+/// Times one request sent by `send` and reads its final line.
+fn timed(
+    clock: &Clock,
+    send: impl FnOnce() -> Result<Vec<String>, String>,
+) -> Result<Sample, String> {
     let t0 = clock.now();
-    let lines = client::request(addr, line)?;
+    let lines = send()?;
     let wall_us = clock.now().saturating_sub(t0).as_micros() as u64;
     let last = lines.last().ok_or("empty reply")?;
     let json = parse(last).map_err(|e| format!("unparsable response: {e}"))?;
@@ -80,8 +102,24 @@ fn round_trip(clock: &Clock, addr: &str, line: &str) -> Result<Sample, String> {
     Ok(Sample { wall_us, encode_us: us("encode_us"), search_us: us("search_us"), verdict })
 }
 
+/// The keep-alive samples of one repetition: one TCP connection to `addr`,
+/// a priming request, then [`KEEPALIVE_REQUESTS`] timed warm ones.
+fn keepalive(
+    clock: &Clock,
+    addr: &str,
+    prime: &str,
+    warm: &str,
+) -> Result<Vec<Sample>, String> {
+    let mut conn = client::Connection::open(addr)?;
+    conn.request(prime)?;
+    (0..KEEPALIVE_REQUESTS)
+        .map(|_| timed(clock, || conn.request(warm)))
+        .collect()
+}
+
 /// Runs the suite: `reps` boot/cold/warm/shutdown cycles on a server with
-/// `jobs` workers, medians per temperature.
+/// `jobs` workers, medians per temperature; then the same on a server
+/// with telemetry off and on a TCP server over one kept connection.
 pub fn run_serve_suite(reps: usize, jobs: usize) -> Result<BenchResult, String> {
     let reps = reps.max(1);
     let clock = Clock::monotonic();
@@ -91,6 +129,7 @@ pub fn run_serve_suite(reps: usize, jobs: usize) -> Result<BenchResult, String> 
     let mut cold = Vec::with_capacity(reps);
     let mut warm = Vec::with_capacity(reps);
     let mut warm_off = Vec::with_capacity(reps);
+    let mut warm_kept = Vec::with_capacity(reps * KEEPALIVE_REQUESTS);
     for rep in 0..reps {
         let mut config = ServeConfig::new(unique_listen_addr(&format!("bench{rep}")));
         config.jobs = jobs.max(1);
@@ -111,6 +150,13 @@ pub fn run_serve_suite(reps: usize, jobs: usize) -> Result<BenchResult, String> 
         handle.stop()?;
         prime?;
         warm_off.push(off_sample?);
+        // The keep-alive run: the same requests on one TCP connection.
+        let mut config = ServeConfig::new("127.0.0.1:0");
+        config.jobs = jobs.max(1);
+        let handle = spawn(config)?;
+        let kept = keepalive(&clock, handle.addr(), &request_line("cold"), &request_line("warm"));
+        handle.stop()?;
+        warm_kept.extend(kept?);
     }
     let job = |id: u64, label: &str, samples: &[Sample]| JobMeasurement {
         id,
@@ -131,6 +177,7 @@ pub fn run_serve_suite(reps: usize, jobs: usize) -> Result<BenchResult, String> 
             job(0, "cold-verify", &cold),
             job(1, "warm-verify", &warm),
             job(2, "warm-verify-notelemetry", &warm_off),
+            job(3, "warm-verify-keepalive", &warm_kept),
         ],
         latency: Vec::new(),
     })

@@ -16,6 +16,11 @@
 //! for never blocking a worker on another request's solve, and keeps
 //! results independent of scheduling (a session always produces the same
 //! verdict, warm or cold).
+//!
+//! The cache does no expensive work itself: [`SessionCache::put`] hands
+//! back the session it displaced instead of dropping it, so a caller that
+//! keeps the cache behind a lock frees that solver core after releasing
+//! the lock, just as it builds a cold one outside it.
 
 use sta_core::attack::VerifySession;
 use sta_smt::CertifyLevel;
@@ -66,19 +71,24 @@ impl SessionCache {
         }
     }
 
-    /// Returns a session to the cache as the most recently used entry,
-    /// evicting from the LRU end once past capacity. A session already
-    /// cached under the same key (a concurrent rebuild raced this one) is
-    /// replaced rather than duplicated.
-    pub fn put(&mut self, key: SessionKey, session: VerifySession) {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(i);
-        }
+    /// Returns a session to the cache as the most recently used entry and
+    /// hands back the one it displaced, for the caller to drop. A session
+    /// already cached under the same key (a concurrent rebuild raced this
+    /// one) is replaced rather than duplicated; otherwise, past capacity,
+    /// the least-recently-used entry is evicted. At most one of the two
+    /// happens, since the cache never holds more than `capacity` entries.
+    pub fn put(&mut self, key: SessionKey, session: VerifySession) -> Option<VerifySession> {
+        let replaced = self
+            .entries
+            .iter()
+            .position(|(k, _)| *k == key)
+            .map(|i| self.entries.remove(i).1);
         self.entries.push((key, session));
-        while self.entries.len() > self.capacity {
-            self.entries.remove(0);
+        if self.entries.len() > self.capacity {
             self.evictions += 1;
+            return Some(self.entries.remove(0).1);
         }
+        replaced
     }
 
     /// Sessions currently resident (checked-out sessions are not counted).
@@ -167,6 +177,21 @@ mod tests {
         assert_eq!(cache.evictions(), 3);
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
+    }
+
+    #[test]
+    fn put_hands_back_the_displaced_session() {
+        // The topology flag tells the sessions apart.
+        let tagged = |topology: bool| VerifySession::new(&ieee14::system(), topology).unwrap();
+        let mut cache = SessionCache::new(1);
+        assert!(cache.put(key("a"), tagged(true)).is_none(), "room left: nothing displaced");
+        let evicted = cache.put(key("b"), tagged(false)).expect("LRU eviction");
+        assert!(evicted.supports_topology(), "the evicted session is \"a\"'s");
+        assert_eq!(cache.evictions(), 1);
+        let replaced = cache.put(key("b"), tagged(true)).expect("same-key replacement");
+        assert!(!replaced.supports_topology(), "the replaced session is the first \"b\"");
+        assert_eq!(cache.evictions(), 1, "a replacement is not an eviction");
+        assert_eq!(cache.keys(), vec![key("b")]);
     }
 
     #[test]

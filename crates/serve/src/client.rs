@@ -1,40 +1,80 @@
-//! The one-shot client: send one request line, collect the reply.
+//! The client: send a request line, collect the reply.
 //!
 //! `sta client` is a thin shell over [`request`]: dial, write the line,
 //! read until the line whose `type` is `response` or `error` (trace lines
 //! stream in before it), and map the final line onto the CLI's exit-code
-//! contract with [`exit_code`].
+//! contract with [`exit_code`]. [`request`] and [`stream`] each dial a
+//! fresh [`Connection`]; a caller with many requests keeps one open and
+//! sends them over it one after another (`sta bench`'s keep-alive job).
+//! Requests leave through [`net::write_line`], one write per line, like
+//! every line the service sends back.
 
 use crate::net;
 use sta_smt::json::{parse, Json};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 
-/// Sends one request line to `addr` and returns every line the service
-/// emitted for it, the final `response`/`error` line last.
-pub fn request(addr: &str, line: &str) -> Result<Vec<String>, String> {
-    let mut stream =
-        net::connect(addr).map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .and_then(|_| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let reader = BufReader::new(
-        stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?,
-    );
-    let mut lines = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("connection failed mid-reply: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let done = is_final(&line);
-        lines.push(line);
-        if done {
-            return Ok(lines);
-        }
+/// One connection to the service, carrying requests one at a time: each
+/// reply is read through its final line before the next request goes out.
+#[derive(Debug)]
+pub struct Connection {
+    writer: net::Stream,
+    reader: BufReader<net::Stream>,
+}
+
+impl Connection {
+    /// Dials `addr` (a unix socket path or a TCP `host:port`).
+    pub fn open(addr: &str) -> Result<Connection, String> {
+        let writer =
+            net::connect(addr).map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
+        let reader = BufReader::new(
+            writer.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?,
+        );
+        Ok(Connection { writer, reader })
     }
-    Err("connection closed before a response arrived".into())
+
+    /// Sends one request line and returns every line the service emitted
+    /// for it, the final `response`/`error` line last.
+    pub fn request(&mut self, line: &str) -> Result<Vec<String>, String> {
+        let mut lines = Vec::new();
+        let last = self.stream(line, |l| {
+            lines.push(l.to_string());
+            true
+        })?;
+        lines.extend(last);
+        Ok(lines)
+    }
+
+    /// Sends one request line, hands every non-final reply line to
+    /// `on_line`, and returns the final one — or `None` once `on_line`
+    /// returns `false`, which leaves the rest of the reply unread.
+    fn stream(
+        &mut self,
+        line: &str,
+        mut on_line: impl FnMut(&str) -> bool,
+    ) -> Result<Option<String>, String> {
+        net::write_line(&mut self.writer, line)
+            .map_err(|e| format!("cannot send request: {e}"))?;
+        for line in (&mut self.reader).lines() {
+            let line = line.map_err(|e| format!("connection failed mid-reply: {e}"))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            if is_final(&line) {
+                return Ok(Some(line));
+            }
+            if !on_line(&line) {
+                return Ok(None);
+            }
+        }
+        Err("connection closed before a response arrived".into())
+    }
+}
+
+/// Sends one request line to `addr` on a fresh connection and returns
+/// every line the service emitted for it, the final `response`/`error`
+/// line last.
+pub fn request(addr: &str, line: &str) -> Result<Vec<String>, String> {
+    Connection::open(addr)?.request(line)
 }
 
 /// Sends one request line to `addr` and hands every non-final reply line
@@ -47,31 +87,9 @@ pub fn request(addr: &str, line: &str) -> Result<Vec<String>, String> {
 pub fn stream(
     addr: &str,
     line: &str,
-    mut on_line: impl FnMut(&str) -> bool,
+    on_line: impl FnMut(&str) -> bool,
 ) -> Result<Option<String>, String> {
-    let mut stream =
-        net::connect(addr).map_err(|e| format!("cannot connect to {addr:?}: {e}"))?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .and_then(|_| stream.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let reader = BufReader::new(
-        stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?,
-    );
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("connection failed mid-reply: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if is_final(&line) {
-            return Ok(Some(line));
-        }
-        if !on_line(&line) {
-            return Ok(None);
-        }
-    }
-    Err("connection closed before a response arrived".into())
+    Connection::open(addr)?.stream(line, on_line)
 }
 
 /// Whether a reply line terminates the request (`type` is `response` or

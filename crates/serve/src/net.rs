@@ -1,10 +1,22 @@
-//! Transport: one listener/stream pair over TCP or unix-domain sockets.
+//! Transport: one listener/stream pair over TCP or unix-domain sockets,
+//! and the one function that frames a line onto either.
 //!
 //! The address grammar is positional, not schemed: an address containing
 //! a `/` is a unix socket path, anything else is a TCP `host:port`. Unix
 //! sockets are the default for local tooling (no port allocation, file
 //! permissions for access control); TCP serves the remote case. On
 //! non-unix platforms path addresses fail with `Unsupported`.
+//!
+//! Every line the service and its client put on a socket goes through
+//! [`write_line`]: the line and its `\n` leave in one `write_all`, never
+//! as two writes. Every TCP [`Stream`] — accepted or dialed — has Nagle's
+//! algorithm off (`TCP_NODELAY`). Together they keep a keep-alive TCP
+//! connection from stalling: with Nagle on, a small write waits for the
+//! ACK of the previous one, and a peer with nothing to send back delays
+//! that ACK (on Linux by 40 ms or more). One write per line closes that
+//! for a plain reply; NODELAY closes it for a traced request, which
+//! writes several lines back to back. Unix sockets have no Nagle and
+//! behave the same either way.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -76,7 +88,7 @@ impl Listener {
     /// Accepts one connection.
     pub fn accept(&self) -> io::Result<Stream> {
         match &self.inner {
-            ListenerInner::Tcp(l) => Ok(Stream::Tcp(l.accept()?.0)),
+            ListenerInner::Tcp(l) => Ok(Stream::tcp(l.accept()?.0)),
             #[cfg(unix)]
             ListenerInner::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
         }
@@ -102,6 +114,15 @@ pub enum Stream {
 }
 
 impl Stream {
+    /// Wraps a TCP connection with Nagle's algorithm off — the one
+    /// constructor behind both [`Listener::accept`] and [`connect`]. A
+    /// failed `set_nodelay` leaves a working connection that may stall
+    /// on back-to-back lines, so it never fails the accept or the dial.
+    fn tcp(stream: TcpStream) -> Stream {
+        let _ = stream.set_nodelay(true);
+        Stream::Tcp(stream)
+    }
+
     /// An independently owned handle to the same connection (the reader
     /// half of a connection thread while the writer is shared).
     pub fn try_clone(&self) -> io::Result<Stream> {
@@ -141,12 +162,24 @@ impl Write for Stream {
     }
 }
 
+/// Writes `line` and its terminating `\n` as one buffer in a single
+/// `write_all`, then flushes: the framing of every line on the wire
+/// (replies, trace lines, `watch` snapshots, campaign events, client
+/// requests).
+pub fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 /// Dials `addr` with the same `/`-means-unix grammar as [`Listener::bind`].
 pub fn connect(addr: &str) -> io::Result<Stream> {
     if is_unix_addr(addr) {
         return connect_unix(addr);
     }
-    Ok(Stream::Tcp(TcpStream::connect(addr)?))
+    Ok(Stream::tcp(TcpStream::connect(addr)?))
 }
 
 #[cfg(unix)]

@@ -9,17 +9,23 @@
 //! work-stealing discipline as the campaign engine, but persistent across
 //! requests and bounded: once `queue` jobs are waiting the service
 //! answers `overloaded` instead of queueing further (admission control).
-//! Responses are written whole-line under a per-connection writer lock,
-//! so concurrent jobs of one connection interleave only at line
-//! granularity.
+//! Every line goes out through [`net::write_line`] — the line and its
+//! `\n` in one write — under a per-connection writer lock, so concurrent
+//! jobs of one connection interleave only at line granularity, and a
+//! keep-alive TCP client never waits on a delayed ACK between the halves
+//! of a line (see [`net`] for the transport side).
 //!
 //! # Warm sessions
 //!
 //! Each solver job checks a [`SessionCache`] for a live session under its
 //! `(case, topology, certify)` key, builds one on a miss, and returns it
-//! afterwards. Sessions own their case data (`Arc<TestSystem>`) and their
-//! solver core is `Send`, so a session warmed on one worker freely moves
-//! to whichever worker takes the next request for its key.
+//! afterwards. The cache lock is held only for the `take` and the `put`:
+//! a cold build, the solve, and dropping a session the `put` displaced
+//! all run outside it, so they never block the other workers' checkouts
+//! or the `stats`/`metrics` snapshots. Sessions own their case data
+//! (`Arc<TestSystem>`) and their solver core is `Send`, so a session
+//! warmed on one worker freely moves to whichever worker takes the next
+//! request for its key.
 //!
 //! # Deadlines and drain
 //!
@@ -46,7 +52,7 @@ use sta_smt::json::escape_into;
 use sta_smt::{Budget, Clock, Interrupt, Phase, SharedSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -176,25 +182,13 @@ impl ServerState {
     }
 }
 
-/// Writes one line (plus newline) under the connection's writer lock and
-/// flushes it, so a line is never interleaved with another job's output.
-/// Write errors mean the client is gone; the job's work is already done
-/// either way, so they are ignored.
-fn write_line(writer: &Mutex<net::Stream>, line: &str) {
-    let mut w = lock(writer);
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
-}
-
-/// Like [`write_line`] but reports whether the write reached the socket —
-/// the `watch` loop's only way to notice a departed client.
-fn try_write_line(writer: &Mutex<net::Stream>, line: &str) -> bool {
-    let mut w = lock(writer);
-    w.write_all(line.as_bytes())
-        .and_then(|_| w.write_all(b"\n"))
-        .and_then(|_| w.flush())
-        .is_ok()
+/// Writes one line with [`net::write_line`] under the connection's writer
+/// lock, so a line is never interleaved with another job's output.
+/// Returns whether it reached the socket: the `watch` loop's only way to
+/// notice a departed client. Every other caller ignores a failed write —
+/// the client is gone and the job's work is done either way.
+fn send_line(writer: &Mutex<net::Stream>, line: &str) -> bool {
+    net::write_line(&mut *lock(writer), line).is_ok()
 }
 
 /// Which solver-backed operation a submitted job runs.
@@ -227,7 +221,7 @@ struct ForwardSink {
 
 impl TraceSink for ForwardSink {
     fn emit(&mut self, event: &TraceEvent) {
-        write_line(&self.writer, &protocol::trace_line(&self.id, event));
+        send_line(&self.writer, &protocol::trace_line(&self.id, event));
     }
 }
 
@@ -314,7 +308,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: net::Stream) {
         match protocol::parse_request(trimmed) {
             Err(e) => {
                 state.metrics.record_protocol_error(e.kind);
-                write_line(&writer, &protocol::error_line(e.id.as_deref(), e.kind, &e.message));
+                send_line(&writer, &protocol::error_line(e.id.as_deref(), e.kind, &e.message));
             }
             Ok(req) => dispatch(state, &writer, req),
         }
@@ -328,17 +322,17 @@ fn dispatch(state: &Arc<ServerState>, writer: &Arc<Mutex<net::Stream>>, req: Req
             state.metrics.record_request(MetricOp::Ping);
             let mut out = protocol::response_head(&req.id, "ping");
             out.push_str(",\"ok\":true}");
-            write_line(writer, &out);
+            send_line(writer, &out);
             inline_latency(state, MetricOp::Ping, started);
         }
         Op::Stats => {
             state.metrics.record_request(MetricOp::Stats);
-            write_line(writer, &stats_line(state, &req.id));
+            send_line(writer, &stats_line(state, &req.id));
             inline_latency(state, MetricOp::Stats, started);
         }
         Op::Metrics { format } => {
             state.metrics.record_request(MetricOp::Metrics);
-            write_line(writer, &metrics_line(state, &req.id, format));
+            send_line(writer, &metrics_line(state, &req.id, format));
             inline_latency(state, MetricOp::Metrics, started);
         }
         Op::Watch { interval_ms } => {
@@ -495,10 +489,10 @@ fn watch_loop(
             let _ = write!(out, ",\"snapshots\":{seq},\"draining\":true,\"final_snapshot\":");
             snap.to_json_into(&mut out);
             out.push('}');
-            write_line(writer, &out);
+            send_line(writer, &out);
             return;
         }
-        if !try_write_line(writer, &protocol::watch_line(id, seq, &snap.to_json())) {
+        if !send_line(writer, &protocol::watch_line(id, seq, &snap.to_json())) {
             return;
         }
         seq += 1;
@@ -529,7 +523,7 @@ fn submit(
         state.rejected.fetch_add(1, Ordering::SeqCst);
         state.metrics.record_rejected();
         state.metrics.record_error(op, ErrorKind::Draining);
-        write_line(
+        send_line(
             writer,
             &protocol::error_line(Some(&id), ErrorKind::Draining, "server is draining"),
         );
@@ -551,7 +545,7 @@ fn submit(
         job_state.metrics.job_begin();
         let lines = run_query(&job_state, &job_id, kind, &q, &token, worker, &job_writer);
         for line in &lines {
-            write_line(&job_writer, line);
+            send_line(&job_writer, line);
         }
         job_state.metrics.job_end();
         job_state
@@ -570,7 +564,7 @@ fn submit(
             SubmitError::Closed => (ErrorKind::Draining, "server is draining"),
         };
         state.metrics.record_error(op, kind);
-        write_line(writer, &protocol::error_line(Some(&id), kind, message));
+        send_line(writer, &protocol::error_line(Some(&id), kind, message));
     }
 }
 
@@ -584,7 +578,7 @@ fn handle_shutdown(
     drain_ms: Option<u64>,
 ) {
     if state.draining.swap(true, Ordering::SeqCst) {
-        write_line(
+        send_line(
             writer,
             &protocol::error_line(Some(id), ErrorKind::Draining, "already draining"),
         );
@@ -614,7 +608,7 @@ fn handle_shutdown(
     out.push_str(",\"ok\":true,\"drained\":");
     out.push_str(if drained { "true" } else { "false" });
     out.push('}');
-    write_line(writer, &out);
+    send_line(writer, &out);
     // accept() is blocking; a throwaway self-connection wakes it so the
     // run loop can observe `stop` and exit.
     let _ = net::connect(&state.addr);
@@ -737,7 +731,10 @@ fn run_verify(
     }
     .with_cancel_token(Arc::clone(token));
     let key: SessionKey = (q.case.clone(), model.allow_topology_attack, q.certify);
-    let checked_out = match lock(&state.sessions).take(&key) {
+    // Check out in a statement of its own: the cache guard must not live
+    // on through a cold build, as it would as a `match` scrutinee.
+    let cached = lock(&state.sessions).take(&key);
+    let checked_out = match cached {
         Some(session) => Ok((session, true)),
         None => AttackVerifier::shared(Arc::clone(system)).map(|verifier| {
             let verifier = verifier.with_certify(q.certify);
@@ -751,8 +748,10 @@ fn run_verify(
     let report = session.verify_with_budget(&model, &budget);
     // Sessions survive every outcome — a timed-out check leaves the base
     // encoding intact (scenario assertions are popped), so the next
-    // request still gets a warm start.
-    lock(&state.sessions).put(key, session);
+    // request still gets a warm start. A session the put displaces is a
+    // whole solver core; it is freed here, after the guard is released.
+    let displaced = lock(&state.sessions).put(key, session);
+    drop(displaced);
     let wall = state.clock.now().saturating_sub(started);
     let mut lines = Vec::new();
     if q.trace {

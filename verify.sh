@@ -29,7 +29,11 @@
 #      the identical warm request with a hit, then drains cleanly and
 #      removes its socket file
 #   9. serve bench: `sta bench --suite serve --reps 5` medians — a warm
-#      request (cached session) must beat the cold request that built it
+#      request (cached session) must beat the cold request that built it;
+#      and the warm request repeated on one kept TCP connection
+#      (`warm-verify-keepalive`) must stay within 1.5x + 500us of the
+#      one-shot unix `warm-verify` median — no transport stall (such as
+#      Nagle's algorithm against a delayed ACK) between kept requests
 #  10. scale bench: `sta bench --suite scale --reps 1` runs the WLS /
 #      observability / verify ladder at 14..2000 buses to completion with
 #      a schema-valid report, and three ratios/verdicts are pinned:
@@ -298,6 +302,18 @@ fi
 echo "    cold median: ${cold_us} us, warm median: ${warm_us} us"
 if [ "$warm_us" -ge "$cold_us" ]; then
     echo "warm serve requests must beat cold (got ${cold_us} us -> ${warm_us} us)" >&2
+    exit 1
+fi
+
+echo "==> serve bench: kept TCP connection vs one-shot unix on warm medians"
+kept_us="$(sed -n 's/.*"label":"warm-verify-keepalive"[^}]*"wall_us":\([0-9]*\).*/\1/p' BENCH_serve.ci.json)"
+if [ -z "$kept_us" ]; then
+    echo "could not extract the warm-verify-keepalive median from BENCH_serve.ci.json" >&2
+    exit 1
+fi
+echo "    keep-alive TCP: ${kept_us} us, one-shot unix: ${warm_us} us"
+if [ "$kept_us" -gt $((warm_us * 3 / 2 + 500)) ]; then
+    echo "kept-connection requests stall: ${kept_us} us vs ${warm_us} us one-shot (bound 1.5x + 500us)" >&2
     exit 1
 fi
 
