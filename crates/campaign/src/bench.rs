@@ -195,23 +195,6 @@ pub fn run_scale_suite_for(
     let reps = reps.max(1);
     let clock = sta_smt::Clock::monotonic();
 
-    /// Runs `f` `reps` times, returning its (stable) verdict token and
-    /// the median wall time in microseconds.
-    fn timed<F: FnMut() -> Result<String, String>>(
-        clock: &sta_smt::Clock,
-        reps: usize,
-        mut f: F,
-    ) -> Result<(String, u64), String> {
-        let mut walls = Vec::with_capacity(reps);
-        let mut verdict = String::new();
-        for _ in 0..reps {
-            let t0 = clock.now();
-            verdict = f()?;
-            walls.push(clock.now().saturating_sub(t0).as_micros() as u64);
-        }
-        Ok((verdict, median(&mut walls)))
-    }
-
     let mut jobs: Vec<JobMeasurement> = Vec::new();
     let mut push = |label: String, case: &str, verdict: String, wall_us: u64| {
         jobs.push(JobMeasurement {
@@ -314,12 +297,7 @@ pub fn run_scale_suite_for(
         j.id = i as u64;
     }
     let mut latency = dense.latency;
-    for (phase, hist) in revised.latency {
-        match latency.iter_mut().find(|(p, _)| *p == phase) {
-            Some((_, existing)) => existing.merge(&hist),
-            None => latency.push((phase, hist)),
-        }
-    }
+    merge_latency(&mut latency, revised.latency);
     Ok(BenchResult {
         schema: SCHEMA.to_string(),
         suite: "scale".to_string(),
@@ -435,13 +413,34 @@ pub fn run_suite(
     workers: usize,
 ) -> BenchResult {
     assert!(reps > 0, "reps must be positive");
-    let mut reports: Vec<CampaignReport> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        reports.push(run_with(spec, &RunOptions::with_workers(workers), None));
+    let reports = run_reps(spec, reps, workers);
+    let (jobs, latency) = fold(&reports);
+    BenchResult {
+        schema: SCHEMA.to_string(),
+        suite: suite_name.to_string(),
+        reps: reps as u64,
+        workers: workers.max(1) as u64,
+        env: BenchEnv::capture(),
+        jobs,
+        latency,
     }
-    let mut jobs = Vec::with_capacity(spec.jobs.len());
-    for (id, _) in spec.jobs.iter().enumerate() {
-        let first = &reports[0].results[id];
+}
+
+/// Per-phase latency histograms, in first-seen phase order.
+pub(crate) type Latency = Vec<(&'static str, LatencyHistogram)>;
+
+/// Runs `spec` `reps` times on `workers` threads.
+pub(crate) fn run_reps(spec: &CampaignSpec, reps: usize, workers: usize) -> Vec<CampaignReport> {
+    (0..reps).map(|_| run_with(spec, &RunOptions::with_workers(workers), None)).collect()
+}
+
+/// Folds repeated runs of one campaign into per-job measurements and
+/// the runs' merged latency histograms. Verdicts are deterministic, so
+/// they are taken from the first run; wall clocks are per-job medians.
+pub(crate) fn fold(reports: &[CampaignReport]) -> (Vec<JobMeasurement>, Latency) {
+    let mut jobs = Vec::new();
+    let first_results = reports.first().map_or(&[][..], |r| &r.results[..]);
+    for (id, first) in first_results.iter().enumerate() {
         let mut walls: Vec<u64> = reports
             .iter()
             .map(|r| r.results[id].wall.as_micros() as u64)
@@ -464,24 +463,38 @@ pub fn run_suite(
             search_us: phase_us(|pw| pw.search),
         });
     }
-    let mut latency: Vec<(&'static str, LatencyHistogram)> = Vec::new();
-    for report in &reports {
-        for (phase, hist) in report.latency_rollup() {
-            match latency.iter_mut().find(|(p, _)| *p == phase) {
-                Some((_, existing)) => existing.merge(&hist),
-                None => latency.push((phase, hist)),
-            }
+    let mut latency = Latency::new();
+    for report in reports {
+        merge_latency(&mut latency, report.latency_rollup());
+    }
+    (jobs, latency)
+}
+
+/// Merges `from`'s histograms into `into`, phase by phase.
+pub(crate) fn merge_latency(into: &mut Latency, from: Latency) {
+    for (phase, hist) in from {
+        match into.iter_mut().find(|(p, _)| *p == phase) {
+            Some((_, existing)) => existing.merge(&hist),
+            None => into.push((phase, hist)),
         }
     }
-    BenchResult {
-        schema: SCHEMA.to_string(),
-        suite: suite_name.to_string(),
-        reps: reps as u64,
-        workers: workers.max(1) as u64,
-        env: BenchEnv::capture(),
-        jobs,
-        latency,
+}
+
+/// Runs `f` `reps` times, returning its (stable) verdict token and the
+/// median wall time in microseconds.
+pub(crate) fn timed<F: FnMut() -> Result<String, String>>(
+    clock: &sta_smt::Clock,
+    reps: usize,
+    mut f: F,
+) -> Result<(String, u64), String> {
+    let mut walls = Vec::with_capacity(reps);
+    let mut verdict = String::new();
+    for _ in 0..reps {
+        let t0 = clock.now();
+        verdict = f()?;
+        walls.push(clock.now().saturating_sub(t0).as_micros() as u64);
     }
+    Ok((verdict, median(&mut walls)))
 }
 
 impl BenchResult {

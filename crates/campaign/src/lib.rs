@@ -19,8 +19,9 @@
 //! * [`run_traced`] additionally streams [`sta_smt::TraceEvent`]s into a
 //!   shared sink as jobs finish (the `--trace` JSONL backend).
 //!
-//! The `sta campaign` CLI subcommand and every `sta-bench` binary are
-//! thin builders over this crate.
+//! The `sta campaign` CLI subcommand and every `sta bench` suite,
+//! the paper's evaluation ([`paper`]) included, are thin builders over
+//! this crate.
 //!
 //! [`base encoding`]: sta_core::attack::VerifySession
 //!
@@ -46,6 +47,7 @@
 
 pub mod bench;
 pub mod histogram;
+pub mod paper;
 pub mod pool;
 pub mod report;
 pub mod spec;

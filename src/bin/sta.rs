@@ -47,6 +47,10 @@
 //! `--threshold` regression gate (default 50%). With `--against
 //! NEW.json` no suite runs: the two files are diffed directly (the
 //! self-diff `--baseline F --against F` exits 0 and validates schema).
+//! The `fig4`, `fig5`, `table4` and `ablation` suites regenerate the
+//! paper's evaluation (`sta::campaign::paper`): they also print the
+//! figure tables, and exit 1 when a verdict the paper's set-up pins
+//! comes out different.
 //!
 //! `sta lint` runs the in-tree invariant analyzer (`sta::analysis`,
 //! DESIGN.md §13) over the workspace: determinism, clock-discipline,
@@ -78,7 +82,7 @@
 //! | 3 | undecided: the solver's wall-clock budget ran out (`unknown`), or at least one campaign job did — **not** the same as unsat |
 
 use sta::campaign::pool::{run_with as run_campaign, RunOptions};
-use sta::campaign::{bench, CampaignSpec};
+use sta::campaign::{bench, paper, CampaignSpec};
 use sta::core::analytics::ThreatAnalyzer;
 use sta::core::attack::{AttackModel, AttackOutcome, AttackVerifier, StateTarget};
 use sta::core::synthesis::{SynthesisConfig, Synthesizer};
@@ -177,8 +181,8 @@ fn usage() -> ExitCode {
          sta campaign [<case>] [--jobs N] [--timeout-ms MS] [--certify off|models|full] \
          [--topology] [--force-timeout] [--out FILE] [--strip-timing] \
          [--simplex auto|dense|revised] [--trace FILE] [--metrics] [--profile]\n  \
-         sta bench [--suite smoke|sweep|cegis|serve|scale] [--reps N] [--jobs N] [--out FILE] \
-         [--baseline FILE] [--against FILE] [--threshold PCT]\n  \
+         sta bench [--suite smoke|sweep|cegis|serve|scale|fig4|fig5|table4|ablation] \
+         [--reps N] [--jobs N] [--out FILE] [--baseline FILE] [--against FILE] [--threshold PCT]\n  \
          sta serve --listen <path|host:port> [--jobs N] [--max-sessions K] \
          [--queue N] [--drain-ms MS]\n  \
          sta client <addr> ping|shutdown [--drain-ms MS]\n  \
@@ -191,7 +195,7 @@ fn usage() -> ExitCode {
          sta client <addr> raw '<json-line>'\n  \
          sta top <addr> [--interval-ms MS] [--once]\n  \
          sta lint [--json] [--fix-allowlist] [--root DIR]\n\
-         exit codes: 0 = sat/success, 1 = unsat/no solution/perf regression/lint findings, 2 = usage error, 3 = unknown (budget exhausted)"
+         exit codes: 0 = sat/success, 1 = unsat/no solution/perf regression/pinned verdict flipped/lint findings, 2 = usage error, 3 = unknown (budget exhausted)"
     );
     ExitCode::from(2)
 }
@@ -700,11 +704,25 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
                 sta::serve::bench::run_serve_suite(reps, jobs)?
             } else if suite_name == "scale" {
                 bench::run_scale_suite(reps, jobs)?
+            } else if let Some(panels) = paper::suite(&suite_name) {
+                // A paper suite prints its figure tables; a job whose
+                // verdict breaks its pin fails the run like a regression.
+                match paper::run(&suite_name, &panels, reps, jobs) {
+                    Ok(run) => {
+                        print!("{}", run.tables);
+                        run.result
+                    }
+                    Err(violations) => {
+                        eprintln!("error: {violations}");
+                        return Ok(ExitCode::from(1));
+                    }
+                }
             } else {
                 let spec = bench::suite(&suite_name).ok_or_else(|| {
                     format!(
-                        "unknown suite {suite_name:?} (expected one of: {}, serve, scale)",
-                        bench::suite_names().join(", ")
+                        "unknown suite {suite_name:?} (expected one of: {}, serve, scale, {})",
+                        bench::suite_names().join(", "),
+                        paper::SUITES.join(", ")
                     )
                 })?;
                 bench::run_suite(&suite_name, &spec, reps, jobs)

@@ -46,9 +46,10 @@
 //! # }
 //! ```
 //!
-//! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the harness regenerating every figure and table of
-//! the paper's evaluation.
+//! See the `examples/` directory for runnable end-to-end scenarios, among
+//! them both case studies (`attack_objectives`, `synthesis_scenarios`).
+//! `sta bench --suite fig4|fig5|table4|ablation` ([`campaign::paper`])
+//! regenerates every figure and table of the paper's evaluation.
 
 pub use sta_analysis as analysis;
 pub use sta_campaign as campaign;

@@ -5,13 +5,13 @@
 //! secured column (see `ieee14::system_unsecured` docs), with the
 //! admittances of lines 3, 7 and 17 unknown to the attacker.
 
-use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
-use sta_core::synthesis::{SynthesisConfig, Synthesizer};
-use sta_core::validation;
-use sta_grid::{ieee14, BusId, LineId, MeasurementId};
+use sta::core::attack::{AttackModel, AttackVerifier, StateTarget};
+use sta::core::synthesis::{SynthesisConfig, Synthesizer};
+use sta::core::validation;
+use sta::grid::{ieee14, BusId, LineId, MeasurementId};
 
 /// The §III-I example configuration: unsecured Table III taken set.
-fn example_system() -> sta_grid::TestSystem {
+fn example_system() -> sta::grid::TestSystem {
     ieee14::system_unsecured()
 }
 
@@ -232,4 +232,23 @@ fn scenario3_architecture_resists_topology_poisoning() {
     // Sanity: the same budget *without* those buses leaves topology
     // attacks open (the unprotected grid is attackable).
     assert!(verifier.verify(&attacker).is_feasible());
+}
+
+#[test]
+fn published_sets_are_reproduced_exactly() {
+    // Two results match the paper's published sets exactly, not just in
+    // verdict: Objective 1's compromised substations at ≤16/≤7, and
+    // Scenario 2's budget-5 architecture.
+    let sys = example_system();
+    let verifier = AttackVerifier::new(&sys).unwrap();
+    let attack = verifier.verify(&objective1(16, 7, true)).expect_feasible();
+    let mut buses: Vec<usize> = attack.compromised_buses.iter().map(|b| b.0 + 1).collect();
+    buses.sort_unstable();
+    assert_eq!(buses, [4, 7, 9, 10, 11, 13, 14]);
+    let synth = Synthesizer::new(&sys).unwrap();
+    let outcome = synth.synthesize(&AttackModel::new(14), &scenario_config(5));
+    let arch = outcome.architecture().expect("5 buses suffice");
+    let mut secured: Vec<usize> = arch.secured_buses.iter().map(|b| b.0 + 1).collect();
+    secured.sort_unstable();
+    assert_eq!(secured, [1, 3, 6, 8, 9]);
 }

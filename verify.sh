@@ -52,6 +52,12 @@
 #  12. telemetry overhead: the serve bench's warm-verify median with the
 #      measurement plane on must stay within 1.5x + 500us of the
 #      telemetry-off median — observation must stay cheap
+#  13. paper suites (right after step 7): `sta bench --suite S --reps 1`
+#      for S = fig4, fig5, table4 and ablation (the paper's Fig. 4,
+#      Fig. 5 and Table IV, and this reproduction's ablation) must each
+#      exit 0, which means every verdict the paper's set-up pins held,
+#      and write a schema-valid sta-bench/v1 file. About 31 s, 28 s of
+#      it the one Fig. 4(c) job at 30 buses and T_CZ = 16
 #
 # No network access is required; the script fails fast on the first error.
 set -euo pipefail
@@ -227,6 +233,16 @@ grep -q '"schema":"sta-bench/v1"' BENCH_smoke.ci.json || {
     --against BENCH_smoke.ci.json >/dev/null
 ./target/release/sta bench --baseline BENCH_smoke.json \
     --against BENCH_smoke.json >/dev/null
+
+echo "==> paper suites: Fig. 4, Fig. 5, Table IV and the ablation hold their pins"
+for suite in fig4 fig5 table4 ablation; do
+    ./target/release/sta bench --suite "$suite" --reps 1 \
+        --out "BENCH_$suite.ci.json" >/dev/null
+    grep -q '"schema":"sta-bench/v1"' "BENCH_$suite.ci.json" || {
+        echo "$suite bench output is missing the sta-bench/v1 schema tag" >&2
+        exit 1
+    }
+done
 
 echo "==> serve smoke: warm session cache over a unix socket"
 sockdir="$(mktemp -d)"
