@@ -136,7 +136,8 @@ pub const SCALE_VERIFY_TIMEOUT_MS: u64 = 120_000;
 /// * `wls-dense-{b}` — the identical solve on the dense-oracle pipeline,
 ///   so a trajectory point carries its own sparse-vs-dense speedup
 ///   (sizes up to [`DENSE_ORACLE_MAX_BUSES`] only);
-/// * `obs-{b}` — a sparse observability check;
+/// * `obs-{b}` — an observability check (flow islands; on these fully
+///   metered cases one island, so no factorization);
 /// * `verify-{b}` — one blocked verification (`T_CZ = 0`) on the revised
 ///   simplex at every size. Pivot-light — encode dominates — so it is
 ///   cheap at small sizes, and at 1354/2000 buses it is the size-ceiling

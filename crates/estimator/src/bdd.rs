@@ -117,8 +117,14 @@ impl BadDataDetector {
         self.alpha
     }
 
-    /// Chi-square test on a state estimate.
+    /// Chi-square test on a state estimate. With no redundancy (as many
+    /// taken measurements as states, e.g. a basic measurement set) the
+    /// residual is identically zero, so the statistic is 0 and no
+    /// threshold exists for it to exceed: the verdict is `Clean`.
     pub fn detect(&self, est: &WlsEstimator, result: &StateEstimate) -> Verdict {
+        if est.num_measurements() <= est.num_states() {
+            return Verdict::Clean;
+        }
         let threshold = est.detection_threshold(self.alpha);
         if result.weighted_sse > threshold {
             Verdict::BadData { statistic: result.weighted_sse, threshold }
@@ -164,9 +170,7 @@ impl BadDataDetector {
         let mut best: Option<(usize, f64)> = None;
         for (i, r) in result.residual.iter().enumerate() {
             let var = omega[i];
-            // Critical measurement: its residual is always ~0. Relative to
-            // the meter's own variance, so the test is independent of scale.
-            if weights[i] * var <= 1e-10 {
+            if is_critical(weights[i], var) {
                 continue;
             }
             let rn = r.abs() / var.sqrt();
@@ -178,12 +182,22 @@ impl BadDataDetector {
     }
 }
 
+/// Whether a meter of weight `weight` whose residual variance is
+/// `variance` (its `Ω_ii`) is *critical*: its residual is always ~0, so
+/// bad data on it cannot be seen and removing it loses observability.
+/// Relative to the meter's own variance, so the test is independent of
+/// scale. The crate's one definition of criticality, shared by LNR
+/// identification and [`crate::observability::critical_measurements`].
+pub(crate) fn is_critical(weight: f64, variance: f64) -> bool {
+    weight * variance <= 1e-10
+}
+
 /// Diagonal of the residual covariance `Ω = S·R = R − H·G⁻¹·Hᵀ`, with
 /// `R = W⁻¹` the meters' error variances and `G = HᵀWH` the estimator's
 /// gain. Each entry `Ω_ii = 1/wᵢ − hᵢ·G⁻¹·hᵢᵀ` needs one solve against the
 /// estimator's cached gain factor with a (≤ `deg+1`)-nonzero right-hand
 /// side, which reuses one buffer across rows.
-fn residual_covariance_diag(est: &WlsEstimator) -> Result<Vector, IdentificationError> {
+pub(crate) fn residual_covariance_diag(est: &WlsEstimator) -> Result<Vector, IdentificationError> {
     let h = est.jacobian_sparse();
     let weights = est.weights();
     let mut rhs = Vector::zeros(h.num_cols());
@@ -209,7 +223,7 @@ mod tests {
     use super::*;
     use crate::dcflow;
     use crate::wls::WlsEstimator;
-    use sta_grid::ieee14;
+    use sta_grid::{ieee14, MeasurementId};
     use sta_linalg::Vector;
 
     fn setup() -> (WlsEstimator, Vector) {
@@ -295,6 +309,43 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_panics() {
         let _ = BadDataDetector::new(1.5);
+    }
+
+    #[test]
+    fn basic_measurement_set_is_clean_at_zero_degrees_of_freedom() {
+        // Bobba et al.'s configuration: 13 meters over 13 states. The
+        // estimate fits even a gross error exactly, so the statistic is 0
+        // and detection is `Clean` (it used to panic for want of a
+        // χ² threshold with zero degrees of freedom).
+        let sys = ieee14::system();
+        let basic = crate::observability::basic_measurement_set(
+            &sys.grid,
+            &sys.topology,
+            &sys.measurements,
+            sys.reference_bus,
+        )
+        .unwrap();
+        let mut cfg = sys.measurements.clone();
+        for m in 0..cfg.len() {
+            cfg.set_taken(MeasurementId(m), basic.contains(&MeasurementId(m)));
+        }
+        let est =
+            WlsEstimator::new(&sys.grid, &sys.topology, &cfg, sys.reference_bus, None).unwrap();
+        assert_eq!((est.num_measurements(), est.num_states()), (13, 13));
+        let op = dcflow::solve(
+            &sys.grid,
+            &sys.topology,
+            &dcflow::synthetic_injections(14, 2),
+            sys.reference_bus,
+        )
+        .unwrap();
+        let mut z = est.measure(&op);
+        z[4] += 50.0;
+        let result = est.estimate(&z).unwrap();
+        assert_eq!(result.degrees_of_freedom, 0);
+        assert!(result.weighted_sse < 1e-9, "{}", result.weighted_sse);
+        let verdict = BadDataDetector::new(0.05).detect(&est, &result);
+        assert_eq!(verdict, Verdict::Clean);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   elimination (paper Eq. 1);
 //! * [`BadDataDetector`] — chi-square residual test and
 //!   largest-normalized-residual identification (paper §II-B);
-//! * [`observability`] — rank analysis and basic-measurement-set
-//!   extraction (the Bobba et al. baseline's core object);
+//! * [`observability`] — the observability test on flow islands,
+//!   critical measurements, basic-measurement-set extraction (the Bobba
+//!   et al. baseline's core object) and the dense rank oracle;
 //! * [`chi2`] — the distribution routines behind the detection threshold.
 //!
 //! # Examples

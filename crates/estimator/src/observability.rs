@@ -1,11 +1,43 @@
 //! Numerical observability analysis.
 //!
-//! A measurement set observes the system when the taken-row Jacobian has
-//! full column rank over the non-reference states — equivalently, when the
-//! WLS gain matrix is positive definite. Both the rank test and the
+//! A measurement set observes the system when the taken-row Jacobian `H`
+//! has full column rank over the non-reference states. Every row of `H`
+//! is a combination of angle differences across in-service lines, so
+//! `H·1 = 0`, and full column rank without the reference column is the
+//! same as `rank H = b − 1` over all `b` bus columns.
+//!
+//! [`is_observable`] decides it on *flow islands*. A taken forward or
+//! backward flow meter on an in-service line is a row `y·(e_i − e_j)`
+//! with `y > 0`: it fixes the angle difference across the line, so its
+//! two buses are joined. With `k` islands the flow rows have rank
+//! `b − k`, and their null space is the vectors constant on each island,
+//! so
+//!
+//! ```text
+//! rank H = (b − k) + rank(H_inj·P)
+//! ```
+//!
+//! with `P` the bus-to-island indicator: `H_inj·P` is each taken
+//! injection row summed over each island's buses. Its rows also sum to
+//! zero across the islands, so the system is observable exactly when
+//! `H_inj·P` has full column rank once the reference island's column is
+//! dropped. One island is observable outright, in O(lines) with no
+//! factorization. Otherwise the island-level gain `(H_inj·P)ᵀ(H_inj·P)`
+//! without that column must be positive definite: the same sparse LDLᵀ
+//! test, with the same tolerance, that the estimator applies to its
+//! bus-level gain. With no flow meter taken every bus is its own island
+//! and the island-level gain *is* the bus-level gain. Verdicts match the
+//! dense [`rank`] of [`reduced_jacobian`] in exact arithmetic,
+//! electrically islanded topologies included; that pair stays as the
+//! test oracle.
+//!
+//! [`critical_measurements`] reads criticality off the estimator's
+//! residual covariance, the definition LNR identification uses. The
 //! *basic measurement set* extraction (a minimal row subset of full rank,
-//! the object Bobba et al.'s defense secures) live here.
+//! the object Bobba et al.'s defense secures) also lives here.
 
+use crate::bdd;
+use crate::wls::WlsEstimator;
 use sta_grid::{BusId, Grid, MeasurementConfig, MeasurementId, Topology};
 use sta_linalg::{CsrMatrix, Matrix, SparseCholesky};
 
@@ -59,6 +91,14 @@ pub fn rank(matrix: &Matrix) -> usize {
 /// Whether the taken measurements observe every state (full column rank
 /// of the reduced Jacobian).
 ///
+/// Buses joined by taken flow meters on in-service lines form flow
+/// islands. One island is observable with no factorization. Otherwise
+/// the taken injection rows, summed over each island's buses, must give
+/// a positive-definite island-level gain once the reference island's
+/// column is dropped. The module documentation has the rank identity
+/// that makes this exact; the dense [`rank`] of [`reduced_jacobian`] is
+/// the oracle it is tested against.
+///
 /// # Examples
 ///
 /// ```
@@ -75,16 +115,62 @@ pub fn is_observable(
     measurements: &MeasurementConfig,
     reference: BusId,
 ) -> bool {
-    // Observable ⟺ the gain matrix HᵀH is positive definite. The gain is
-    // formed and factored sparsely, so the check is O(lines)-flavored
-    // instead of the dense rank test's O(m·n²) — the dense [`rank`] stays
-    // available as the oracle (equivalence pinned by property tests).
-    let h = reduced_jacobian_sparse(grid, topo, measurements, reference);
-    if h.num_cols() == 0 {
-        return true; // one-bus system: nothing to estimate
+    let (l, b) = (grid.num_lines(), grid.num_buses());
+    let taken = |m: usize| measurements.is_taken(MeasurementId(m));
+    let labels = topo.island_of_lines(grid, |line| taken(line.0) || taken(l + line.0));
+    // Number the islands 0..k in order of their lowest bus, so that with
+    // no flow meter island `i` is bus `i`.
+    let mut number = vec![usize::MAX; b];
+    let mut k = 0;
+    let island: Vec<usize> = labels
+        .iter()
+        .map(|&rep| {
+            if number[rep] == usize::MAX {
+                number[rep] = k;
+                k += 1;
+            }
+            number[rep]
+        })
+        .collect();
+    let Some(&home) = island.get(reference.0) else {
+        return b == 0; // no column to drop: singular unless there are no buses
+    };
+    if k == 1 {
+        return true;
     }
-    let gain = h.transpose().mul_mat(&h);
-    SparseCholesky::factor(&gain).is_ok()
+    let col = |i: usize| match i.cmp(&home) {
+        std::cmp::Ordering::Less => Some(i),
+        std::cmp::Ordering::Equal => None,
+        std::cmp::Ordering::Greater => Some(i - 1),
+    };
+    let mut row_of = vec![None; b];
+    let mut rows = 0;
+    for (bus, row) in row_of.iter_mut().enumerate() {
+        if taken(2 * l + bus) {
+            *row = Some(rows);
+            rows += 1;
+        }
+    }
+    // The island-projected injection rows, in the bus-level Jacobian's
+    // triplet order. A line inside one island adds `+y` and `−y` to the
+    // same column, so it is skipped.
+    let mut triplets = Vec::with_capacity(4 * l);
+    for line in topo.in_service_lines().map(|id| grid.line(id)) {
+        let (f, t, y) = (island[line.from.0], island[line.to.0], line.admittance);
+        if f == t {
+            continue;
+        }
+        for (bus, sign) in [(line.to.0, 1.0), (line.from.0, -1.0)] {
+            let Some(r) = row_of[bus] else { continue };
+            for (c, v) in [(col(f), sign * y), (col(t), -sign * y)] {
+                if let Some(c) = c {
+                    triplets.push((r, c, v));
+                }
+            }
+        }
+    }
+    let h = CsrMatrix::from_triplets(rows, k - 1, &triplets);
+    SparseCholesky::factor(&h.transpose().mul_mat(&h)).is_ok()
 }
 
 /// The Jacobian restricted to taken rows and non-reference columns.
@@ -95,20 +181,6 @@ pub fn reduced_jacobian(
     reference: BusId,
 ) -> Matrix {
     let h_full = sta_grid::topology::h_matrix(grid, topo);
-    let taken: Vec<usize> = measurements.taken_ids().map(|m| m.0).collect();
-    let cols: Vec<usize> =
-        (0..grid.num_buses()).filter(|&j| j != reference.0).collect();
-    h_full.select_rows(&taken).select_cols(&cols)
-}
-
-/// Sparse form of [`reduced_jacobian`].
-pub fn reduced_jacobian_sparse(
-    grid: &Grid,
-    topo: &Topology,
-    measurements: &MeasurementConfig,
-    reference: BusId,
-) -> CsrMatrix {
-    let h_full = sta_grid::topology::h_matrix_sparse(grid, topo);
     let taken: Vec<usize> = measurements.taken_ids().map(|m| m.0).collect();
     let cols: Vec<usize> =
         (0..grid.num_buses()).filter(|&j| j != reference.0).collect();
@@ -154,37 +226,36 @@ pub fn basic_measurement_set(
 }
 
 /// Identifies the *critical measurements*: taken measurements whose
-/// removal makes the system unobservable.
+/// removal makes the system unobservable, in taken order.
 ///
 /// Critical measurements matter doubly for security: their residual is
 /// structurally zero, so bad data on them is undetectable (the LNR
 /// identifier skips them), and a single-meter attack on one is already
 /// stealthy. A defense design should either secure them or add
 /// redundancy.
+///
+/// A row is critical exactly when its residual variance `Ω_ii` vanishes;
+/// this reads `Ω` off a unit-weight estimator's gain factor, with the
+/// test LNR identification uses. An unobservable set has no estimator and
+/// returns an empty list: criticality is undefined there.
 pub fn critical_measurements(
     grid: &Grid,
     topo: &Topology,
     measurements: &MeasurementConfig,
     reference: BusId,
 ) -> Vec<MeasurementId> {
-    let h_full = sta_grid::topology::h_matrix(grid, topo);
-    let cols: Vec<usize> =
-        (0..grid.num_buses()).filter(|&j| j != reference.0).collect();
-    let taken: Vec<usize> = measurements.taken_ids().map(|m| m.0).collect();
-    let full = h_full.select_rows(&taken).select_cols(&cols);
-    let base_rank = rank(&full);
-    if base_rank < cols.len() {
-        return Vec::new(); // already unobservable; criticality undefined
-    }
-    let mut critical = Vec::new();
-    for (k, &m) in taken.iter().enumerate() {
-        let keep: Vec<usize> = (0..taken.len()).filter(|&i| i != k).collect();
-        let reduced = full.select_rows(&keep);
-        if rank(&reduced) < base_rank {
-            critical.push(MeasurementId(m));
-        }
-    }
-    critical
+    let Ok(est) = WlsEstimator::new(grid, topo, measurements, reference, None) else {
+        return Vec::new();
+    };
+    let Ok(omega) = bdd::residual_covariance_diag(&est) else {
+        return Vec::new();
+    };
+    est.taken_rows()
+        .iter()
+        .zip(omega.iter())
+        .filter(|&(_, &var)| bdd::is_critical(1.0, var))
+        .map(|(&m, _)| MeasurementId(m))
+        .collect()
 }
 
 #[cfg(test)]
@@ -335,14 +406,6 @@ mod tests {
                 oracle,
                 "k = {k}"
             );
-            // The sparse reduced Jacobian is the same matrix.
-            let hs =
-                reduced_jacobian_sparse(&sys.grid, &sys.topology, &cfg, sys.reference_bus);
-            for i in 0..h.num_rows() {
-                for j in 0..h.num_cols() {
-                    assert_eq!(hs.get(i, j), h[(i, j)]);
-                }
-            }
         }
     }
 

@@ -280,6 +280,35 @@ mod tests {
     }
 
     #[test]
+    fn basic_measurement_set_raises_nothing() {
+        // No redundancy (13 meters over 13 states): the estimate fits any
+        // snapshot, so neither check can fire, gross error or not. This
+        // used to panic in the χ² threshold.
+        let (sys, _op, z) = snapshot();
+        let basic = crate::observability::basic_measurement_set(
+            &sys.grid,
+            &sys.topology,
+            &sys.measurements,
+            sys.reference_bus,
+        )
+        .unwrap();
+        let mut cfg = sys.measurements.clone();
+        for m in 0..cfg.len() {
+            cfg.set_taken(MeasurementId(m), basic.contains(&MeasurementId(m)));
+        }
+        let full = WlsEstimator::for_system(&sys).unwrap();
+        let mut basic_z: Vector = basic
+            .iter()
+            .map(|&id| z[full.row_of(id).unwrap()])
+            .collect();
+        basic_z[4] += 50.0;
+        let suspicions = TopologyDetector::default()
+            .inspect(&sys.grid, &sys.topology, &cfg, sys.reference_bus, &basic_z)
+            .unwrap();
+        assert!(suspicions.is_empty(), "{suspicions:?}");
+    }
+
+    #[test]
     fn display_formats() {
         let s = TopologySuspicion::EnergizedOpenLine(LineId(4), 1.25);
         assert!(s.to_string().contains("line 5"));

@@ -81,23 +81,32 @@ impl Topology {
     /// Number of connected components (electrical islands) induced on
     /// `grid` by the in-service lines.
     pub fn island_count(&self, grid: &Grid) -> usize {
-        let mut uf = UnionFind::new(grid.num_buses());
-        for line in self.in_service_lines() {
-            let l = grid.line(line);
-            uf.union(l.from.0, l.to.0);
-        }
-        uf.num_components()
+        self.join(grid, |_| true).num_components()
     }
 
     /// The island label of each bus (labels are representative bus
     /// indices).
     pub fn island_of(&self, grid: &Grid) -> Vec<usize> {
+        self.island_of_lines(grid, |_| true)
+    }
+
+    /// The island label of each bus when only the in-service lines that
+    /// `joins` accepts connect buses (labels are representative bus
+    /// indices). Observability analysis joins over the lines that carry
+    /// a taken flow meter.
+    pub fn island_of_lines(&self, grid: &Grid, joins: impl FnMut(&LineId) -> bool) -> Vec<usize> {
+        let mut uf = self.join(grid, joins);
+        (0..grid.num_buses()).map(|b| uf.find(b)).collect()
+    }
+
+    /// Unions the endpoints of every in-service line that `joins` accepts.
+    fn join(&self, grid: &Grid, joins: impl FnMut(&LineId) -> bool) -> UnionFind {
         let mut uf = UnionFind::new(grid.num_buses());
-        for line in self.in_service_lines() {
+        for line in self.in_service_lines().filter(joins) {
             let l = grid.line(line);
             uf.union(l.from.0, l.to.0);
         }
-        (0..grid.num_buses()).map(|b| uf.find(b)).collect()
+        uf
     }
 
     /// Whether every bus is connected (single island) — the precondition
@@ -379,6 +388,11 @@ mod tests {
         let labels = cut.island_of(&g);
         assert_eq!(labels[0], labels[2]);
         assert_ne!(labels[0], labels[1]);
+        // Joining over line 2 alone gives the same islands; joining over
+        // an out-of-service line joins nothing.
+        assert_eq!(cut.island_of_lines(&g, |l| l.0 == 2), labels);
+        let none = cut.island_of_lines(&g, |l| l.0 == 0);
+        assert!((0..3).all(|b| none[b] == b));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use sta::core::attack::{AttackModel, AttackVerifier, StateTarget};
 use sta::core::synthesis::{SynthesisConfig, Synthesizer};
 use sta::core::validation;
-use sta::estimator::{dcflow, BadDataDetector, WlsEstimator};
-use sta::grid::{ieee14, synthetic, BusId, TestSystem};
+use sta::estimator::{dcflow, observability, BadDataDetector, WlsEstimator};
+use sta::grid::{ieee14, synthetic, BusId, MeasurementId, TestSystem};
 
 fn default_op(sys: &TestSystem) -> dcflow::OperatingPoint {
     let injections = dcflow::synthetic_injections(sys.grid.num_buses(), 0);
@@ -60,6 +60,33 @@ fn pipeline_detector_blind_to_verified_attacks() {
             target + 1
         );
     }
+}
+
+/// Bobba et al.'s configuration: 13 meters of a basic measurement set
+/// over 13 states. With no redundancy every estimate fits exactly, so
+/// under noise neither the clean nor the attacked arm ever alarms (the
+/// χ² threshold at zero degrees of freedom used to panic).
+#[test]
+fn pipeline_noisy_replay_without_redundancy_never_alarms() {
+    let mut sys = ieee14::system_unsecured();
+    let basic = observability::basic_measurement_set(
+        &sys.grid,
+        &sys.topology,
+        &sys.measurements,
+        sys.reference_bus,
+    )
+    .expect("observable");
+    for m in 0..sys.measurements.len() {
+        let id = MeasurementId(m);
+        sys.measurements.set_taken(id, basic.contains(&id));
+    }
+    let model = AttackModel::new(14).target(BusId(6), StateTarget::MustChange);
+    let attack = AttackVerifier::new(&sys).unwrap().verify(&model).expect_feasible();
+    let op = default_op(&sys);
+    let noisy = validation::replay_noisy(&sys, &op, &attack, 0.02, 20, 3).unwrap();
+    assert_eq!(noisy.clean_alarm_rate, 0.0);
+    assert_eq!(noisy.attacked_alarm_rate, 0.0);
+    assert!(noisy.mean_max_state_shift > 1e-9, "the attack moved no state");
 }
 
 #[test]

@@ -9,12 +9,19 @@
 //! symbolic-reuse refactorization. The DC operating point gets the same
 //! treatment against a dense LU of the reduced susceptance matrix, and
 //! the factorization's dense trailing-clique kernel is checked on seeded
-//! random patterns against the dense Cholesky.
+//! random patterns against the dense Cholesky. Observability, decided on
+//! flow islands, is crossed with the dense rank oracle and the
+//! estimator's gain test on seeded random outages and meter sets, and
+//! critical measurements with the rank-drop oracle (many seeds and 300
+//! buses in the ignored variant, which `verify.sh` runs in release).
 
 use sta::core::decimal;
-use sta::estimator::{dcflow, WlsEstimator};
+use sta::estimator::{dcflow, observability, WlsEstimator};
 use sta::grid::topology::{b_matrix, h_matrix_sparse};
-use sta::grid::{ieee14, synthetic, TestSystem};
+use sta::grid::{
+    ieee14, synthetic, BusId, Grid, Line, LineId, MeasurementConfig, MeasurementId, TestSystem,
+    Topology,
+};
 use sta::linalg::rng::Pcg32;
 use sta::linalg::{
     amd_order, Cholesky, CholeskyError, CsrMatrix, Lu, Matrix, SparseCholesky, SparseSymbolic,
@@ -439,5 +446,181 @@ fn large_gains_keep_their_fill_and_solve_to_a_small_residual() {
             norm_inf(&r),
             norm_inf(&b)
         );
+    }
+}
+
+/// The dense oracle's verdicts on one configuration: observability as
+/// full column rank of the reduced Jacobian and, with `criticality`, the
+/// measurements whose removal drops the rank (empty when unobservable).
+fn dense_verdicts(
+    grid: &Grid,
+    topo: &Topology,
+    cfg: &MeasurementConfig,
+    reference: BusId,
+    criticality: bool,
+) -> (bool, Vec<MeasurementId>) {
+    let h = observability::reduced_jacobian(grid, topo, cfg, reference);
+    let full = observability::rank(&h);
+    if full < h.num_cols() || !criticality {
+        return (full == h.num_cols(), Vec::new());
+    }
+    let critical = cfg
+        .taken_ids()
+        .enumerate()
+        .filter(|&(k, _)| {
+            let keep: Vec<usize> = (0..h.num_rows()).filter(|&i| i != k).collect();
+            observability::rank(&h.select_rows(&keep)) < full
+        })
+        .map(|(_, id)| id)
+        .collect();
+    (true, critical)
+}
+
+/// `is_observable` on one configuration must match the dense rank oracle
+/// and the estimator's own gain test; with `criticality`, the critical
+/// set must match the rank-drop oracle in taken order. Returns the
+/// verdict and the number of critical measurements.
+fn check_configuration(
+    what: &str,
+    grid: &Grid,
+    topo: &Topology,
+    cfg: &MeasurementConfig,
+    reference: BusId,
+    criticality: bool,
+) -> (bool, usize) {
+    let verdict = observability::is_observable(grid, topo, cfg, reference);
+    let wls = WlsEstimator::new(grid, topo, cfg, reference, None).is_ok();
+    let (dense, critical) = dense_verdicts(grid, topo, cfg, reference, criticality);
+    assert_eq!(verdict, dense, "{what}: is_observable vs dense rank");
+    assert_eq!(verdict, wls, "{what}: is_observable vs WlsEstimator::new");
+    if criticality {
+        let found = observability::critical_measurements(grid, topo, cfg, reference);
+        assert_eq!(found, critical, "{what}: critical set vs rank drop");
+    }
+    (verdict, critical.len())
+}
+
+/// A meter density: none, all, or uniform in between.
+fn density(rng: &mut Pcg32) -> f64 {
+    match rng.below(4) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => rng.uniform_f64(0.0, 1.0),
+    }
+}
+
+/// Random configurations of `sizes`' IEEE cases under each seed: 0–2
+/// random line outages (islanding ones included), a random reference
+/// bus, and forward flow, backward flow and injection meters each taken
+/// with its own random density. Criticality is crossed at up to
+/// `critical_up_to` buses. Both verdicts, and some non-empty critical
+/// set, must occur.
+fn observability_differential(
+    seeds: &[u64],
+    sizes: &[usize],
+    per_size: usize,
+    critical_up_to: usize,
+) {
+    let (mut total, mut observable, mut with_critical) = (0, 0, 0);
+    for &seed in seeds {
+        let mut rng = Pcg32::new(seed);
+        for &b in sizes {
+            let sys = synthetic::ieee_case(b);
+            let (grid, l) = (&sys.grid, sys.grid.num_lines());
+            for i in 0..per_size {
+                let mut topo = sys.topology.clone();
+                for _ in 0..rng.below(3) {
+                    topo = topo.with_line_open(LineId(rng.below(l)));
+                }
+                let (forward, backward, injection) =
+                    (density(&mut rng), density(&mut rng), density(&mut rng));
+                let mut cfg = MeasurementConfig::full(grid);
+                for m in 0..cfg.len() {
+                    let p = [forward, backward, injection][(m / l).min(2)];
+                    cfg.set_taken(MeasurementId(m), rng.uniform_f64(0.0, 1.0) < p);
+                }
+                let reference = BusId(rng.below(b));
+                let what = format!("seed {seed}, {b} buses, configuration {i}");
+                let (verdict, critical) =
+                    check_configuration(&what, grid, &topo, &cfg, reference, b <= critical_up_to);
+                total += 1;
+                observable += usize::from(verdict);
+                with_critical += usize::from(critical > 0);
+            }
+        }
+    }
+    let mixed = (1..total).contains(&observable);
+    assert!(mixed, "{observable} of {total} observable");
+    assert!(with_critical > 0, "no critical measurement anywhere");
+}
+
+#[test]
+fn observability_verdicts_agree_with_both_oracles_on_random_configurations() {
+    observability_differential(&[1, 2, 3], &[14, 30, 57, 118], 12, 30);
+}
+
+#[test]
+#[ignore = "many seeds and a 300-bus case; verify.sh runs it in release"]
+fn observability_verdicts_agree_with_both_oracles_on_many_seeds() {
+    let seeds: Vec<u64> = (1..=40).collect();
+    observability_differential(&seeds, &[14, 30, 57, 118, 300], 12, 57);
+}
+
+/// The configurations the random sweep may miss, each checked against
+/// both oracles, with the verdict pinned. Measurements are numbered
+/// forward flows, backward flows, then injections.
+#[test]
+fn observability_edge_cases_agree_with_both_oracles() {
+    let grid = |buses: usize, lines: &[(usize, usize, f64)]| {
+        let line = |&(f, t, y): &(usize, usize, f64)| Line::new(BusId(f), BusId(t), y);
+        Grid::new(buses, lines.iter().map(line).collect())
+    };
+    let single = grid(1, &[]);
+    let parallel = grid(2, &[(0, 1, 4.0), (0, 1, 6.0)]);
+    let chain = grid(4, &[(0, 1, 3.0), (1, 2, 5.0), (2, 3, 7.0)]);
+    let ieee = ieee14::system().grid;
+    let back: Vec<usize> = (20..40).collect();
+    let but_14: Vec<usize> = (20..40).filter(|&m| m != 20 + 13).collect();
+    let inj: Vec<usize> = (40..54).collect();
+    // (what, grid, open lines, taken measurements, reference, verdict)
+    type Case<'a> = (&'a str, &'a Grid, &'a [usize], &'a [usize], usize, bool);
+    let cases: &[Case] = &[
+        // One bus: nothing to estimate, metered or not.
+        ("one bus, metered", &single, &[], &[0], 0, true),
+        ("one bus, unmetered", &single, &[], &[], 0, true),
+        // Two buses joined only by parallel lines.
+        ("parallel, one flow", &parallel, &[], &[1], 0, true),
+        ("parallel, one injection", &parallel, &[], &[5], 1, true),
+        ("parallel, no meter", &parallel, &[], &[], 0, false),
+        // A taken flow meter on an out-of-service line measures nothing:
+        // its buses must not be joined.
+        ("open line's flows", &parallel, &[0], &[0, 2], 0, false),
+        ("open line, injection", &parallel, &[0], &[0, 4], 1, true),
+        // Only backward flows: they join buses as forward flows do. Bus 8
+        // hangs off line 14 alone.
+        ("every backward flow", &ieee, &[], &back, 0, true),
+        ("no line-14 backward flow", &ieee, &[], &but_14, 0, false),
+        // The reference bus in the last of the flow islands {0}, {1},
+        // {2, 3}: injections at buses 0 and 1 observe it, bus 0's alone
+        // does not.
+        ("reference island last", &chain, &[], &[2, 6, 7], 3, true),
+        ("one injection short", &chain, &[], &[2, 6], 3, false),
+        // No flow meter at all: every bus is its own island.
+        ("every injection", &ieee, &[], &inj, 0, true),
+        ("injections, line 14 open", &ieee, &[13], &inj, 0, false),
+        ("no meter", &ieee, &[], &[], 0, false),
+    ];
+    for &(what, grid, open, taken, reference, verdict) in cases {
+        let mut topo = Topology::all_closed(grid);
+        for &line in open {
+            topo = topo.with_line_open(LineId(line));
+        }
+        let mut cfg = MeasurementConfig::full(grid);
+        for m in 0..cfg.len() {
+            cfg.set_taken(MeasurementId(m), taken.contains(&m));
+        }
+        let reference = BusId(reference);
+        let got = check_configuration(what, grid, &topo, &cfg, reference, true).0;
+        assert_eq!(got, verdict, "{what}");
     }
 }

@@ -4,7 +4,9 @@
 #   1. tier-1: warning-free release build + full workspace test suite,
 #      then the many-seed `Rational` differential sweep in release
 #      (tests/rational_equiv.rs; its ignored variant, so tier-1 runs
-#      only the few-seed one)
+#      only the few-seed one), and the many-seed observability
+#      differential with its 300-bus rung in release
+#      (tests/sparse_equiv.rs, likewise its ignored variant)
 #   2. source lint (tests/lint.rs): no unwrap/expect in smt/core library code
 #   3. sta-smt under --features certify-debug (simplex invariant auditor on)
 #   4. end-to-end certification smoke on IEEE 14-bus: one SAT answer with
@@ -71,6 +73,9 @@ cargo test -q --workspace
 
 echo "==> tier-1: many-seed Rational differential sweep (release)"
 cargo test -q --release --test rational_equiv -- --ignored
+
+echo "==> tier-1: many-seed observability differential (release)"
+cargo test -q --release --test sparse_equiv -- --ignored
 
 echo "==> source lint (invariant analyzer via cargo test)"
 cargo test -q --test lint
