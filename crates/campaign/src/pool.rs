@@ -46,7 +46,7 @@ use crate::spec::{CampaignSpec, JobKind};
 use sta_core::attack::{AttackOutcome, AttackVerifier, VerifySession};
 use sta_core::synthesis::{Synthesizer, SynthesisOutcome};
 use sta_estimator::PowerFlowError;
-use sta_smt::{flatten_spans, Budget, Clock, Profiler, SharedSink, TraceEvent};
+use sta_smt::{flatten_spans, phase_events, Budget, Clock, Profiler, SharedSink, TraceEvent};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -231,25 +231,8 @@ fn job_events(result: &JobResult) -> Vec<TraceEvent> {
         label: result.label.clone(),
         case: result.case.clone(),
     }];
-    if let Some(metrics) = &result.metrics {
-        for (phase, mut counters) in metrics.grouped() {
-            let wall_us = result
-                .phase_wall
-                .as_ref()
-                .and_then(|pw| pw.wall_of(phase))
-                .map(|d| d.as_micros() as u64);
-            // The trace is observational, so the scheduling-dependent
-            // cache counters belong here even though the deterministic
-            // report excludes them.
-            if let (sta_smt::Phase::Encode, Some(pw)) = (phase, &result.phase_wall) {
-                counters.push(("cache_hits", pw.cache_hits));
-                counters.push(("cache_misses", pw.cache_misses));
-            }
-            if let (sta_smt::Phase::Search, Some(pw)) = (phase, &result.phase_wall) {
-                counters.push(("refactorizations", pw.refactorizations));
-            }
-            events.push(TraceEvent::Phase { job: result.id, phase, counters, wall_us });
-        }
+    if let (Some(metrics), Some(timings)) = (&result.metrics, &result.phase_wall) {
+        events.extend(phase_events(result.id, metrics, timings));
     }
     if let Some(spans) = &result.spans {
         for (path, node) in flatten_spans(spans) {
@@ -359,8 +342,8 @@ fn execute(
                 None => Budget::unlimited(),
             };
             let report = session.verify_with_budget(model, &budget);
-            result.metrics = Some(report.stats.phase_metrics());
-            result.phase_wall = Some(report.stats.phase_timings());
+            result.metrics = Some(report.stats.metrics);
+            result.phase_wall = Some(report.stats.timings);
             result.stats = Some(report.stats);
             result.verdict = match report.outcome {
                 AttackOutcome::Feasible(v) => {

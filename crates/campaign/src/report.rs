@@ -158,21 +158,22 @@ pub fn witness_json(w: &AttackVector, out: &mut String) {
 /// representation — dense tableau vs factorized basis — so it would
 /// break the cross-engine byte-identity of stripped reports.
 fn stats_json(s: &SolverStats, include_memory: bool, out: &mut String) {
+    let m = &s.metrics;
     let _ = write!(
         out,
         "{{\"sat_vars\":{},\"clauses\":{},\"decisions\":{},\"propagations\":{},\
          \"conflicts\":{},\"theory_conflicts\":{},\"restarts\":{},\
          \"learned_clauses\":{},\"pivots\":{},\"proof_steps\":{},\
          \"certified\":{},\"lint_errors\":{}",
-        s.sat_vars,
-        s.clauses,
-        s.decisions,
-        s.propagations,
-        s.conflicts,
-        s.theory_conflicts,
-        s.restarts,
-        s.learned_clauses,
-        s.pivots,
+        m.sat_vars,
+        m.clauses,
+        m.decisions,
+        m.propagations,
+        m.conflicts,
+        m.theory_conflicts,
+        m.restarts,
+        m.learned_clauses,
+        m.pivots,
         s.proof_steps,
         s.certified,
         s.lint_errors,
@@ -422,7 +423,7 @@ impl CampaignReport {
         );
         for r in &self.results {
             let (conflicts, props) = match &r.stats {
-                Some(s) => (s.conflicts.to_string(), s.propagations.to_string()),
+                Some(s) => (s.metrics.conflicts.to_string(), s.metrics.propagations.to_string()),
                 None => ("-".into(), "-".into()),
             };
             let _ = writeln!(

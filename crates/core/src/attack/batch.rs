@@ -53,10 +53,6 @@ pub struct VerifySession {
     verifier: AttackVerifier,
     solver: Solver,
     enc: AttackEncoding,
-    /// Checks that reused the solver's cached base encoding.
-    cache_hits: u64,
-    /// Checks that (re)built the base encoding from scratch.
-    cache_misses: u64,
 }
 
 impl VerifySession {
@@ -93,7 +89,7 @@ impl VerifySession {
         // profiled campaign worker sees session checks too.
         verifier.configure_solver(&mut solver);
         let enc = verifier.encode_base(&mut solver, topology);
-        VerifySession { verifier, solver, enc, cache_hits: 0, cache_misses: 0 }
+        VerifySession { verifier, solver, enc }
     }
 
     /// Attaches a span profiler to the session's solver: each
@@ -117,17 +113,6 @@ impl VerifySession {
     pub fn set_simplex_mode(&mut self, mode: sta_smt::SimplexMode) {
         self.verifier.set_simplex_mode(mode);
         self.solver.set_simplex_mode(mode);
-    }
-
-    /// Checks so far that reused the cached base encoding (the session's
-    /// raison d'être — a healthy sweep shows one miss, then all hits).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Checks so far that built (or rebuilt) the base encoding.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
     }
 
     /// The underlying verifier.
@@ -177,11 +162,6 @@ impl VerifySession {
         self.solver.set_budget(budget.clone());
         let result = self.solver.check();
         let stats = self.solver.last_stats().cloned().unwrap_or_default();
-        if stats.base_cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
-        }
         let outcome = match result {
             SatResult::Unsat => AttackOutcome::Infeasible,
             SatResult::Unknown(why) => AttackOutcome::Unknown(why),
@@ -238,11 +218,6 @@ impl VerifySession {
         self.solver.set_budget(budget.clone());
         let result = self.solver.check_assuming(&assumptions);
         let stats = self.solver.last_stats().cloned().unwrap_or_default();
-        if stats.base_cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
-        }
         let outcome = match result {
             SatResult::Unsat => AttackOutcome::Infeasible,
             SatResult::Unknown(why) => AttackOutcome::Unknown(why),
@@ -292,7 +267,7 @@ mod tests {
         let mut session = assert_send(session);
         let handle = std::thread::spawn(move || {
             let report = session.verify(&open);
-            (report.outcome.is_feasible(), report.stats.base_cache_hit)
+            (report.outcome.is_feasible(), report.stats.timings.cache_hits == 1)
         });
         let (feasible, warm) = handle.join().expect("worker thread");
         assert!(feasible);
@@ -378,15 +353,12 @@ mod tests {
         let mut session = VerifySession::new(&sys, false).unwrap();
         let open = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
         let blocked = open.clone().max_altered_measurements(0);
-        assert_eq!((session.cache_hits(), session.cache_misses()), (0, 0));
-        let first = session.verify(&open);
-        assert!(!first.stats.base_cache_hit);
-        assert_eq!((session.cache_hits(), session.cache_misses()), (0, 1));
-        let second = session.verify(&blocked);
-        assert!(second.stats.base_cache_hit);
-        let third = session.verify(&open);
-        assert!(third.stats.base_cache_hit);
-        assert_eq!((session.cache_hits(), session.cache_misses()), (2, 1));
+        let cache = |report: VerificationReport| {
+            (report.stats.timings.cache_hits, report.stats.timings.cache_misses)
+        };
+        assert_eq!(cache(session.verify(&open)), (0, 1));
+        assert_eq!(cache(session.verify(&blocked)), (1, 0));
+        assert_eq!(cache(session.verify(&open)), (1, 0));
     }
 
     /// An exhausted budget yields Unknown and leaves the session usable.

@@ -900,7 +900,7 @@ mod tests {
         let sys = ieee14::system();
         let verifier = AttackVerifier::new(&sys).unwrap();
         let report = verifier.verify_with_stats(&AttackModel::new(14));
-        assert!(report.stats.sat_vars > 0);
+        assert!(report.stats.metrics.sat_vars > 0);
         assert!(report.stats.estimated_bytes() > 0);
     }
 

@@ -36,8 +36,8 @@ pub struct SynthesisObservation {
 
 impl SynthesisObservation {
     fn record(&mut self, stats: &SolverStats) {
-        self.metrics.merge(&stats.phase_metrics());
-        self.timings.merge(&stats.phase_timings());
+        self.metrics.merge(&stats.metrics);
+        self.timings.merge(&stats.timings);
     }
 }
 

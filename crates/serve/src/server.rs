@@ -49,7 +49,7 @@ use sta_core::scenario;
 use sta_core::synthesis::{SynthesisConfig, SynthesisOutcome, Synthesizer};
 use sta_grid::{caseformat, ieee14, synthetic, TestSystem};
 use sta_smt::json::escape_into;
-use sta_smt::{Budget, Clock, Interrupt, Phase, SharedSink, TraceEvent, TraceSink};
+use sta_smt::{phase_events, Budget, Clock, Interrupt, SharedSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
@@ -668,24 +668,6 @@ fn run_query(
     }
 }
 
-/// Trace lines of one solver phase breakdown, mirroring the one-shot CLI:
-/// the scheduling-dependent base-cache counters ride on the encode phase.
-fn phase_trace_lines(id: &str, stats: &sta_smt::SolverStats, lines: &mut Vec<String>) {
-    let metrics = stats.phase_metrics();
-    let timings = stats.phase_timings();
-    for (phase, mut counters) in metrics.grouped() {
-        if phase == Phase::Encode {
-            counters.push(("cache_hits", timings.cache_hits));
-            counters.push(("cache_misses", timings.cache_misses));
-        }
-        let wall_us = timings.wall_of(phase).map(|d| d.as_micros() as u64);
-        lines.push(protocol::trace_line(
-            id,
-            &TraceEvent::Phase { job: 0, phase, counters, wall_us },
-        ));
-    }
-}
-
 /// Appends the `timing` object — always the last key of a response, and
 /// only under `"timing":true`, so stripping it is the whole determinism
 /// story.
@@ -755,7 +737,9 @@ fn run_verify(
     let wall = state.clock.now().saturating_sub(started);
     let mut lines = Vec::new();
     if q.trace {
-        phase_trace_lines(id, &report.stats, &mut lines);
+        for event in phase_events(0, &report.stats.metrics, &report.stats.timings) {
+            lines.push(protocol::trace_line(id, &event));
+        }
     }
     let mut out = protocol::response_head(id, "verify");
     match &report.outcome {
@@ -772,7 +756,7 @@ fn run_verify(
         }
     }
     if q.timing {
-        let pw = report.stats.phase_timings();
+        let pw = &report.stats.timings;
         timing_tail(&mut out, wall, pw.encode, pw.search, Some(warm), worker);
     }
     out.push('}');

@@ -14,8 +14,13 @@
 //! * [`Formula`] / [`LinExpr`] — the assertion language: Boolean structure,
 //!   linear-arithmetic atoms, and `at-most`/`at-least`/`exactly` cardinality.
 //! * [`Solver`] — assertion stack with push/pop, `check`, model extraction,
-//!   and per-check [`SolverStats`] (the memory telemetry behind the paper's
-//!   Table IV).
+//!   and per-check [`SolverStats`]: the check's [`PhaseMetrics`] and
+//!   [`PhaseTimings`] plus problem and tableau sizes (the memory telemetry
+//!   behind the paper's Table IV).
+//! * [`trace`] — the one counter model: [`PhaseMetrics`] (deterministic)
+//!   and [`PhaseTimings`] (observational), summed over checks into
+//!   campaign and synthesis rollups, and [`phase_events`], which turns a
+//!   pair into the trace stream's `phase` records.
 //! * Everything is exact: coefficients are arbitrary-precision rationals and
 //!   strict bounds use delta-rationals, so `sat`/`unsat` answers carry no
 //!   floating-point caveats.
@@ -82,5 +87,6 @@ pub use solver::{Model, SatResult, Solver, UsageError};
 pub use stats::{ProgressSample, SolverStats};
 pub use tablefmt::{Align, Table};
 pub use trace::{
-    CollectSink, JsonlSink, Phase, PhaseMetrics, PhaseTimings, SharedSink, TraceEvent, TraceSink,
+    phase_events, CollectSink, JsonlSink, Phase, PhaseMetrics, PhaseTimings, SharedSink,
+    TraceEvent, TraceSink,
 };

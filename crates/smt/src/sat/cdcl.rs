@@ -97,7 +97,9 @@ struct Watch {
     blocker: Lit,
 }
 
-/// Counters exported to [`crate::stats::SolverStats`].
+/// Cumulative search counters of one CDCL core, which [`crate::Solver`]
+/// turns into the `search` phase of a check's
+/// [`crate::trace::PhaseMetrics`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SatCounters {
     /// Number of decisions made.

@@ -232,9 +232,7 @@ impl DenseCore {
     pub(crate) fn check(&mut self, sh: &mut Shared) -> TheoryResult {
         sh.theory_checks += 1;
         self.ensure_vars(sh.assignment.len());
-        let t0 = sh.timer_start();
         self.repair_nonbasic(sh);
-        sh.debug_timers.repair += sh.timer_since(t0);
         #[cfg(feature = "certify-debug")]
         self.audit_invariants(sh);
         let limited = sh.budget.is_limited();
@@ -247,25 +245,19 @@ impl DenseCore {
                 return TheoryResult::Interrupted;
             }
             iters += 1;
-            sh.debug_timers.iterations += 1;
-            let t_scan = sh.timer_start();
             // Leaving: smallest-index basic variable violating a bound.
             let violation =
                 find_violation(sh, self.basic.iter().copied().enumerate());
             let Some((r, xb, below, target)) = violation else {
-                sh.debug_timers.scan += sh.timer_since(t_scan);
                 return TheoryResult::Ok;
             };
             // Entering: smallest-index nonbasic that can move xb toward the
             // violated bound.
             let entering =
                 select_entering(sh, self.rows[r].iter().map(|(&v, c)| (v, c)), below);
-            sh.debug_timers.scan += sh.timer_since(t_scan);
             match entering {
                 Some(xn) => {
-                    let t_piv = sh.timer_start();
                     self.pivot_and_update(sh, r, xn, target);
-                    sh.debug_timers.pivot += sh.timer_since(t_piv);
                     #[cfg(feature = "certify-debug")]
                     self.audit_invariants(sh);
                 }

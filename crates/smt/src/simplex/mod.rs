@@ -138,22 +138,6 @@ struct AtomBinding {
     strict: bool,
 }
 
-/// Internal instrumentation; see [`Simplex::debug_timers`].
-#[derive(Debug, Default, Clone)]
-pub struct DebugTimers {
-    /// Time spent repairing nonbasic assignments.
-    pub repair: std::time::Duration,
-    /// Time spent scanning for violations/entering variables.
-    pub scan: std::time::Duration,
-    /// Time spent pivoting.
-    pub pivot: std::time::Duration,
-    /// Time spent in basis refactorizations (revised engine only; always
-    /// zero for the dense tableau, which never factors).
-    pub factor: std::time::Duration,
-    /// Number of outer check iterations.
-    pub iterations: u64,
-}
-
 /// Backend-independent solver state: the candidate assignment, bounds,
 /// original constraint rows, atom bindings and counters. Both tableau
 /// engines operate on this through a mutable borrow, keeping the abstract
@@ -199,14 +183,15 @@ pub(crate) struct Shared {
     pub(crate) last_certificate: Option<FarkasCertificate>,
     /// Deadline / cancellation budget polled in the pivot loop.
     pub(crate) budget: Budget,
-    /// The clock [`Simplex::debug_timers`] reads, installed by the span
-    /// profiler (which attaches the accumulated simplex self-time as a
-    /// leaf under the search span); `None` leaves the timers at zero.
+    /// The clock [`Simplex::check_time`] and [`Simplex::factor_time`]
+    /// read, installed by the span profiler (which attaches them as leaves
+    /// under the search span); `None` leaves both at zero.
     pub(crate) timing: Option<Clock>,
-    /// Phase accounting (timed only once a profiler installed a clock):
-    /// time in nonbasic repair, in the violation/entering scans, and in
-    /// pivoting, plus scan-iteration count.
-    pub(crate) debug_timers: DebugTimers,
+    /// Time inside [`Theory::check`], refactorizations included.
+    pub(crate) check_time: Duration,
+    /// Time in basis refactorizations (revised engine only; the dense
+    /// tableau never factors).
+    pub(crate) factor_time: Duration,
 }
 
 impl Shared {
@@ -342,17 +327,25 @@ impl Simplex {
         self.shared.budget = budget;
     }
 
-    /// Turns on [`Simplex::debug_timers`] accounting, read through
-    /// `clock` (the profiler's, so simplex leaves and spans share one time
-    /// source). The per-phase clock reads cost a few percent on
-    /// pivot-heavy instances, so this stays opt-in with the profiler.
+    /// Turns on [`Simplex::check_time`] and [`Simplex::factor_time`]
+    /// accounting, read through `clock` (the profiler's, so simplex leaves
+    /// and spans share one time source): two reads per theory check, plus
+    /// two per refactorization.
     pub fn enable_timing(&mut self, clock: Clock) {
         self.shared.timing = Some(clock);
     }
 
-    /// The accumulated per-phase debug timers (see [`DebugTimers`]).
-    pub fn debug_timers(&self) -> &DebugTimers {
-        &self.shared.debug_timers
+    /// Accumulated time inside [`Theory::check`], refactorizations
+    /// included; zero unless [`Simplex::enable_timing`] installed a clock.
+    pub fn check_time(&self) -> Duration {
+        self.shared.check_time
+    }
+
+    /// Accumulated time in basis refactorizations (always zero for the
+    /// dense engine, and unless [`Simplex::enable_timing`] installed a
+    /// clock).
+    pub fn factor_time(&self) -> Duration {
+        self.shared.factor_time
     }
 
     /// Ensures problem variable `rv` has a solver variable; returns it.
@@ -813,7 +806,10 @@ impl Theory for Simplex {
     }
 
     fn check(&mut self) -> TheoryResult {
-        self.check_internal()
+        let t0 = self.shared.timer_start();
+        let result = self.check_internal();
+        self.shared.check_time += self.shared.timer_since(t0);
+        result
     }
 
     fn take_certificate(&mut self) -> Option<FarkasCertificate> {

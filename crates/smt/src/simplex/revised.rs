@@ -168,7 +168,7 @@ impl RevisedCore {
         self.factor = Some(FactorizedBasis::new(lu));
         self.stale = false;
         sh.refactorizations += 1;
-        sh.debug_timers.factor += sh.timer_since(t0);
+        sh.factor_time += sh.timer_since(t0);
         Ok(())
     }
 
@@ -378,9 +378,7 @@ impl RevisedCore {
     pub(crate) fn check(&mut self, sh: &mut Shared) -> TheoryResult {
         sh.theory_checks += 1;
         self.ensure_vars(sh.assignment.len());
-        let t0 = sh.timer_start();
         self.repair_nonbasic(sh);
-        sh.debug_timers.repair += sh.timer_since(t0);
         // Kernel-level poll, threaded through factorization, FTRAN/BTRAN
         // and eta application so deep solves on large bases stay
         // interruptible between pivot boundaries.
@@ -403,28 +401,18 @@ impl RevisedCore {
                 return TheoryResult::Interrupted;
             }
             iters += 1;
-            sh.debug_timers.iterations += 1;
-            let t_scan = sh.timer_start();
             let violation = find_violation(sh, self.basis.iter().copied().enumerate());
             let Some((pos, xb, below, target)) = violation else {
-                sh.debug_timers.scan += sh.timer_since(t_scan);
                 return TheoryResult::Ok;
             };
             let row = match self.tableau_row(sh, pos, &mut poll) {
                 Ok(row) => row,
-                Err(e) => {
-                    sh.debug_timers.scan += sh.timer_since(t_scan);
-                    return fail(e);
-                }
+                Err(e) => return fail(e),
             };
             let entering = select_entering(sh, row.iter().map(|(&v, c)| (v, c)), below);
-            sh.debug_timers.scan += sh.timer_since(t_scan);
             match entering {
                 Some(xn) => {
-                    let t_piv = sh.timer_start();
-                    let pivoted = self.pivot_and_update(sh, pos, xn, target, &mut poll);
-                    sh.debug_timers.pivot += sh.timer_since(t_piv);
-                    if let Err(e) = pivoted {
+                    if let Err(e) = self.pivot_and_update(sh, pos, xn, target, &mut poll) {
                         return fail(e);
                     }
                     if self.needs_refactor() {

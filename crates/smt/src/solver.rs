@@ -70,8 +70,9 @@ use crate::lint::{self, LintReport, Severity};
 use crate::profile::{Clock, Profiler};
 use crate::rational::Rational;
 use crate::sat::{CdclSolver, LBool, Lit, SatCounters, SatOutcome};
-use crate::simplex::{DebugTimers, Simplex, SimplexMode};
+use crate::simplex::{Simplex, SimplexMode};
 use crate::stats::SolverStats;
+use crate::trace::{PhaseMetrics, PhaseTimings};
 use std::fmt;
 use std::time::Duration;
 
@@ -290,13 +291,14 @@ impl Core {
 
     /// `stats` with this core's encoding sizes filled in.
     fn sized(&self, stats: SolverStats) -> SolverStats {
-        SolverStats {
-            sat_vars: self.sat.num_vars(),
+        let metrics = PhaseMetrics {
+            sat_vars: self.sat.num_vars() as u64,
             clauses: self.encoder.clauses,
             clause_lits: self.encoder.clause_lits,
-            atoms: self.encoder.num_atoms(),
-            ..stats
-        }
+            atoms: self.encoder.num_atoms() as u64,
+            ..stats.metrics
+        };
+        SolverStats { metrics, ..stats }
     }
 }
 
@@ -311,7 +313,8 @@ struct Snapshot {
     bound_asserts: u64,
     theory_checks: u64,
     refactorizations: u64,
-    timers: DebugTimers,
+    check_time: Duration,
+    factor_time: Duration,
 }
 
 impl Snapshot {
@@ -322,7 +325,8 @@ impl Snapshot {
             bound_asserts: core.simplex.bound_asserts(),
             theory_checks: core.simplex.theory_checks(),
             refactorizations: core.simplex.refactorizations(),
-            timers: core.simplex.debug_timers().clone(),
+            check_time: core.simplex.check_time(),
+            factor_time: core.simplex.factor_time(),
         }
     }
 }
@@ -736,7 +740,8 @@ impl Solver {
             let sv = core.encoder.sat_var_of_bool(v, &mut core.sat);
             sat_assumptions.push(Lit::with_polarity(sv, positive));
         }
-        let stats = SolverStats { deleted_clauses, ..self.stats_head(&lint_report, reused) };
+        let mut stats = self.stats_head(&lint_report, reused);
+        stats.metrics.deleted_clauses = deleted_clauses;
         let result =
             self.solve_encoded(&mut core, &sat_assumptions, assumptions, start, at, stats);
         self.live = Some(core);
@@ -774,7 +779,11 @@ impl Solver {
             bool_vars: self.n_bools as usize,
             real_vars: self.n_reals as usize,
             assertions: self.assertions.len(),
-            base_cache_hit: reused,
+            timings: PhaseTimings {
+                cache_hits: u64::from(reused),
+                cache_misses: u64::from(!reused),
+                ..PhaseTimings::default()
+            },
             lint_errors: lint_report.count(Severity::Error),
             lint_warnings: lint_report.count(Severity::Warning),
             lint_infos: lint_report.count(Severity::Info),
@@ -791,8 +800,8 @@ impl Solver {
         start: Duration,
         mut stats: SolverStats,
     ) -> Result<SatResult, CertifyError> {
-        stats.encode_time = self.clock.now().saturating_sub(start);
-        stats.solve_time = stats.encode_time;
+        stats.timings.encode = self.clock.now().saturating_sub(start);
+        stats.solve_time = stats.timings.encode;
         self.last_stats = Some(stats);
         Ok(SatResult::Unknown(why))
     }
@@ -821,47 +830,53 @@ impl Solver {
             core.simplex.enable_timing(self.clock.clone());
         }
         let encode_done = self.clock.now();
-        let outcome = {
-            let _sp_search = prof.as_ref().map(|p| p.span("search"));
-            let outcome = core.sat.solve_under_assumptions(assumptions, &mut core.simplex);
-            if let Some(p) = &prof {
-                let (t, t0) = (core.simplex.debug_timers(), &at.timers);
-                p.record_leaf(
-                    "simplex",
-                    (t.repair + t.scan + t.pivot).saturating_sub(t0.repair + t0.scan + t0.pivot),
-                    t.iterations.saturating_sub(t0.iterations),
-                );
-                let refactors =
-                    core.simplex.refactorizations().saturating_sub(at.refactorizations);
-                if refactors > 0 {
-                    p.record_leaf("simplex-factor", t.factor.saturating_sub(t0.factor), refactors);
-                }
+        let sp_search = prof.as_ref().map(|p| p.span("search"));
+        let outcome = core.sat.solve_under_assumptions(assumptions, &mut core.simplex);
+        let theory_checks = core.simplex.theory_checks().saturating_sub(at.theory_checks);
+        let refactorizations = core.simplex.refactorizations().saturating_sub(at.refactorizations);
+        // The simplex leaf is the whole of every theory check, less the
+        // refactorizations, which get a leaf of their own.
+        if let Some(p) = &prof {
+            let factor = core.simplex.factor_time().saturating_sub(at.factor_time);
+            let check = core.simplex.check_time().saturating_sub(at.check_time);
+            p.record_leaf("simplex", check.saturating_sub(factor), theory_checks);
+            if refactorizations > 0 {
+                p.record_leaf("simplex-factor", factor, refactorizations);
             }
-            outcome
-        };
+        }
+        drop(sp_search);
         let search_done = self.clock.now();
         let counters = core.sat.counters();
+        let stats = core.sized(stats);
         let mut stats = SolverStats {
+            metrics: PhaseMetrics {
+                decisions: counters.decisions.saturating_sub(at.sat.decisions),
+                propagations: counters.propagations.saturating_sub(at.sat.propagations),
+                conflicts: counters.conflicts.saturating_sub(at.sat.conflicts),
+                theory_conflicts: counters
+                    .theory_conflicts
+                    .saturating_sub(at.sat.theory_conflicts),
+                restarts: counters.restarts.saturating_sub(at.sat.restarts),
+                learned_clauses: counters.learned_clauses,
+                clause_db: core.sat.num_clauses() as u64,
+                retained_clauses: at.sat.learned_clauses,
+                pivots: core.simplex.pivots().saturating_sub(at.pivots),
+                bound_asserts: core.simplex.bound_asserts().saturating_sub(at.bound_asserts),
+                theory_checks,
+                warm_pivots_saved: at.pivots,
+                ..stats.metrics
+            },
+            timings: PhaseTimings {
+                encode: encode_done.saturating_sub(start),
+                search: search_done.saturating_sub(encode_done),
+                refactorizations,
+                ..stats.timings
+            },
             simplex_vars: core.simplex.num_vars(),
             simplex_rows: core.simplex.num_rows(),
             tableau_entries: core.simplex.tableau_entries(),
-            pivots: core.simplex.pivots().saturating_sub(at.pivots),
-            refactorizations: core.simplex.refactorizations().saturating_sub(at.refactorizations),
-            decisions: counters.decisions.saturating_sub(at.sat.decisions),
-            propagations: counters.propagations.saturating_sub(at.sat.propagations),
-            conflicts: counters.conflicts.saturating_sub(at.sat.conflicts),
-            theory_conflicts: counters.theory_conflicts.saturating_sub(at.sat.theory_conflicts),
-            restarts: counters.restarts.saturating_sub(at.sat.restarts),
-            learned_clauses: counters.learned_clauses,
-            clause_db: core.sat.num_clauses() as u64,
-            bound_asserts: core.simplex.bound_asserts().saturating_sub(at.bound_asserts),
-            theory_checks: core.simplex.theory_checks().saturating_sub(at.theory_checks),
-            retained_clauses: at.sat.learned_clauses,
-            warm_pivots_saved: at.pivots,
-            encode_time: encode_done.saturating_sub(start),
-            search_time: search_done.saturating_sub(encode_done),
             progress: core.sat.take_progress(),
-            ..core.sized(stats)
+            ..stats
         };
         let result = match outcome {
             SatOutcome::Unsat => {
@@ -1037,7 +1052,7 @@ mod tests {
         s.assert_formula(&LinExpr::var(x).ge(LinExpr::from(1)));
         let _ = s.check();
         let stats = s.last_stats().expect("stats");
-        assert!(stats.sat_vars > 0);
+        assert!(stats.metrics.sat_vars > 0);
         assert!(stats.estimated_bytes() > 0);
     }
 
@@ -1207,13 +1222,13 @@ mod tests {
         let result = s.check();
         assert!(matches!(result, SatResult::Unknown(Interrupt::Timeout)), "{result:?}");
         let stats = s.last_stats().expect("stats").clone();
-        assert_eq!(stats.clauses, 0, "encoder ran past an expired deadline");
-        assert_eq!(stats.decisions, 0);
+        assert_eq!(stats.metrics.clauses, 0, "encoder ran past an expired deadline");
+        assert_eq!(stats.metrics.decisions, 0);
         // The poisoned base template was dropped; an unlimited re-check
         // rebuilds it and decides the instance.
         s.set_budget(Budget::unlimited());
         assert!(s.check().is_sat());
-        assert!(!s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 0);
     }
 
     /// An interrupt while encoding a *scoped* delta must discard only the
@@ -1230,12 +1245,12 @@ mod tests {
         s.set_budget(Budget::with_timeout(std::time::Duration::ZERO));
         let result = s.check();
         assert!(matches!(result, SatResult::Unknown(Interrupt::Timeout)), "{result:?}");
-        assert!(s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1);
         s.pop().unwrap();
         s.set_budget(Budget::unlimited());
         assert!(s.check().is_sat());
         // The base was reused, not rebuilt, after the delta interrupt.
-        assert!(s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1);
     }
 
     /// Cancellation raised mid-run is observed at the next encode poll.
@@ -1250,7 +1265,7 @@ mod tests {
         token.store(true, std::sync::atomic::Ordering::Relaxed);
         let result = s.check();
         assert!(matches!(result, SatResult::Unknown(Interrupt::Cancelled)), "{result:?}");
-        assert_eq!(s.last_stats().expect("stats").clauses, 0);
+        assert_eq!(s.last_stats().expect("stats").metrics.clauses, 0);
     }
 
     /// A deliberately hard instance (pigeonhole, exponential for CDCL) with
@@ -1348,10 +1363,10 @@ mod tests {
         assert!(s.check().is_sat());
         let stats = s.last_stats().expect("stats");
         assert!(
-            stats.encode_time + stats.search_time <= stats.solve_time,
+            stats.timings.encode + stats.timings.search <= stats.solve_time,
             "encode {:?} + search {:?} > solve {:?}",
-            stats.encode_time,
-            stats.search_time,
+            stats.timings.encode,
+            stats.timings.search,
             stats.solve_time
         );
     }
@@ -1369,8 +1384,8 @@ mod tests {
         assert!(s.check().is_sat());
         let stats = s.last_stats().expect("stats");
         assert_eq!(stats.solve_time, std::time::Duration::ZERO);
-        assert_eq!(stats.encode_time, std::time::Duration::ZERO);
-        assert_eq!(stats.search_time, std::time::Duration::ZERO);
+        assert_eq!(stats.timings.encode, std::time::Duration::ZERO);
+        assert_eq!(stats.timings.search, std::time::Duration::ZERO);
     }
 
     #[test]
@@ -1476,25 +1491,68 @@ mod tests {
         s.assert_formula(&Formula::var(p).implies(LinExpr::var(x).ge(LinExpr::from(5))));
         assert!(s.check_assuming(&[]).is_sat());
         let first = s.last_stats().expect("stats").clone();
-        assert!(!first.base_cache_hit);
-        assert_eq!(first.retained_clauses, 0);
-        assert_eq!(first.warm_pivots_saved, 0);
-        assert!(first.pivots > 0, "first check should pivot");
+        assert_eq!(first.timings.cache_hits, 0);
+        assert_eq!(first.metrics.retained_clauses, 0);
+        assert_eq!(first.metrics.warm_pivots_saved, 0);
+        assert!(first.metrics.pivots > 0, "first check should pivot");
         assert!(s.check_assuming(&[(p, true)]).is_sat());
         let second = s.last_stats().expect("stats").clone();
-        assert!(second.base_cache_hit, "core must be reused");
+        assert_eq!(second.timings.cache_hits, 1, "core must be reused");
         assert!(
-            second.warm_pivots_saved >= first.pivots,
+            second.metrics.warm_pivots_saved >= first.metrics.pivots,
             "warm basis embodies the first check's pivots: {} < {}",
-            second.warm_pivots_saved,
-            first.pivots
+            second.metrics.warm_pivots_saved,
+            first.metrics.pivots
         );
         // The clone-per-check front-end never reports persistent reuse.
         assert!(check_scoped(&mut s, &[(p, true)]).is_sat());
         let cold = s.last_stats().expect("stats").clone();
-        assert_eq!(cold.retained_clauses, 0);
-        assert_eq!(cold.deleted_clauses, 0);
-        assert_eq!(cold.warm_pivots_saved, 0);
+        assert_eq!(cold.metrics.retained_clauses, 0);
+        assert_eq!(cold.metrics.deleted_clauses, 0);
+        assert_eq!(cold.metrics.warm_pivots_saved, 0);
+    }
+
+    /// The `simplex` leaf is every theory check whole, less the
+    /// refactorizations the `simplex-factor` leaf carries: its count is
+    /// the check's theory checks, the two leaves add up to exactly the
+    /// simplex's own check time (factor time is not counted twice), and
+    /// together they never exceed the search span that holds them.
+    #[test]
+    fn simplex_leaf_is_each_theory_check_once() {
+        for mode in [SimplexMode::Dense, SimplexMode::Revised] {
+            let mut s = Solver::new();
+            s.set_simplex_mode(mode);
+            let prof = Profiler::new();
+            s.set_profiler(prof.clone());
+            let p = s.new_bool();
+            let x = s.new_real();
+            let y = s.new_real();
+            // x = 7 refutes p, so the search checks more than once.
+            s.assert_formula(&(LinExpr::var(x) + LinExpr::var(y)).eq_expr(LinExpr::from(10)));
+            s.assert_formula(&(LinExpr::var(x) - LinExpr::var(y)).eq_expr(LinExpr::from(4)));
+            s.assert_formula(&Formula::var(p).implies(LinExpr::var(x).ge(LinExpr::from(8))));
+            assert!(s.check_assuming(&[]).is_sat());
+            let stats = s.last_stats().expect("stats").clone();
+            let spans = prof.take();
+            let search = spans.iter().find(|n| n.name == "search").expect("search span");
+            let leaf = |name| search.children.iter().find(|n| n.name == name);
+            let simplex = leaf("simplex").expect("simplex leaf");
+            assert!(stats.metrics.theory_checks > 1, "{mode}");
+            assert_eq!(simplex.count, stats.metrics.theory_checks, "{mode}");
+            let factor = match (mode, leaf("simplex-factor")) {
+                (SimplexMode::Revised, Some(f)) => {
+                    assert!(stats.timings.refactorizations > 0);
+                    assert_eq!(f.count, stats.timings.refactorizations);
+                    f.inclusive
+                }
+                (SimplexMode::Dense, None) => Duration::ZERO,
+                (_, f) => panic!("{mode}: unexpected factor leaf {f:?}"),
+            };
+            let core = &s.live.as_ref().expect("live core").simplex;
+            assert_eq!(factor, core.factor_time(), "{mode}");
+            assert_eq!(simplex.inclusive + factor, core.check_time(), "{mode}");
+            assert!(simplex.inclusive + factor <= search.inclusive, "{mode}");
+        }
     }
 
     /// Adversarial retraction: a scoped contradiction must be gone — and
@@ -1522,9 +1580,9 @@ mod tests {
         let m = s.check_assuming(&[]).expect_sat();
         assert!(m.real_value(x) >= &r(0, 1));
         let stats = s.last_stats().expect("stats").clone();
-        assert!(stats.base_cache_hit, "core survives the pop");
+        assert_eq!(stats.timings.cache_hits, 1, "core survives the pop");
         assert!(
-            stats.deleted_clauses > 0,
+            stats.metrics.deleted_clauses > 0,
             "retirement should hard-delete the scope's guarded clauses"
         );
         // And a scope popped without ever being checked retires nothing.
@@ -1576,7 +1634,7 @@ mod tests {
         s.assert_formula(&LinExpr::var(x).le(LinExpr::from(10)));
         assert!(s.check_assuming(&[]).is_sat());
         assert!(s.check_assuming(&[]).is_sat());
-        assert!(s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1);
         // The sticky bound binds: x ≥ 11 contradicts it. A plain scope
         // nested inside still retires surgically, keeping the core.
         s.push();
@@ -1584,12 +1642,12 @@ mod tests {
         assert!(!s.check_assuming(&[]).is_sat());
         s.pop().unwrap();
         assert!(s.check_assuming(&[]).is_sat());
-        assert!(s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1);
         // Popping the sticky scope drops the core...
         s.pop().unwrap();
         let m = s.check_assuming(&[]).expect_sat();
         assert!(
-            !s.last_stats().expect("stats").base_cache_hit,
+            s.last_stats().expect("stats").timings.cache_hits == 0,
             "popping an encoded sticky scope must rebuild the core"
         );
         assert!(m.real_value(x) >= &r(0, 1));
@@ -1603,7 +1661,7 @@ mod tests {
         s.assert_formula(&LinExpr::var(x).le(LinExpr::from(-1)));
         s.pop().unwrap();
         assert!(s.check_assuming(&[]).is_sat());
-        assert!(s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1);
     }
 
     /// Full certification through the persistent core: a genuine unsat
@@ -1690,11 +1748,11 @@ mod tests {
         s.set_budget(Budget::with_timeout(std::time::Duration::ZERO));
         let result = s.check_assuming(&[]);
         assert!(matches!(result, SatResult::Unknown(Interrupt::Timeout)), "{result:?}");
-        assert_eq!(s.last_stats().expect("stats").decisions, 0);
+        assert_eq!(s.last_stats().expect("stats").metrics.decisions, 0);
         s.set_budget(Budget::unlimited());
         assert!(s.check_assuming(&[]).is_sat());
         // The interrupted core was dropped, so this was a cold rebuild.
-        assert!(!s.last_stats().expect("stats").base_cache_hit);
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 0);
     }
 
     /// An expired deadline in the *search* loop leaves the persistent core
@@ -1734,7 +1792,7 @@ mod tests {
         // The instance as a whole is unsat; what matters is a decided
         // answer (not Unknown, no panic) from the surviving core.
         assert!(!result.is_unknown(), "{result:?}");
-        assert!(s.last_stats().expect("stats").base_cache_hit, "core survived");
+        assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1, "core survived");
     }
 
     /// A cancellation raised before a live check is observed at the first

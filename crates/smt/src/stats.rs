@@ -47,68 +47,32 @@ impl ProgressSample {
     }
 }
 
-/// Resource usage of one [`crate::Solver::check`] call.
+/// Resource usage of one [`crate::Solver::check`] call: the check's
+/// per-phase [`PhaseMetrics`] and [`PhaseTimings`], plus what those two
+/// do not carry — problem and tableau sizes, certification and lint
+/// results, the whole check's wall clock and its progress timeline.
 #[derive(Debug, Default, Clone)]
 pub struct SolverStats {
+    /// Deterministic per-phase counters of this check.
+    pub metrics: PhaseMetrics,
+    /// Observational per-phase data of this check: encode and search
+    /// walls, one base-cache hit or miss (a hit when the check reused an
+    /// already-encoded core: the template behind `Solver::check` or the
+    /// persistent core behind `Solver::check_assuming`), and the revised
+    /// engine's refactorizations.
+    pub timings: PhaseTimings,
     /// Problem-level Boolean variables declared.
     pub bool_vars: usize,
     /// Problem-level real variables declared.
     pub real_vars: usize,
     /// Formulas asserted (after push/pop trimming).
     pub assertions: usize,
-    /// SAT variables after Tseitin encoding.
-    pub sat_vars: usize,
-    /// CNF clauses pushed by the encoder.
-    pub clauses: u64,
-    /// Total literal occurrences over all pushed clauses.
-    pub clause_lits: u64,
-    /// Distinct arithmetic atoms.
-    pub atoms: usize,
     /// Simplex solver variables (problem + slack).
     pub simplex_vars: usize,
     /// Simplex tableau rows.
     pub simplex_rows: usize,
     /// Nonzero tableau entries at the end of solving.
     pub tableau_entries: usize,
-    /// Simplex pivot operations.
-    pub pivots: u64,
-    /// Basis refactorizations performed by the revised simplex engine
-    /// (zero on the dense engine). Observational, like wall clocks: the
-    /// refactorization schedule is an engine implementation detail, so
-    /// this never enters the deterministic phase counters.
-    pub refactorizations: u64,
-    /// SAT decisions.
-    pub decisions: u64,
-    /// SAT propagations.
-    pub propagations: u64,
-    /// Conflicts (Boolean + theory).
-    pub conflicts: u64,
-    /// Theory conflicts.
-    pub theory_conflicts: u64,
-    /// Restarts.
-    pub restarts: u64,
-    /// Learned clauses retained.
-    pub learned_clauses: u64,
-    /// Clause-database size (original + learned) at end of search.
-    pub clause_db: u64,
-    /// Theory bound assertions fed to the simplex.
-    pub bound_asserts: u64,
-    /// Full simplex consistency checks.
-    pub theory_checks: u64,
-    /// Learned clauses carried into this check from earlier checks on the
-    /// same persistent core (zero on the clone-per-check path).
-    pub retained_clauses: u64,
-    /// Clauses hard-deleted this check by activation-literal retirement
-    /// (zero on the clone-per-check path).
-    pub deleted_clauses: u64,
-    /// Simplex pivots whose work the warm-started basis already embodied
-    /// at check entry (zero on the clone-per-check path, which rebuilds
-    /// the tableau from scratch).
-    pub warm_pivots_saved: u64,
-    /// Whether this check reused an already-encoded core: the template
-    /// behind `Solver::check` or the persistent core behind
-    /// `Solver::check_assuming`.
-    pub base_cache_hit: bool,
     /// Derivation steps in the logged proof (learned clauses plus theory
     /// lemmas); zero unless proof logging was enabled by certification.
     pub proof_steps: u64,
@@ -123,10 +87,6 @@ pub struct SolverStats {
     pub lint_infos: usize,
     /// Wall-clock time of the check.
     pub solve_time: Duration,
-    /// Wall-clock time spent encoding (base extension + per-check delta).
-    pub encode_time: Duration,
-    /// Wall-clock time spent in the DPLL(T) search.
-    pub search_time: Duration,
     /// Sampled progress timeline of the search; empty unless sampling
     /// was enabled (see [`crate::Solver::set_progress_sampling`]).
     pub progress: Vec<ProgressSample>,
@@ -141,12 +101,13 @@ impl SolverStats {
     /// big-rational pair), per-simplex-variable assignment and bound slots
     /// (three delta-rationals ≈ 240 B), and atom map entries (~96 B).
     pub fn estimated_bytes(&self) -> u64 {
-        let clause_bytes = self.clause_lits * 4 + self.clauses * 32;
-        let sat_var_bytes = self.sat_vars as u64 * (26 + 2 * 24);
+        let m = &self.metrics;
+        let clause_bytes = m.clause_lits * 4 + m.clauses * 32;
+        let sat_var_bytes = m.sat_vars * (26 + 2 * 24);
         let tableau_bytes = self.tableau_entries as u64 * 96;
         let simplex_var_bytes = self.simplex_vars as u64 * 240;
-        let atom_bytes = self.atoms as u64 * 96;
-        let learned_bytes = self.learned_clauses * 64;
+        let atom_bytes = m.atoms * 96;
+        let learned_bytes = m.learned_clauses * 64;
         clause_bytes
             + sat_var_bytes
             + tableau_bytes
@@ -159,49 +120,11 @@ impl SolverStats {
     pub fn estimated_mb(&self) -> f64 {
         self.estimated_bytes() as f64 / (1024.0 * 1024.0)
     }
-
-    /// The deterministic per-phase counters of this check (the observability
-    /// layer's unit of aggregation — see [`crate::trace`]).
-    pub fn phase_metrics(&self) -> PhaseMetrics {
-        PhaseMetrics {
-            clauses: self.clauses,
-            clause_lits: self.clause_lits,
-            sat_vars: self.sat_vars as u64,
-            atoms: self.atoms as u64,
-            decisions: self.decisions,
-            propagations: self.propagations,
-            conflicts: self.conflicts,
-            theory_conflicts: self.theory_conflicts,
-            restarts: self.restarts,
-            learned_clauses: self.learned_clauses,
-            clause_db: self.clause_db,
-            retained_clauses: self.retained_clauses,
-            deleted_clauses: self.deleted_clauses,
-            pivots: self.pivots,
-            bound_asserts: self.bound_asserts,
-            theory_checks: self.theory_checks,
-            warm_pivots_saved: self.warm_pivots_saved,
-        }
-    }
-
-    /// The observational side of the phase breakdown — wall clocks and
-    /// base-cache behavior — kept apart from
-    /// [`SolverStats::phase_metrics`] so deterministic aggregation stays
-    /// byte-identical across worker counts (cache reuse depends on which
-    /// worker ran which job).
-    pub fn phase_timings(&self) -> PhaseTimings {
-        PhaseTimings {
-            encode: self.encode_time,
-            search: self.search_time,
-            cache_hits: u64::from(self.base_cache_hit),
-            cache_misses: u64::from(!self.base_cache_hit),
-            refactorizations: self.refactorizations,
-        }
-    }
 }
 
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = &self.metrics;
         write!(
             f,
             "vars: {}b/{}r sat-vars: {} clauses: {} atoms: {} rows: {} \
@@ -209,19 +132,19 @@ impl fmt::Display for SolverStats {
              time: {:?}",
             self.bool_vars,
             self.real_vars,
-            self.sat_vars,
-            self.clauses,
-            self.atoms,
+            m.sat_vars,
+            m.clauses,
+            m.atoms,
             self.simplex_rows,
-            self.decisions,
-            self.conflicts,
-            self.theory_conflicts,
-            self.pivots,
+            m.decisions,
+            m.conflicts,
+            m.theory_conflicts,
+            m.pivots,
             self.estimated_mb(),
             self.solve_time,
         )?;
-        if self.refactorizations > 0 {
-            write!(f, " refactors: {}", self.refactorizations)?;
+        if self.timings.refactorizations > 0 {
+            write!(f, " refactors: {}", self.timings.refactorizations)?;
         }
         if self.certified {
             write!(f, " certified")?;
@@ -248,9 +171,9 @@ mod tests {
     fn memory_estimate_scales_with_contents() {
         let empty = SolverStats::default();
         let mut big = SolverStats::default();
-        big.clauses = 1000;
-        big.clause_lits = 4000;
-        big.sat_vars = 500;
+        big.metrics.clauses = 1000;
+        big.metrics.clause_lits = 4000;
+        big.metrics.sat_vars = 500;
         big.tableau_entries = 2000;
         big.simplex_vars = 300;
         assert!(big.estimated_bytes() > empty.estimated_bytes());
@@ -268,15 +191,15 @@ mod tests {
     #[test]
     fn phase_metrics_carry_counters_but_never_wall_clock() {
         let mut s = SolverStats::default();
-        s.clauses = 9;
-        s.decisions = 4;
-        s.pivots = 2;
-        s.bound_asserts = 11;
-        s.theory_checks = 3;
-        s.base_cache_hit = true;
-        s.encode_time = Duration::from_millis(5);
-        s.search_time = Duration::from_millis(7);
-        let m = s.phase_metrics();
+        s.metrics.clauses = 9;
+        s.metrics.decisions = 4;
+        s.metrics.pivots = 2;
+        s.metrics.bound_asserts = 11;
+        s.metrics.theory_checks = 3;
+        s.timings.cache_hits = 1;
+        s.timings.encode = Duration::from_millis(5);
+        s.timings.search = Duration::from_millis(7);
+        let m = s.metrics;
         assert_eq!(m.clauses, 9);
         assert_eq!(m.decisions, 4);
         assert_eq!(m.pivots, 2);
@@ -285,7 +208,7 @@ mod tests {
         // Wall clock and cache behavior live only in the timings struct.
         assert!(!m.to_json().contains("_ms"));
         assert!(!m.to_json().contains("cache"));
-        let t = s.phase_timings();
+        let t = s.timings;
         assert_eq!(t.encode, Duration::from_millis(5));
         assert_eq!(t.search, Duration::from_millis(7));
         assert_eq!((t.cache_hits, t.cache_misses), (1, 0));

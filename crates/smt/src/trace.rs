@@ -15,7 +15,8 @@
 //! * [`TraceEvent`] + [`TraceSink`] — a line-oriented event stream
 //!   (JSONL via [`JsonlSink`]) emitted by the verifier and campaign
 //!   layers; [`SharedSink`] makes one sink safe to share across worker
-//!   threads.
+//!   threads, and [`phase_events`] turns a metrics/timings pair into the
+//!   stream's `phase` records.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -258,6 +259,33 @@ impl PhaseTimings {
             self.refactorizations,
         );
     }
+}
+
+/// The three `phase` records of one job (or one check): each phase's
+/// counters from `metrics`, with the observational counters of `timings`
+/// riding along — the base-cache hits and misses on `encode`, the
+/// refactorizations on `search` — and the phase's wall clock where
+/// `timings` tracks it. The trace is observational, so those counters
+/// belong here even though every byte-compared output leaves them out.
+/// The one-shot CLI, the campaign pool and `sta serve` all build their
+/// `phase` records here.
+pub fn phase_events(job: usize, metrics: &PhaseMetrics, timings: &PhaseTimings) -> Vec<TraceEvent> {
+    metrics
+        .grouped()
+        .into_iter()
+        .map(|(phase, mut counters)| {
+            match phase {
+                Phase::Encode => counters.extend([
+                    ("cache_hits", timings.cache_hits),
+                    ("cache_misses", timings.cache_misses),
+                ]),
+                Phase::Search => counters.push(("refactorizations", timings.refactorizations)),
+                Phase::Simplex => {}
+            }
+            let wall_us = timings.wall_of(phase).map(|d| d.as_micros() as u64);
+            TraceEvent::Phase { job, phase, counters, wall_us }
+        })
+        .collect()
 }
 
 /// One observability event. The JSONL trace file is one event per line.
@@ -596,6 +624,33 @@ mod tests {
         assert_eq!(
             ph.to_json(),
             "{\"event\":\"phase\",\"job\":0,\"phase\":\"simplex\",\"counters\":{\"pivots\":4}}"
+        );
+    }
+
+    #[test]
+    fn phase_events_carry_the_observational_counters_and_walls() {
+        let mut m = PhaseMetrics::default();
+        m.clauses = 4;
+        m.pivots = 2;
+        let t = PhaseTimings {
+            encode: Duration::from_micros(30),
+            search: Duration::from_micros(70),
+            cache_hits: 1,
+            cache_misses: 0,
+            refactorizations: 5,
+        };
+        let lines: Vec<String> = phase_events(7, &m, &t).iter().map(TraceEvent::to_json).collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with(
+            "{\"event\":\"phase\",\"job\":7,\"phase\":\"encode\",\"counters\":{\"clauses\":4,"
+        ));
+        assert!(lines[0].ends_with("\"cache_hits\":1,\"cache_misses\":0},\"wall_us\":30}"));
+        assert!(lines[1]
+            .ends_with("\"deleted_clauses\":0,\"refactorizations\":5},\"wall_us\":70}"));
+        assert_eq!(
+            lines[2],
+            "{\"event\":\"phase\",\"job\":7,\"phase\":\"simplex\",\"counters\":{\"pivots\":2,\
+             \"bound_asserts\":0,\"theory_checks\":0,\"warm_pivots_saved\":0}}"
         );
     }
 

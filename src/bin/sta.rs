@@ -89,7 +89,7 @@ use sta::core::synthesis::{SynthesisConfig, Synthesizer};
 use sta::core::{scenario, validation};
 use sta::grid::{caseformat, ieee14, synthetic, TestSystem};
 use sta::smt::{
-    render_spans, CertifyLevel, JsonlSink, Phase, PhaseMetrics, PhaseTimings, Profiler,
+    phase_events, render_spans, CertifyLevel, JsonlSink, PhaseMetrics, PhaseTimings, Profiler,
     SharedSink, SimplexMode, TraceEvent, TraceSink,
 };
 use std::fs::File;
@@ -106,8 +106,6 @@ fn open_trace(path: &str) -> Result<JsonlSink<BufWriter<File>>, String> {
 
 /// The trace-event sequence of a one-shot run (one verify or synthesize
 /// invocation): run/job brackets around the per-phase counter records.
-/// The trace is observational, so the scheduling-dependent cache counters
-/// ride on the encode phase here, mirroring the campaign engine.
 fn one_shot_events(
     name: &str,
     label: &str,
@@ -120,17 +118,7 @@ fn one_shot_events(
         TraceEvent::RunStart { name: name.to_string(), jobs: 1 },
         TraceEvent::JobStart { job: 0, label: label.to_string(), case: case.to_string() },
     ];
-    for (phase, mut counters) in metrics.grouped() {
-        if phase == Phase::Encode {
-            counters.push(("cache_hits", timings.cache_hits));
-            counters.push(("cache_misses", timings.cache_misses));
-        }
-        if phase == Phase::Search {
-            counters.push(("refactorizations", timings.refactorizations));
-        }
-        let wall_us = timings.wall_of(phase).map(|d| d.as_micros() as u64);
-        events.push(TraceEvent::Phase { job: 0, phase, counters, wall_us });
-    }
+    events.extend(phase_events(0, metrics, timings));
     let wall: Duration = timings.encode + timings.search;
     let wall_us = wall.as_micros() as u64;
     events.push(TraceEvent::JobEnd { job: 0, verdict: verdict.to_string(), wall_us });
@@ -156,16 +144,21 @@ fn observe_one_shot(
         }
     }
     if metrics_flag {
-        print!("{}", metrics.table());
-        // Observational counters ride below the deterministic table: the
-        // base-cache and refactorization counts depend on engine mode and
-        // scheduling, so they never join the phase metrics themselves.
-        println!(
-            "observational: cache {} hits / {} misses, refactorizations {}",
-            timings.cache_hits, timings.cache_misses, timings.refactorizations
-        );
+        print_metrics(metrics, timings);
     }
     Ok(())
+}
+
+/// Prints the `--metrics` output: the deterministic phase table, then the
+/// observational counters on one line below it — the base-cache and
+/// refactorization counts depend on engine mode and scheduling, so they
+/// never join the phase metrics themselves.
+fn print_metrics(metrics: &PhaseMetrics, timings: &PhaseTimings) {
+    print!("{}", metrics.table());
+    println!(
+        "observational: cache {} hits / {} misses, refactorizations {}",
+        timings.cache_hits, timings.cache_misses, timings.refactorizations
+    );
 }
 
 fn usage() -> ExitCode {
@@ -329,8 +322,8 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         &scen,
         &case,
         &verdict,
-        &report.stats.phase_metrics(),
-        &report.stats.phase_timings(),
+        &report.stats.metrics,
+        &report.stats.timings,
     )?;
     if let Some(p) = &profiler {
         print!("{}", render_spans(&p.take()));
@@ -610,12 +603,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     }
     print!("{}", report.table());
     if metrics {
-        print!("{}", report.metrics_rollup().table());
-        let tw = report.timings_rollup();
-        println!(
-            "observational: cache {} hits / {} misses, refactorizations {}",
-            tw.cache_hits, tw.cache_misses, tw.refactorizations
-        );
+        print_metrics(&report.metrics_rollup(), &report.timings_rollup());
     }
     if profile {
         print!("{}", render_spans(&report.merged_spans()));

@@ -50,7 +50,7 @@ fn fig4a_is_sat_everywhere_and_the_middle_target_grows_in_clauses() {
     let clauses: Vec<f64> = report
         .results
         .chunks(3)
-        .map(|jobs| jobs[1].stats.as_ref().expect("stats").clauses as f64)
+        .map(|jobs| jobs[1].stats.as_ref().expect("stats").metrics.clauses as f64)
         .collect();
     assert_eq!(clauses.len(), paper::SIZES.len());
     assert!(strictly_increasing(&clauses), "{clauses:?}");

@@ -18,6 +18,7 @@ use sta::serve::net;
 use sta::serve::{spawn, ServeConfig};
 use sta::smt::json::{escape_into, parse, Json};
 use std::io::{self, Write};
+use std::process::Command;
 
 /// A `Write` that records every `write` call it receives.
 #[derive(Default)]
@@ -168,4 +169,56 @@ fn one_kept_tcp_connection_carries_every_kind_of_request() {
         }
     }
     assert_eq!(compared, 8);
+}
+
+/// The phase and counter keys, in order, of every `phase` record among
+/// `lines` (trace-file lines or the service's trace lines).
+fn phase_keys<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<(String, Vec<String>)> {
+    let mut records = Vec::new();
+    for line in lines.filter(|l| l.contains("\"event\":\"phase\"")) {
+        let phase = line.split("\"phase\":\"").nth(1).and_then(|rest| rest.split('"').next());
+        let counters = line.split("\"counters\":{").nth(1).and_then(|rest| rest.split('}').next());
+        let (Some(phase), Some(counters)) = (phase, counters) else {
+            panic!("malformed phase record {line}");
+        };
+        let keys = counters
+            .split(',')
+            .map(|pair| pair.split(':').next().unwrap_or_default().trim_matches('"').to_string())
+            .collect();
+        records.push((phase.to_string(), keys));
+    }
+    records
+}
+
+/// A traced verify over the service carries the same `phase` records —
+/// the same counter keys in the same order — as `sta verify --trace`
+/// writes for the same case and scenario.
+#[test]
+fn traced_verify_phase_records_match_the_cli_trace() {
+    let model = AttackModel::new(14).target(BusId(11), StateTarget::MustChange);
+    let dir = std::env::temp_dir().join(format!("sta-serve-tcp-phase-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario_path = dir.join("open.scenario");
+    let trace_path = dir.join("verify.trace");
+    std::fs::write(&scenario_path, scenario::write(&model)).expect("write the scenario");
+    let out = Command::new(env!("CARGO_BIN_EXE_sta"))
+        .args(["verify", "ieee14"])
+        .arg(&scenario_path)
+        .arg("--trace")
+        .arg(&trace_path)
+        .output()
+        .expect("sta runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let cli_trace = std::fs::read_to_string(&trace_path).expect("read the trace file");
+    std::fs::remove_dir_all(&dir).ok();
+    let cli = phase_keys(cli_trace.lines());
+    assert_eq!(cli.len(), 3, "{cli_trace}");
+
+    let server = spawn(ServeConfig::new("127.0.0.1:0")).expect("TCP server boots");
+    let lines = Connection::open(server.addr())
+        .expect("connect")
+        .request(&verify("traced", &model, ",\"trace\":true"))
+        .expect("a whole reply arrives");
+    server.stop().expect("clean shutdown");
+    assert_eq!(phase_keys(lines.iter().map(String::as_str)), cli);
 }

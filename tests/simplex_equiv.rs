@@ -75,26 +75,29 @@ fn revised_matches_dense_verdict_model_and_pivots_at_every_size() {
                 (d, r) => panic!("{label}: dense {d:?} vs revised {r:?}"),
             }
             // Identical trajectory ⇒ identical deterministic counters.
-            assert_eq!(dense.stats.pivots, revised.stats.pivots, "{label}: pivots");
             assert_eq!(
-                dense.stats.bound_asserts, revised.stats.bound_asserts,
+                dense.stats.metrics.pivots, revised.stats.metrics.pivots,
+                "{label}: pivots"
+            );
+            assert_eq!(
+                dense.stats.metrics.bound_asserts, revised.stats.metrics.bound_asserts,
                 "{label}: bound_asserts"
             );
             assert_eq!(
-                dense.stats.theory_checks, revised.stats.theory_checks,
+                dense.stats.metrics.theory_checks, revised.stats.metrics.theory_checks,
                 "{label}: theory_checks"
             );
             assert_eq!(
-                dense.stats.conflicts, revised.stats.conflicts,
+                dense.stats.metrics.conflicts, revised.stats.metrics.conflicts,
                 "{label}: conflicts"
             );
             assert_eq!(
-                dense.stats.decisions, revised.stats.decisions,
+                dense.stats.metrics.decisions, revised.stats.metrics.decisions,
                 "{label}: decisions"
             );
             // The refactorization counter stays on the observational side:
             // zero for the dense oracle by construction.
-            assert_eq!(dense.stats.refactorizations, 0, "{label}");
+            assert_eq!(dense.stats.timings.refactorizations, 0, "{label}");
         }
     }
 }
@@ -187,6 +190,6 @@ fn auto_mode_agrees_with_pinned_engines() {
             panic!("case {b}: expected feasible under both modes");
         };
         assert_eq!(wa, wd, "case {b}: auto mode diverged");
-        assert_eq!(auto.stats.pivots, dense.stats.pivots, "case {b}");
+        assert_eq!(auto.stats.metrics.pivots, dense.stats.metrics.pivots, "case {b}");
     }
 }

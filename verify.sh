@@ -60,6 +60,12 @@
 #      exit 0, which means every verdict the paper's set-up pins held,
 #      and write a schema-valid sta-bench/v1 file. About 31 s, 28 s of
 #      it the one Fig. 4(c) job at 30 buses and T_CZ = 16
+#  14. simplex attribution (right before step 10): `sta verify` of the
+#      blocked `max-measurements 0` scenario on ieee1354 and ieee2000
+#      with `--profile` must keep the `search` row's self time under 5%
+#      of its inclusive time — the `simplex` leaf covers each theory
+#      check whole, so what search keeps for itself is the CDCL loop.
+#      About 6 s
 #
 # No network access is required; the script fails fast on the first error.
 set -euo pipefail
@@ -349,6 +355,28 @@ if [ "$warm_us" -gt $((off_us * 3 / 2 + 500)) ]; then
     echo "telemetry overhead too high: warm ${warm_us} us vs ${off_us} us off (bound 1.5x + 500us)" >&2
     exit 1
 fi
+
+echo "==> simplex attribution: search self time under 5% of search at 1354/2000 buses"
+for b in 1354 2000; do
+    status=0
+    profile="$(./target/release/sta verify "ieee$b" <(printf 'max-measurements 0\n') \
+        --profile)" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "expected unsat (exit 1) from the blocked ieee$b verify, got exit $status" >&2
+        exit 1
+    fi
+    row="$(echo "$profile" | awk '$1 == "search" { print $3, $4 }')"
+    if [ -z "$row" ]; then
+        echo "no search row in the ieee$b --profile output" >&2
+        exit 1
+    fi
+    incl_ms="${row% *}" self_ms="${row#* }"
+    echo "    ieee$b: search self ${self_ms} ms of ${incl_ms} ms"
+    awk -v s="$self_ms" -v i="$incl_ms" 'BEGIN { exit !(s * 100 < i * 5) }' || {
+        echo "ieee$b search keeps ${self_ms} ms of ${incl_ms} ms as self time (bound: 5%)" >&2
+        exit 1
+    }
+done
 
 echo "==> scale bench: sparse WLS must beat the dense oracle 10x at 300 buses"
 ./target/release/sta bench --suite scale --reps 1 --out BENCH_scale.ci.json >/dev/null
