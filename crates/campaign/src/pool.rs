@@ -337,10 +337,7 @@ fn execute(
             }
             session.set_progress_sampling(options.progress);
             // The budget starts ticking at job start, not spec build.
-            let budget = match timeout {
-                Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-                None => Budget::unlimited(),
-            };
+            let budget = Budget::from_timeout_ms(timeout);
             let report = session.verify_with_budget(model, &budget);
             result.metrics = Some(report.stats.metrics);
             result.phase_wall = Some(report.stats.timings);

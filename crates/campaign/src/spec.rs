@@ -68,10 +68,10 @@ pub struct CampaignSpec {
     pub certify: CertifyLevel,
     /// Default per-job deadline in milliseconds; `None` = unlimited.
     pub timeout_ms: Option<u64>,
-    /// Simplex engine selection for every job's solver checks (the
-    /// `sta --simplex` A/B switch). Verdicts, witnesses and deterministic
-    /// counters are identical across modes — only timings move — so
-    /// timing-stripped reports never depend on this flag.
+    /// Simplex engine of every job's solver checks: revised, unless a
+    /// test or the scale suite pins the dense oracle. Verdicts, witnesses
+    /// and deterministic counters are identical across engines — only
+    /// timings move — so timing-stripped reports never depend on it.
     pub simplex: SimplexMode,
 }
 
@@ -84,12 +84,12 @@ impl CampaignSpec {
             jobs: Vec::new(),
             certify: CertifyLevel::Off,
             timeout_ms: None,
-            simplex: SimplexMode::Auto,
+            simplex: SimplexMode::default(),
         }
     }
 
-    /// Selects the simplex engine for every job's solver checks (see
-    /// [`SimplexMode`]).
+    /// Pins the simplex engine of every job's solver checks (see
+    /// [`CampaignSpec::simplex`]).
     pub fn with_simplex(mut self, mode: SimplexMode) -> Self {
         self.simplex = mode;
         self

@@ -5,7 +5,7 @@ use sta_campaign::{run, run_traced, run_with, CampaignSpec, RunOptions, Verdict}
 use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
 use sta_core::synthesis::SynthesisConfig;
 use sta_grid::{ieee14, BusId};
-use sta_smt::{CollectSink, SharedSink, TraceEvent};
+use sta_smt::{CollectSink, SharedSink, SimplexMode, TraceEvent};
 use std::time::Instant;
 
 /// A mixed campaign touching every job shape: sat/unsat verification,
@@ -55,7 +55,8 @@ fn mixed_spec() -> CampaignSpec {
 
 /// Satellite: the same spec at 1 worker and at 8 workers must produce
 /// byte-identical reports once the `timing` keys are stripped — witness
-/// bytes, stats and ordering included.
+/// bytes, stats and ordering included — and so must a run pinned to the
+/// dense oracle, across the synthesis (persistent-core) and topology jobs.
 #[test]
 fn reports_are_byte_identical_across_worker_counts() {
     let spec = mixed_spec();
@@ -66,6 +67,8 @@ fn reports_are_byte_identical_across_worker_counts() {
     let a = serial.to_json(false);
     let b = parallel.to_json(false);
     assert_eq!(a, b, "deterministic JSON must not depend on scheduling");
+    let dense = run(&mixed_spec().with_simplex(SimplexMode::Dense), 2).to_json(false);
+    assert_eq!(a, dense, "deterministic JSON must not depend on the simplex engine");
     // Sanity: the timing-bearing form really differs in content shape.
     assert!(serial.to_json(true).contains("\"timing\""));
     // And the campaign actually exercised both polarities.

@@ -28,7 +28,6 @@ use sta_estimator::PowerFlowError;
 use sta_grid::{BusId, MeasurementId, TestSystem};
 use sta_smt::{Budget, SatResult, Solver};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A reusable verification context over one test system.
 ///
@@ -107,14 +106,6 @@ impl VerifySession {
         self.solver.set_progress_sampling(on);
     }
 
-    /// Selects the simplex engine for the session's checks (see
-    /// [`sta_smt::Solver::set_simplex_mode`]). Changing the mode drops the
-    /// solver's cached base encoding, so the next check rebuilds it.
-    pub fn set_simplex_mode(&mut self, mode: sta_smt::SimplexMode) {
-        self.verifier.set_simplex_mode(mode);
-        self.solver.set_simplex_mode(mode);
-    }
-
     /// The underlying verifier.
     pub fn verifier(&self) -> &AttackVerifier {
         &self.verifier
@@ -132,11 +123,7 @@ impl VerifySession {
     /// enable topology attacks in a session built without them (see
     /// [`VerifySession::new`]).
     pub fn verify(&mut self, model: &AttackModel) -> VerificationReport {
-        let budget = match model.timeout_ms {
-            Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
-        };
-        self.verify_with_budget(model, &budget)
+        self.verify_with_budget(model, &Budget::from_timeout_ms(model.timeout_ms))
     }
 
     /// Verifies one scenario under an explicit budget. The scenario's
@@ -248,6 +235,7 @@ mod tests {
     use super::*;
     use crate::attack::{AttackVerifier, StateTarget};
     use sta_grid::{ieee14, BusId, MeasurementId};
+    use std::time::Duration;
 
     /// Sessions own their case data: one may be built from a short-lived
     /// borrow, moved to another thread, and used after the original

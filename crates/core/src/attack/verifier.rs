@@ -50,7 +50,6 @@ use sta_smt::{
     Rational, SatResult, SimplexMode, Solver,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The variable layout of one base encoding, produced by
 /// [`AttackVerifier::encode_base`] and consumed when asserting scenarios
@@ -110,8 +109,8 @@ pub struct AttackVerifier {
     profiler: Option<Profiler>,
     /// Whether solver checks sample progress timelines into their stats.
     progress: bool,
-    /// Simplex engine selection applied to every solver this verifier
-    /// builds (see [`sta_smt::SimplexMode`]).
+    /// Simplex engine of every solver this verifier builds: revised,
+    /// unless a test or the scale suite pins the dense oracle.
     simplex: SimplexMode,
 }
 
@@ -182,7 +181,7 @@ impl AttackVerifier {
             certify: CertifyLevel::Off,
             profiler: None,
             progress: false,
-            simplex: SimplexMode::Auto,
+            simplex: SimplexMode::default(),
         }
     }
 
@@ -237,25 +236,14 @@ impl AttackVerifier {
         self.progress
     }
 
-    /// Selects the simplex engine for every solver this verifier builds:
-    /// `Auto` (the default) upgrades from the dense tableau to the
-    /// revised/factorized engine on large systems, `Dense`/`Revised` pin
-    /// one backend. Verdicts, models and deterministic counters are
-    /// identical across modes (see [`sta_smt::Solver::set_simplex_mode`]).
+    /// Pins the simplex engine of every solver this verifier builds.
+    /// Production verifiers keep the default, the revised engine; tests
+    /// and the scale suite pin [`SimplexMode::Dense`] to run the dense
+    /// oracle. Verdicts, models and deterministic counters are identical
+    /// across engines (see [`sta_smt::Solver::set_simplex_mode`]).
     pub fn with_simplex(mut self, mode: SimplexMode) -> Self {
         self.simplex = mode;
         self
-    }
-
-    /// In-place form of [`AttackVerifier::with_simplex`] for verifiers
-    /// owned by a session.
-    pub fn set_simplex_mode(&mut self, mode: SimplexMode) {
-        self.simplex = mode;
-    }
-
-    /// The configured simplex engine mode.
-    pub fn simplex_mode(&self) -> SimplexMode {
-        self.simplex
     }
 
     /// Applies this verifier's observability configuration (profiler,
@@ -338,11 +326,7 @@ impl AttackVerifier {
     /// Panics if `model.targets.len()` does not match the system's bus
     /// count, or a knowledge vector has the wrong length.
     pub fn verify_with_stats(&self, model: &AttackModel) -> VerificationReport {
-        let budget = match model.timeout_ms {
-            Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
-        };
-        self.verify_with_budget(model, &budget)
+        self.verify_with_budget(model, &Budget::from_timeout_ms(model.timeout_ms))
     }
 
     /// Checks feasibility under an explicit wall-clock/cancellation

@@ -157,19 +157,13 @@ pub fn parse(
                 model.timeout_ms = Some(v);
             }
             "certify" => {
-                let level = match rest.first().copied() {
-                    Some("off") => CertifyLevel::Off,
-                    Some("models") => CertifyLevel::CheckModels,
-                    Some("full") => CertifyLevel::Full,
-                    Some(other) => {
-                        return Err(err(
-                            ln,
-                            format!("certify needs off|models|full, got {other:?}"),
-                        ))
-                    }
-                    None => return Err(err(ln, "certify needs off|models|full")),
-                };
-                model.certify = level;
+                let token = rest
+                    .first()
+                    .copied()
+                    .ok_or_else(|| err(ln, "certify needs off|models|full"))?;
+                model.certify = CertifyLevel::parse(token).ok_or_else(|| {
+                    err(ln, format!("certify needs off|models|full, got {token:?}"))
+                })?;
             }
             other => return Err(err(ln, format!("unknown keyword {other:?}"))),
         }
@@ -230,14 +224,8 @@ pub fn write(model: &AttackModel) -> String {
     if let Some(v) = model.timeout_ms {
         let _ = writeln!(out, "timeout-ms {v}");
     }
-    match model.certify {
-        CertifyLevel::Off => {}
-        CertifyLevel::CheckModels => {
-            let _ = writeln!(out, "certify models");
-        }
-        CertifyLevel::Full => {
-            let _ = writeln!(out, "certify full");
-        }
+    if model.certify != CertifyLevel::Off {
+        let _ = writeln!(out, "certify {}", model.certify.token());
     }
     out
 }

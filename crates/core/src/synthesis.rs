@@ -21,7 +21,6 @@ use sta_smt::{
     SolverStats,
 };
 use std::fmt;
-use std::time::Duration;
 
 /// Aggregated solver observability over one synthesis run: every selection
 /// check and every verification call folds its per-phase counters (and,
@@ -233,9 +232,9 @@ impl<'a> Synthesizer<'a> {
         self
     }
 
-    /// Selects the simplex engine for the loop's verification checks
-    /// (the selection model is purely Boolean, so only the verifier's
-    /// solver is affected; see [`sta_smt::SimplexMode`]).
+    /// Pins the simplex engine of the loop's verification checks, for
+    /// oracle runs (the selection model is purely Boolean, so only the
+    /// verifier's solver is affected; see [`AttackVerifier::with_simplex`]).
     pub fn with_simplex(mut self, mode: sta_smt::SimplexMode) -> Self {
         self.verifier = self.verifier.with_simplex(mode);
         self
@@ -318,10 +317,7 @@ impl<'a> Synthesizer<'a> {
             attacker.allow_topology_attack,
         );
         session.begin_scenario(attacker);
-        let verify_budget = match attacker.timeout_ms {
-            Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
-        };
+        let verify_budget = Budget::from_timeout_ms(attacker.timeout_ms);
 
         let mut iterations = 0usize;
         loop {
@@ -488,10 +484,7 @@ impl<'a> Synthesizer<'a> {
             attacker.allow_topology_attack,
         );
         session.begin_scenario(attacker);
-        let verify_budget = match attacker.timeout_ms {
-            Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
-        };
+        let verify_budget = Budget::from_timeout_ms(attacker.timeout_ms);
         let mut iterations = 0usize;
         loop {
             iterations += 1;

@@ -201,6 +201,28 @@ pub fn parse(text: &str) -> Result<TestSystem, ParseCaseError> {
     Ok(sys)
 }
 
+/// Loads a case by built-in name (`ieee14`, `ieee14-unsecured`, and
+/// `ieee30`/`57`/`118`/`300`/`1354`/`2000` from [`crate::synthetic`]) or,
+/// failing that, by case-file path: the case grammar of the `sta` CLI
+/// and of `sta serve` requests.
+pub fn load(spec: &str) -> Result<TestSystem, String> {
+    use crate::{ieee14, synthetic};
+    match spec {
+        "ieee14" => return Ok(ieee14::system()),
+        "ieee14-unsecured" => return Ok(ieee14::system_unsecured()),
+        "ieee30" => return Ok(synthetic::ieee_case(30)),
+        "ieee57" => return Ok(synthetic::ieee_case(57)),
+        "ieee118" => return Ok(synthetic::ieee_case(118)),
+        "ieee300" => return Ok(synthetic::ieee_case(300)),
+        "ieee1354" => return Ok(synthetic::ieee_case(1354)),
+        "ieee2000" => return Ok(synthetic::ieee_case(2000)),
+        _ => {}
+    }
+    let text = std::fs::read_to_string(spec)
+        .map_err(|e| format!("cannot read case file {spec:?}: {e}"))?;
+    parse(&text).map_err(|e| e.to_string())
+}
+
 /// Serializes a [`TestSystem`] to the case format.
 pub fn write(sys: &TestSystem) -> String {
     use std::fmt::Write as _;

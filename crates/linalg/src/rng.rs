@@ -4,9 +4,8 @@
 //! The workspace builds with no external registry dependencies, so the
 //! `rand` crate is not available; this is the in-tree replacement. It is
 //! **not** cryptographic — it exists to make synthetic grids and
-//! randomized tests reproducible from a single `u64` seed. The sibling
-//! `sta_smt::rng` module carries an identical generator because `sta-smt`
-//! is dependency-free by design.
+//! randomized tests reproducible from a single `u64` seed, across the
+//! workspace (the solver's seeded tests draw from it too).
 //!
 //! # Examples
 //!

@@ -172,16 +172,15 @@ fn u64_field(json: &Json, id: &str, key: &str) -> Result<Option<u64>, ProtocolEr
 }
 
 fn certify_field(json: &Json, id: &str) -> Result<CertifyLevel, ProtocolError> {
-    match json.get("certify").map(Json::as_str) {
-        None => Ok(CertifyLevel::Off),
-        Some(Some("off")) => Ok(CertifyLevel::Off),
-        Some(Some("models")) => Ok(CertifyLevel::CheckModels),
-        Some(Some("full")) => Ok(CertifyLevel::Full),
-        Some(other) => Err(field_error(
+    let Some(value) = json.get("certify").map(Json::as_str) else {
+        return Ok(CertifyLevel::Off);
+    };
+    value.and_then(CertifyLevel::parse).ok_or_else(|| {
+        field_error(
             id,
-            format!("\"certify\" must be \"off\"|\"models\"|\"full\", got {other:?}"),
-        )),
-    }
+            format!("\"certify\" must be \"off\"|\"models\"|\"full\", got {value:?}"),
+        )
+    })
 }
 
 fn query(json: &Json, id: &str) -> Result<Query, ProtocolError> {

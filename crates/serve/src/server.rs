@@ -47,7 +47,7 @@ use sta_campaign::{CampaignSpec, RunOptions, ServicePool, SubmitError};
 use sta_core::attack::{AttackModel, AttackOutcome, AttackVerifier, VerifySession};
 use sta_core::scenario;
 use sta_core::synthesis::{SynthesisConfig, SynthesisOutcome, Synthesizer};
-use sta_grid::{caseformat, ieee14, synthetic, TestSystem};
+use sta_grid::{caseformat, TestSystem};
 use sta_smt::json::escape_into;
 use sta_smt::{phase_events, Budget, Clock, Interrupt, SharedSink, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
@@ -150,24 +150,6 @@ pub struct Server {
     listener: net::Listener,
 }
 
-/// Loads a case by builtin name or case-file path (the CLI grammar).
-fn load_case(spec: &str) -> Result<TestSystem, String> {
-    match spec {
-        "ieee14" => return Ok(ieee14::system()),
-        "ieee14-unsecured" => return Ok(ieee14::system_unsecured()),
-        "ieee30" => return Ok(synthetic::ieee_case(30)),
-        "ieee57" => return Ok(synthetic::ieee_case(57)),
-        "ieee118" => return Ok(synthetic::ieee_case(118)),
-        "ieee300" => return Ok(synthetic::ieee_case(300)),
-        "ieee1354" => return Ok(synthetic::ieee_case(1354)),
-        "ieee2000" => return Ok(synthetic::ieee_case(2000)),
-        _ => {}
-    }
-    let text = std::fs::read_to_string(spec)
-        .map_err(|e| format!("cannot read case file {spec:?}: {e}"))?;
-    caseformat::parse(&text).map_err(|e| e.to_string())
-}
-
 impl ServerState {
     /// The shared [`TestSystem`] for `spec`, loading and caching on first
     /// use. Loading happens outside the table lock (file-backed cases can
@@ -176,7 +158,7 @@ impl ServerState {
         if let Some(sys) = lock(&self.cases).get(spec) {
             return Ok(Arc::clone(sys));
         }
-        let loaded = Arc::new(load_case(spec)?);
+        let loaded = Arc::new(caseformat::load(spec)?);
         let mut cases = lock(&self.cases);
         Ok(Arc::clone(cases.entry(spec.to_string()).or_insert(loaded)))
     }
@@ -707,11 +689,8 @@ fn run_verify(
     // The request deadline overrides the scenario's own `timeout-ms`,
     // like `--timeout-ms` in the CLI; the cancel token rides along either
     // way so drain can always reach this job.
-    let budget = match q.timeout_ms.or(model.timeout_ms) {
-        Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
-        None => Budget::unlimited(),
-    }
-    .with_cancel_token(Arc::clone(token));
+    let budget = Budget::from_timeout_ms(q.timeout_ms.or(model.timeout_ms))
+        .with_cancel_token(Arc::clone(token));
     let key: SessionKey = (q.case.clone(), model.allow_topology_attack, q.certify);
     // Check out in a statement of its own: the cache guard must not live
     // on through a cold build, as it would as a `match` scrutinee.

@@ -63,6 +63,16 @@ impl Budget {
         Budget { deadline: Instant::now().checked_add(timeout), cancel: None }
     }
 
+    /// The budget of an optional millisecond timeout, as scenarios,
+    /// campaign jobs and serve requests carry it: unlimited for `None`,
+    /// [`Budget::with_timeout`] otherwise.
+    pub fn from_timeout_ms(timeout_ms: Option<u64>) -> Self {
+        match timeout_ms {
+            Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
+            None => Budget::unlimited(),
+        }
+    }
+
     /// Sets an absolute deadline.
     pub fn with_deadline(mut self, at: Instant) -> Self {
         self.deadline = Some(at);
@@ -131,6 +141,16 @@ mod tests {
         let b = Budget::with_timeout(Duration::ZERO);
         assert!(b.is_limited());
         assert_eq!(b.exhausted(), Some(Interrupt::Timeout));
+    }
+
+    #[test]
+    fn millisecond_timeouts_map_to_budgets() {
+        let none = Budget::from_timeout_ms(None);
+        assert!(!none.is_limited());
+        assert!(none.exhausted().is_none());
+        let zero = Budget::from_timeout_ms(Some(0));
+        assert!(zero.is_limited());
+        assert_eq!(zero.exhausted(), Some(Interrupt::Timeout));
     }
 
     #[test]

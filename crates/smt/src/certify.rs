@@ -32,6 +32,28 @@ pub enum CertifyLevel {
     Full,
 }
 
+impl CertifyLevel {
+    /// Parses the `off|models|full` spelling shared by the CLI, scenario
+    /// files and the serve protocol.
+    pub fn parse(token: &str) -> Option<CertifyLevel> {
+        match token {
+            "off" => Some(CertifyLevel::Off),
+            "models" => Some(CertifyLevel::CheckModels),
+            "full" => Some(CertifyLevel::Full),
+            _ => None,
+        }
+    }
+
+    /// The spelling [`CertifyLevel::parse`] reads back.
+    pub fn token(self) -> &'static str {
+        match self {
+            CertifyLevel::Off => "off",
+            CertifyLevel::CheckModels => "models",
+            CertifyLevel::Full => "full",
+        }
+    }
+}
+
 /// A certification failure.
 #[derive(Debug, Clone)]
 pub struct CertifyError {

@@ -62,7 +62,6 @@ pub mod json;
 pub mod lint;
 pub mod profile;
 pub mod rational;
-pub mod rng;
 pub mod sat;
 pub mod simplex;
 pub mod solver;

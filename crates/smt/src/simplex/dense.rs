@@ -34,12 +34,6 @@ impl DenseCore {
         }
     }
 
-    /// The current basic variable of each row, in row order (consumed by
-    /// the Auto-mode upgrade to seed the revised engine's basis).
-    pub(crate) fn basic_vars(&self) -> &[SVar] {
-        &self.basic
-    }
-
     /// Total number of stored tableau entries.
     pub(crate) fn tableau_entries(&self) -> usize {
         self.rows.iter().map(|r| r.len()).sum()

@@ -15,19 +15,19 @@
 //!
 //! # Backends
 //!
-//! Two interchangeable tableau engines implement the pivot mechanics behind
-//! the one public [`Simplex`] API, selected by [`SimplexMode`]:
+//! Two tableau engines implement the pivot mechanics behind the one public
+//! [`Simplex`] API:
 //!
-//! * [`SimplexMode::Dense`] — the eager tableau ([`dense`]): every row is
-//!   kept substituted at all times, pivots rewrite the whole tableau. Cheap
-//!   per-iteration bookkeeping, O(rows·cols) memory and O(n²) pivots; this
-//!   is the original engine and stays in-tree as the equivalence oracle.
-//! * [`SimplexMode::Revised`] — revised simplex on a factorized sparse
-//!   basis ([`revised`]): the constraint rows stay in their original sparse
-//!   form, the basis matrix is LU-factored (Markowitz-ordered, exact
-//!   rational arithmetic) and each pivot appends a product-form eta vector,
-//!   with FTRAN/BTRAN solves materializing only the single tableau row and
-//!   column a pivot needs.
+//! * the revised simplex on a factorized sparse basis ([`revised`]), the
+//!   one engine every production check runs, from its first row: the
+//!   constraint rows stay in their original sparse form, the basis matrix
+//!   is LU-factored (Markowitz-ordered, exact rational arithmetic) and
+//!   each pivot appends a product-form eta vector, with FTRAN/BTRAN solves
+//!   materializing only the single tableau row and column a pivot needs;
+//! * the eager dense tableau ([`dense`]), the original engine, kept only
+//!   as the equivalence oracle: every row is kept substituted at all
+//!   times and pivots rewrite the whole tableau. Tests and the scale
+//!   suite's A/B rungs reach it through [`SimplexMode::Dense`].
 //!
 //! Both backends follow the *identical* abstract trajectory — the same
 //! Bland's-rule pivot sequence over the same mathematical tableau, in exact
@@ -35,8 +35,7 @@
 //! deterministic counters (`pivots`, `bound_asserts`, `theory_checks`) are
 //! bit-for-bit equal across backends; only wall-clock observability (and
 //! the `refactorizations` counter, which is zero for the dense engine)
-//! differs. [`SimplexMode::Auto`] starts dense and upgrades to revised when
-//! the row count crosses [`REVISED_AUTO_THRESHOLD`].
+//! differs.
 
 mod dense;
 mod revised;
@@ -60,47 +59,14 @@ pub(crate) type SVar = usize;
 /// Which tableau engine a [`Simplex`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplexMode {
-    /// Start dense, upgrade to revised when the row count reaches
-    /// [`REVISED_AUTO_THRESHOLD`]. The default.
-    #[default]
-    Auto,
-    /// Always the dense eager tableau (the equivalence oracle).
+    /// The dense eager tableau: the equivalence oracle, pinned only by
+    /// tests and the scale suite's A/B rungs.
     Dense,
-    /// Always the revised simplex on a factorized sparse basis.
+    /// The revised simplex on a factorized sparse basis: the one
+    /// production engine, and the default.
+    #[default]
     Revised,
 }
-
-impl SimplexMode {
-    /// Parses the CLI spelling (`auto`, `dense`, `revised`).
-    pub fn parse(s: &str) -> Option<SimplexMode> {
-        match s {
-            "auto" => Some(SimplexMode::Auto),
-            "dense" => Some(SimplexMode::Dense),
-            "revised" => Some(SimplexMode::Revised),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SimplexMode::Auto => "auto",
-            SimplexMode::Dense => "dense",
-            SimplexMode::Revised => "revised",
-        }
-    }
-}
-
-impl std::fmt::Display for SimplexMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Row-count threshold at which [`SimplexMode::Auto`] switches from the
-/// dense tableau to the revised engine: below it the dense engine's lower
-/// constant factors win, above it the O(n²) pivot cost does.
-pub const REVISED_AUTO_THRESHOLD: usize = 256;
 
 /// Which side of a variable a bound constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +194,7 @@ enum Backend {
 
 impl Default for Backend {
     fn default() -> Self {
-        Backend::Dense(DenseCore::default())
+        Backend::Revised(RevisedCore::default())
     }
 }
 
@@ -246,33 +212,21 @@ impl Default for Backend {
 pub struct Simplex {
     shared: Shared,
     backend: Backend,
-    mode: SimplexMode,
 }
 
 impl Simplex {
-    /// Creates an empty theory solver in [`SimplexMode::Auto`].
+    /// Creates an empty theory solver on the revised engine.
     pub fn new() -> Self {
         Simplex::default()
     }
 
-    /// Creates an empty theory solver pinned to the given engine.
+    /// Creates an empty theory solver on the given engine.
     pub fn with_mode(mode: SimplexMode) -> Self {
         let backend = match mode {
-            SimplexMode::Auto | SimplexMode::Dense => Backend::Dense(DenseCore::default()),
+            SimplexMode::Dense => Backend::Dense(DenseCore::default()),
             SimplexMode::Revised => Backend::Revised(RevisedCore::default()),
         };
-        Simplex { shared: Shared::default(), backend, mode }
-    }
-
-    /// The engine-selection mode this solver was created with.
-    pub fn mode(&self) -> SimplexMode {
-        self.mode
-    }
-
-    /// True when the *current* engine is the revised one (an `Auto` solver
-    /// reports `false` until it upgrades).
-    pub fn is_revised(&self) -> bool {
-        matches!(self.backend, Backend::Revised(_))
+        Simplex { shared: Shared::default(), backend }
     }
 
     /// Number of solver variables (problem + slack).
@@ -584,24 +538,6 @@ impl Simplex {
         }
         // At root level (empty trail) bounds are permanent.
     }
-
-    fn check_internal(&mut self) -> TheoryResult {
-        // Auto mode upgrades dense → revised at a check boundary once the
-        // row count justifies factorized pivoting. The upgrade reuses the
-        // abstract state (basis + assignment) verbatim, so the trajectory
-        // is exactly what a from-scratch revised run would produce.
-        if self.mode == SimplexMode::Auto {
-            if let Backend::Dense(d) = &self.backend {
-                if self.shared.forms.len() >= REVISED_AUTO_THRESHOLD {
-                    self.backend = Backend::Revised(RevisedCore::from_basis(d.basic_vars()));
-                }
-            }
-        }
-        match &mut self.backend {
-            Backend::Dense(d) => d.check(&mut self.shared),
-            Backend::Revised(r) => r.check(&mut self.shared),
-        }
-    }
 }
 
 /// Finds the leaving candidate: the smallest-index basic variable violating
@@ -807,7 +743,10 @@ impl Theory for Simplex {
 
     fn check(&mut self) -> TheoryResult {
         let t0 = self.shared.timer_start();
-        let result = self.check_internal();
+        let result = match &mut self.backend {
+            Backend::Dense(d) => d.check(&mut self.shared),
+            Backend::Revised(r) => r.check(&mut self.shared),
+        };
         self.shared.check_time += self.shared.timer_since(t0);
         result
     }

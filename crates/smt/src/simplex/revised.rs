@@ -72,20 +72,6 @@ fn fail(e: LuError) -> TheoryResult {
 }
 
 impl RevisedCore {
-    /// Seeds a revised core from an existing basis header (the Auto-mode
-    /// upgrade path: the dense engine's rows are discarded, its basis and
-    /// the shared assignment carry over verbatim).
-    pub(crate) fn from_basis(basic: &[SVar]) -> RevisedCore {
-        let mut core = RevisedCore { basis: basic.to_vec(), stale: true, ..Default::default() };
-        for (pos, &v) in basic.iter().enumerate() {
-            if core.pos_of.len() <= v {
-                core.pos_of.resize(v + 1, None);
-            }
-            core.pos_of[v] = Some(pos);
-        }
-        core
-    }
-
     /// Grows the per-variable tables to cover `n` solver variables.
     fn ensure_vars(&mut self, n: usize) {
         if self.pos_of.len() < n {

@@ -199,22 +199,15 @@ fn revised_zero_budget_interrupts_and_core_stays_warm() {
     assert_eq!(simplex.check(), TheoryResult::Ok);
 }
 
-/// Auto mode starts dense and stays dense below the row threshold.
+/// `Simplex::new()` runs the revised engine from its first row: the
+/// first check factors the basis, and no check switches engines.
 #[test]
-fn auto_mode_stays_dense_below_threshold() {
+fn new_simplex_runs_revised_from_its_first_row() {
     let mut simplex = Simplex::new();
-    assert_eq!(simplex.mode(), SimplexMode::Auto);
+    assert!(matches!(simplex.backend, Backend::Revised(_)));
     let form = LinExpr::var(RealVar(0)) + LinExpr::var(RealVar(1));
     let _ = simplex.var_for_form(&form);
     assert_eq!(simplex.check(), TheoryResult::Ok);
-    assert!(!simplex.is_revised());
-}
-
-#[test]
-fn simplex_mode_parses_cli_spellings() {
-    assert_eq!(SimplexMode::parse("auto"), Some(SimplexMode::Auto));
-    assert_eq!(SimplexMode::parse("dense"), Some(SimplexMode::Dense));
-    assert_eq!(SimplexMode::parse("revised"), Some(SimplexMode::Revised));
-    assert_eq!(SimplexMode::parse("fancy"), None);
-    assert_eq!(SimplexMode::Revised.as_str(), "revised");
+    assert!(matches!(simplex.backend, Backend::Revised(_)));
+    assert_eq!(simplex.refactorizations(), 1);
 }

@@ -352,8 +352,9 @@ pub struct Solver {
     /// Persistent core for [`Solver::check_assuming`]; built lazily,
     /// dropped on encode interrupts and mode/certification flips.
     live: Option<Core>,
-    /// Which simplex engine checks use (see [`SimplexMode`]). Applied when
-    /// a template or live core is built; changing it drops both.
+    /// Which simplex engine checks use: revised, unless a test pins the
+    /// dense oracle. Applied when a template or live core is built;
+    /// changing it drops both.
     simplex_mode: SimplexMode,
     /// The single time source for every per-check wall clock in
     /// [`SolverStats`] (tests inject a fake; see [`crate::profile`]).
@@ -378,7 +379,7 @@ impl Default for Solver {
             budget: Budget::default(),
             template: None,
             live: None,
-            simplex_mode: SimplexMode::Auto,
+            simplex_mode: SimplexMode::default(),
             clock: Clock::default(),
             profiler: None,
             progress: false,
@@ -492,24 +493,19 @@ impl Solver {
         self.certify = level;
     }
 
-    /// Chooses the simplex engine for subsequent checks: `Auto` (the
-    /// default) starts dense and upgrades to the revised engine once the
-    /// tableau crosses the size threshold, `Dense`/`Revised` pin one
-    /// backend. Both engines replay identical pivot trajectories over
-    /// exact rationals, so answers, models and deterministic counters do
-    /// not depend on the mode. Changing the mode drops the template and
-    /// the persistent core (they embed a simplex built in the old mode).
+    /// Pins the simplex engine for subsequent checks. Every production
+    /// check runs the revised engine (the default); tests and the scale
+    /// suite pin [`SimplexMode::Dense`] to reach the dense oracle. Both
+    /// engines replay identical pivot trajectories over exact rationals,
+    /// so answers, models and deterministic counters do not depend on the
+    /// mode. Changing the mode drops the template and the persistent core
+    /// (they embed a simplex built in the old mode).
     pub fn set_simplex_mode(&mut self, mode: SimplexMode) {
         if self.simplex_mode != mode {
             self.simplex_mode = mode;
             self.template = None;
             self.live = None;
         }
-    }
-
-    /// The configured simplex engine mode.
-    pub fn simplex_mode(&self) -> SimplexMode {
-        self.simplex_mode
     }
 
     /// Sets the budget applied to every subsequent check. The default is
@@ -1537,8 +1533,8 @@ mod tests {
             let search = spans.iter().find(|n| n.name == "search").expect("search span");
             let leaf = |name| search.children.iter().find(|n| n.name == name);
             let simplex = leaf("simplex").expect("simplex leaf");
-            assert!(stats.metrics.theory_checks > 1, "{mode}");
-            assert_eq!(simplex.count, stats.metrics.theory_checks, "{mode}");
+            assert!(stats.metrics.theory_checks > 1, "{mode:?}");
+            assert_eq!(simplex.count, stats.metrics.theory_checks, "{mode:?}");
             let factor = match (mode, leaf("simplex-factor")) {
                 (SimplexMode::Revised, Some(f)) => {
                     assert!(stats.timings.refactorizations > 0);
@@ -1546,12 +1542,12 @@ mod tests {
                     f.inclusive
                 }
                 (SimplexMode::Dense, None) => Duration::ZERO,
-                (_, f) => panic!("{mode}: unexpected factor leaf {f:?}"),
+                (_, f) => panic!("{mode:?}: unexpected factor leaf {f:?}"),
             };
             let core = &s.live.as_ref().expect("live core").simplex;
-            assert_eq!(factor, core.factor_time(), "{mode}");
-            assert_eq!(simplex.inclusive + factor, core.check_time(), "{mode}");
-            assert!(simplex.inclusive + factor <= search.inclusive, "{mode}");
+            assert_eq!(factor, core.factor_time(), "{mode:?}");
+            assert_eq!(simplex.inclusive + factor, core.check_time(), "{mode:?}");
+            assert!(simplex.inclusive + factor <= search.inclusive, "{mode:?}");
         }
     }
 

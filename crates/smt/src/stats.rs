@@ -189,32 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_metrics_carry_counters_but_never_wall_clock() {
-        let mut s = SolverStats::default();
-        s.metrics.clauses = 9;
-        s.metrics.decisions = 4;
-        s.metrics.pivots = 2;
-        s.metrics.bound_asserts = 11;
-        s.metrics.theory_checks = 3;
-        s.timings.cache_hits = 1;
-        s.timings.encode = Duration::from_millis(5);
-        s.timings.search = Duration::from_millis(7);
-        let m = s.metrics;
-        assert_eq!(m.clauses, 9);
-        assert_eq!(m.decisions, 4);
-        assert_eq!(m.pivots, 2);
-        assert_eq!(m.bound_asserts, 11);
-        assert_eq!(m.theory_checks, 3);
-        // Wall clock and cache behavior live only in the timings struct.
-        assert!(!m.to_json().contains("_ms"));
-        assert!(!m.to_json().contains("cache"));
-        let t = s.timings;
-        assert_eq!(t.encode, Duration::from_millis(5));
-        assert_eq!(t.search, Duration::from_millis(7));
-        assert_eq!((t.cache_hits, t.cache_misses), (1, 0));
-    }
-
-    #[test]
     fn display_shows_certification_and_lint() {
         let mut s = SolverStats::default();
         s.certified = true;

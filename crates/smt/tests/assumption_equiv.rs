@@ -9,8 +9,8 @@
 //! either solver) must satisfy the active assertions and the assumptions,
 //! and under `CertifyLevel::Full` every answer must certify.
 
+use sta_linalg::rng::Pcg32;
 use sta_smt::rational::Rational;
-use sta_smt::rng::Pcg32;
 use sta_smt::{
     BoolVar, CertifyError, CertifyLevel, CmpOp, Formula, LinExpr, Model, RealVar, SatResult, Solver,
 };

@@ -8,8 +8,8 @@
 //! procedure. The SMT solver must agree on satisfiability, and when it
 //! answers sat, its model must actually satisfy every assertion.
 
+use sta_linalg::rng::Pcg32;
 use sta_smt::rational::Rational;
-use sta_smt::rng::Pcg32;
 use sta_smt::{CmpOp, Formula, LinExpr, RealVar, Solver};
 
 /// One linear constraint `Σ coeffs·x ⋈ rhs` with ⋈ ∈ {≤, <}.

@@ -2,7 +2,7 @@
 //! against brute force, push/pop stack discipline, and deep formula
 //! structure.
 
-use sta_smt::rng::Pcg32;
+use sta_linalg::rng::Pcg32;
 use sta_smt::{BoolVar, Formula, LinExpr, LinExprCmp, Solver};
 
 /// Brute-force: does any assignment of `n` Booleans with exactly the

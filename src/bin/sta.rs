@@ -87,10 +87,10 @@ use sta::core::analytics::ThreatAnalyzer;
 use sta::core::attack::{AttackModel, AttackOutcome, AttackVerifier, StateTarget};
 use sta::core::synthesis::{SynthesisConfig, Synthesizer};
 use sta::core::{scenario, validation};
-use sta::grid::{caseformat, ieee14, synthetic, TestSystem};
+use sta::grid::{caseformat, TestSystem};
 use sta::smt::{
     phase_events, render_spans, CertifyLevel, JsonlSink, PhaseMetrics, PhaseTimings, Profiler,
-    SharedSink, SimplexMode, TraceEvent, TraceSink,
+    SharedSink, TraceEvent, TraceSink,
 };
 use std::fs::File;
 use std::io::BufWriter;
@@ -164,16 +164,15 @@ fn print_metrics(metrics: &PhaseMetrics, timings: &PhaseTimings) {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sta case <name>\n  sta verify <case> <scenario> [--certify off|models|full] \
-         [--simplex auto|dense|revised] [--timeout-ms MS] \
-         [--trace FILE] [--metrics]\n  \
-         sta replay <case> <scenario> [--certify off|models|full] [--simplex auto|dense|revised] \
+         [--timeout-ms MS] [--trace FILE] [--metrics]\n  \
+         sta replay <case> <scenario> [--certify off|models|full] \
          [--timeout-ms MS]\n  sta assess <case>\n  \
          sta synthesize <case> <scenario> --budget N \
          [--reference-secured] [--measurements] [--paper-blocking] [--certify off|models|full] \
-         [--simplex auto|dense|revised] [--trace FILE] [--metrics]\n  \
+         [--trace FILE] [--metrics]\n  \
          sta campaign [<case>] [--jobs N] [--timeout-ms MS] [--certify off|models|full] \
          [--topology] [--force-timeout] [--out FILE] [--strip-timing] \
-         [--simplex auto|dense|revised] [--trace FILE] [--metrics] [--profile]\n  \
+         [--trace FILE] [--metrics] [--profile]\n  \
          sta bench [--suite smoke|sweep|cegis|serve|scale|fig4|fig5|table4|ablation] \
          [--reps N] [--jobs N] [--out FILE] [--baseline FILE] [--against FILE] [--threshold PCT]\n  \
          sta serve --listen <path|host:port> [--jobs N] [--max-sessions K] \
@@ -193,24 +192,13 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_simplex(v: &str) -> Result<SimplexMode, String> {
-    SimplexMode::parse(v)
-        .ok_or_else(|| format!("--simplex needs auto|dense|revised, got {v:?}"))
-}
-
 fn parse_certify(v: &str) -> Result<CertifyLevel, String> {
-    match v {
-        "off" => Ok(CertifyLevel::Off),
-        "models" => Ok(CertifyLevel::CheckModels),
-        "full" => Ok(CertifyLevel::Full),
-        other => Err(format!("--certify needs off|models|full, got {other:?}")),
-    }
+    CertifyLevel::parse(v).ok_or_else(|| format!("--certify needs off|models|full, got {v:?}"))
 }
 
 /// Trailing flags of `verify` (and, minus observability, `replay`).
 struct VerifyFlags {
     certify: CertifyLevel,
-    simplex: SimplexMode,
     timeout_ms: Option<u64>,
     trace: Option<String>,
     metrics: bool,
@@ -218,14 +206,12 @@ struct VerifyFlags {
 }
 
 /// Parses the trailing flags verify/replay accept: `--certify`,
-/// `--simplex` (engine A/B switch; verdicts never depend on it),
 /// `--timeout-ms` (a CLI-level deadline overriding the scenario file's
 /// own `timeout-ms`), and — when `observability` is allowed — `--trace`,
 /// `--metrics`, and `--profile`.
 fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, String> {
     let mut flags = VerifyFlags {
         certify: CertifyLevel::Off,
-        simplex: SimplexMode::Auto,
         timeout_ms: None,
         trace: None,
         metrics: false,
@@ -237,10 +223,6 @@ fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, Str
             "--certify" => {
                 let v = it.next().ok_or("--certify needs a value")?;
                 flags.certify = parse_certify(v)?;
-            }
-            "--simplex" => {
-                let v = it.next().ok_or("--simplex needs a value")?;
-                flags.simplex = parse_simplex(v)?;
             }
             "--timeout-ms" => {
                 let v = it.next().ok_or("--timeout-ms needs a value")?;
@@ -259,23 +241,6 @@ fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, Str
     Ok(flags)
 }
 
-fn load_case(spec: &str) -> Result<TestSystem, String> {
-    match spec {
-        "ieee14" => return Ok(ieee14::system()),
-        "ieee14-unsecured" => return Ok(ieee14::system_unsecured()),
-        "ieee30" => return Ok(synthetic::ieee_case(30)),
-        "ieee57" => return Ok(synthetic::ieee_case(57)),
-        "ieee118" => return Ok(synthetic::ieee_case(118)),
-        "ieee300" => return Ok(synthetic::ieee_case(300)),
-        "ieee1354" => return Ok(synthetic::ieee_case(1354)),
-        "ieee2000" => return Ok(synthetic::ieee_case(2000)),
-        _ => {}
-    }
-    let text = std::fs::read_to_string(spec)
-        .map_err(|e| format!("cannot read case file {spec:?}: {e}"))?;
-    caseformat::parse(&text).map_err(|e| e.to_string())
-}
-
 fn load_scenario(spec: &str, sys: &TestSystem) -> Result<AttackModel, String> {
     if spec == "-" {
         return Ok(AttackModel::new(sys.grid.num_buses()));
@@ -288,7 +253,7 @@ fn load_scenario(spec: &str, sys: &TestSystem) -> Result<AttackModel, String> {
 
 fn cmd_case(args: &[String]) -> Result<ExitCode, String> {
     let name = args.first().ok_or("missing case name")?;
-    let sys = load_case(name)?;
+    let sys = caseformat::load(name)?;
     print!("{}", caseformat::write(&sys));
     Ok(ExitCode::SUCCESS)
 }
@@ -296,15 +261,14 @@ fn cmd_case(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let (case, scen) = two(args)?;
     let flags = verify_flags(&args[2..], true)?;
-    let sys = load_case(&case)?;
+    let sys = caseformat::load(&case)?;
     let mut model = load_scenario(&scen, &sys)?;
     if flags.timeout_ms.is_some() {
         model.timeout_ms = flags.timeout_ms;
     }
     let mut verifier = AttackVerifier::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(flags.certify)
-        .with_simplex(flags.simplex);
+        .with_certify(flags.certify);
     let profiler = flags.profile.then(Profiler::new);
     if let Some(p) = &profiler {
         verifier = verifier.with_profiler(p.clone());
@@ -351,15 +315,14 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     let (case, scen) = two(args)?;
     let flags = verify_flags(&args[2..], false)?;
-    let sys = load_case(&case)?;
+    let sys = caseformat::load(&case)?;
     let mut model = load_scenario(&scen, &sys)?;
     if flags.timeout_ms.is_some() {
         model.timeout_ms = flags.timeout_ms;
     }
     let verifier = AttackVerifier::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(flags.certify)
-        .with_simplex(flags.simplex);
+        .with_certify(flags.certify);
     match verifier.verify(&model) {
         AttackOutcome::Feasible(v) => {
             println!("attack: {v}");
@@ -385,7 +348,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
     let case = args.first().ok_or("missing case")?;
-    let sys = load_case(case)?;
+    let sys = caseformat::load(case)?;
     let assessment = ThreatAnalyzer::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
         .assess();
@@ -395,14 +358,13 @@ fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
     let (case, scen) = two(args)?;
-    let sys = load_case(&case)?;
+    let sys = caseformat::load(&case)?;
     let model = load_scenario(&scen, &sys)?;
     let mut budget: Option<usize> = None;
     let mut reference_secured = false;
     let mut measurements = false;
     let mut paper_blocking = false;
     let mut certify = CertifyLevel::Off;
-    let mut simplex = SimplexMode::Auto;
     let mut trace: Option<String> = None;
     let mut metrics = false;
     let mut profile = false;
@@ -420,10 +382,6 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--certify needs a value")?;
                 certify = parse_certify(v)?;
             }
-            "--simplex" => {
-                let v = it.next().ok_or("--simplex needs a value")?;
-                simplex = parse_simplex(v)?;
-            }
             "--trace" => {
                 trace = Some(it.next().ok_or("--trace needs a file")?.clone());
             }
@@ -440,8 +398,7 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut synth = Synthesizer::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(certify)
-        .with_simplex(simplex);
+        .with_certify(certify);
     let profiler = profile.then(Profiler::new);
     if let Some(p) = &profiler {
         synth = synth.with_profiler(p.clone());
@@ -517,17 +474,12 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let mut force_timeout = false;
     let mut out_file: Option<String> = None;
     let mut strip_timing = false;
-    let mut simplex = SimplexMode::Auto;
     let mut trace: Option<String> = None;
     let mut metrics = false;
     let mut profile = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--simplex" => {
-                let v = it.next().ok_or("--simplex needs a value")?;
-                simplex = parse_simplex(v)?;
-            }
             "--trace" => {
                 trace = Some(it.next().ok_or("--trace needs a file")?.clone());
             }
@@ -561,7 +513,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             name => case_name = name.to_string(),
         }
     }
-    let sys = load_case(&case_name)?;
+    let sys = caseformat::load(&case_name)?;
     let num_buses = sys.grid.num_buses();
     let mut spec = CampaignSpec::standard_sweep(&case_name, sys);
     if topology {
@@ -585,7 +537,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     if let Some(ms) = timeout_ms {
         spec = spec.with_timeout_ms(ms);
     }
-    spec = spec.with_certify(certify).with_simplex(simplex);
+    spec = spec.with_certify(certify);
     let sink = match &trace {
         Some(path) => Some(SharedSink::new(Box::new(open_trace(path)?))),
         None => None,
@@ -875,12 +827,7 @@ fn client_query_line(op: &str, args: &[String]) -> Result<String, String> {
         match flag.as_str() {
             "--certify" => {
                 let level = parse_certify(it.next().ok_or("--certify needs a value")?)?;
-                let token = match level {
-                    CertifyLevel::Off => "off",
-                    CertifyLevel::CheckModels => "models",
-                    CertifyLevel::Full => "full",
-                };
-                let _ = write!(line, ",\"certify\":\"{token}\"");
+                let _ = write!(line, ",\"certify\":\"{}\"", level.token());
             }
             "--timeout-ms" => {
                 let v = it.next().ok_or("--timeout-ms needs a value")?;

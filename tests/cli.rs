@@ -120,6 +120,10 @@ fn bad_inputs_give_errors() {
     assert_eq!(out.status.code(), Some(2));
     let out = sta(&["synthesize", "ieee14", "-"]);
     assert_eq!(out.status.code(), Some(2)); // missing --budget
+    // One simplex engine: the old engine switch is an unknown flag.
+    let out = sta(&["verify", "ieee14", "-", "--simplex", "dense"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--simplex\""));
 }
 
 /// Regression: a case whose in-service lines island the grid has no DC

@@ -19,8 +19,8 @@
 //! cargo test -q --release --test rational_equiv -- --ignored
 //! ```
 
+use sta::linalg::rng::Pcg32;
 use sta::smt::bigint::BigInt;
-use sta::smt::rng::Pcg32;
 use sta::smt::{DeltaRational, Rational};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

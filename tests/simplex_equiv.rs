@@ -10,6 +10,7 @@
 //! and exercise the revised engine's new interruption points (factor,
 //! FTRAN/BTRAN, eta application) against a warm session core.
 
+use sta::campaign::{run, CampaignSpec};
 use sta::core::attack::{
     AttackModel, AttackOutcome, AttackVerifier, StateTarget, VerifySession,
 };
@@ -116,11 +117,7 @@ fn certified_runs_agree_across_engines() {
                     .with_certify(CertifyLevel::Full)
                     .with_simplex(mode)
                     .verify_with_stats(&model);
-                assert!(
-                    report.stats.certified,
-                    "{label}: {} run not certified",
-                    mode.as_str()
-                );
+                assert!(report.stats.certified, "{label}: {mode:?} run not certified");
                 assert_eq!(report.stats.lint_errors, 0, "{label}");
             }
         }
@@ -169,27 +166,46 @@ fn zero_budget_interrupts_without_poisoning_the_warm_core() {
     }
 }
 
-/// `Auto` mode must agree with both pinned engines — whichever side of
-/// the row-count threshold a case lands on.
+/// The unpinned default engine must agree with the dense oracle on both
+/// sides of the old 256-row engine switch (14 and 118 buses).
 #[test]
-fn auto_mode_agrees_with_pinned_engines() {
+fn default_engine_agrees_with_the_dense_oracle() {
     for &b in &[14usize, 118] {
         let sys = system_for(b);
         let model = AttackModel::new(b).target(BusId(b / 2), StateTarget::MustChange);
-        let auto = AttackVerifier::new(&sys)
-            .unwrap()
-            .with_simplex(SimplexMode::Auto)
-            .verify_with_stats(&model);
+        let default = AttackVerifier::new(&sys).unwrap().verify_with_stats(&model);
         let dense = AttackVerifier::new(&sys)
             .unwrap()
             .with_simplex(SimplexMode::Dense)
             .verify_with_stats(&model);
         let (AttackOutcome::Feasible(wa), AttackOutcome::Feasible(wd)) =
-            (&auto.outcome, &dense.outcome)
+            (&default.outcome, &dense.outcome)
         else {
-            panic!("case {b}: expected feasible under both modes");
+            panic!("case {b}: expected feasible under both engines");
         };
-        assert_eq!(wa, wd, "case {b}: auto mode diverged");
-        assert_eq!(auto.stats.metrics.pivots, dense.stats.metrics.pivots, "case {b}");
+        assert_eq!(wa, wd, "case {b}: the default engine diverged");
+        assert_eq!(default.stats.metrics.pivots, dense.stats.metrics.pivots, "case {b}");
     }
+}
+
+/// The certified 14-bus sweep with one forced-timeout job, on 4 workers,
+/// writes byte-identical timing-stripped reports on the dense oracle and
+/// on the default engine: the revised engine replays the dense pivot
+/// trajectory exactly, so only the clock may differ.
+#[test]
+fn campaign_reports_are_byte_identical_across_engines() {
+    let mut spec = CampaignSpec::standard_sweep("ieee14", ieee14::system());
+    let doomed = spec.verify(0, "forced-timeout", AttackModel::new(14));
+    spec.set_job_timeout_ms(doomed, 0);
+    let spec = spec.with_certify(CertifyLevel::Full);
+    let dense = run(&spec.clone().with_simplex(SimplexMode::Dense), 4);
+    let default = run(&spec, 4);
+    for report in [&dense, &default] {
+        assert!(report.results[doomed].verdict.is_unknown(), "forced job must be unknown");
+    }
+    assert_eq!(
+        dense.to_json(false),
+        default.to_json(false),
+        "timing-stripped campaign reports differ between the dense oracle and the default engine"
+    );
 }

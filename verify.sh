@@ -18,10 +18,11 @@
 #      its --trace JSONL must be well-formed with non-zero phase counters;
 #      on machines with >= 4 CPUs the 4-worker run must also be >= 2x
 #      faster than the 1-worker run
-#   6. engine equivalence: the same campaign pinned to `--simplex dense`
-#      and `--simplex revised` must produce byte-identical timing-stripped
-#      reports — the revised engine replays the dense pivot trajectory
-#      exactly, so only the clock may differ
+#   6. (moved into step 1) engine equivalence: the certified 14-bus
+#      sweep with a forced timeout, pinned to the dense oracle and on the
+#      default (revised) engine, must produce byte-identical
+#      timing-stripped reports; it is now the tier-1 test
+#      tests/simplex_equiv.rs::campaign_reports_are_byte_identical_across_engines
 #   7. bench smoke: `sta bench --reps 1` must emit a schema-valid
 #      sta-bench/v1 trajectory point, and the deterministic self-diff
 #      (--baseline F --against F) must exit 0 for both the fresh point
@@ -58,7 +59,7 @@
 #      for S = fig4, fig5, table4 and ablation (the paper's Fig. 4,
 #      Fig. 5 and Table IV, and this reproduction's ablation) must each
 #      exit 0, which means every verdict the paper's set-up pins held,
-#      and write a schema-valid sta-bench/v1 file. About 31 s, 28 s of
+#      and write a schema-valid sta-bench/v1 file. About 25 s, 22 s of
 #      it the one Fig. 4(c) job at 30 buses and T_CZ = 16
 #  14. simplex attribution (right before step 10): `sta verify` of the
 #      blocked `max-measurements 0` scenario on ieee1354 and ieee2000
@@ -192,29 +193,6 @@ cmp -s "$report1" "$report4" || {
     exit 1
 }
 
-echo "==> engine equivalence: --simplex dense/revised stripped reports must match"
-report_dense="$(mktemp)" report_revised="$(mktemp)"
-trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_dense" \
-     "$report_revised"' EXIT
-for engine in dense revised; do
-    status=0
-    ./target/release/sta campaign ieee14 --jobs 4 --certify full --force-timeout \
-        --simplex "$engine" --out "$(eval echo "\$report_$engine")" \
-        --strip-timing >/dev/null || status=$?
-    if [ "$status" -ne 3 ]; then
-        echo "expected exit 3 from the --simplex $engine run, got exit $status" >&2
-        exit 1
-    fi
-done
-cmp -s "$report_dense" "$report_revised" || {
-    echo "timing-stripped campaign reports differ between --simplex dense and revised" >&2
-    exit 1
-}
-cmp -s "$report4" "$report_revised" || {
-    echo "pinned-engine stripped report differs from the default (auto) run" >&2
-    exit 1
-}
-
 if [ "$(nproc)" -ge 4 ]; then
     echo "==> campaign speedup: --jobs 4 must halve the 32-job sweep wall clock"
     t1_start=$(date +%s%N)
@@ -258,8 +236,7 @@ done
 echo "==> serve smoke: warm session cache over a unix socket"
 sockdir="$(mktemp -d)"
 serve_pid=""
-trap 'rm -f "$scenario" "$report1" "$report4" "$trace4" "$report_dense" \
-     "$report_revised"; \
+trap 'rm -f "$scenario" "$report1" "$report4" "$trace4"; \
      [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; \
      rm -rf "$sockdir"; true' EXIT
 sock="$sockdir/sta-serve-ci.sock"
