@@ -269,10 +269,11 @@ const POLL_INVENTORY: &[PollSite] = &[
     ("smt/src/simplex/dense.rs", "if limited && iters & 15 == 0 && sh.budget.exhausted().is_some() {"),
     ("smt/src/simplex/revised.rs", "let mut poll = move || kernel_limited && kernel_budget.exhausted().is_some();"),
     ("smt/src/simplex/revised.rs", "if limited && iters & 15 == 0 && sh.budget.exhausted().is_some() {"),
-    // cnf.rs: the encoder's own poll helper plus its five recursion-depth
-    // call sites (the PR 3 fix).
+    // cnf.rs: the encoder's own poll helper plus its four call sites —
+    // `encode`'s recursion, the `k = 0` unit loops of the asserted and
+    // the defined at-most-k, and the sequential counter's row loop (the
+    // PR 3 fix).
     ("smt/src/cnf.rs", "if let Some(why) = self.budget.exhausted() {"),
-    ("smt/src/cnf.rs", "self.poll()?;"),
     ("smt/src/cnf.rs", "self.poll()?;"),
     ("smt/src/cnf.rs", "self.poll()?;"),
     ("smt/src/cnf.rs", "self.poll()?;"),

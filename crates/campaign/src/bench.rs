@@ -386,8 +386,9 @@ pub struct BenchResult {
     pub latency: Vec<(&'static str, LatencyHistogram)>,
 }
 
-/// Median of a slice of samples (even lengths average the middle pair).
-fn median(samples: &mut [u64]) -> u64 {
+/// Median of a slice of samples (even lengths average the middle pair,
+/// rounding down, without overflow); 0 for no samples. Sorts `samples`.
+pub fn median(samples: &mut [u64]) -> u64 {
     if samples.is_empty() {
         return 0;
     }

@@ -16,12 +16,17 @@
 //!   [`CampaignReport`] whose JSON form — per-job phase counters and
 //!   their campaign-wide rollup included — is byte-identical across
 //!   worker counts once the `timing` keys are stripped;
-//! * [`run_traced`] additionally streams [`sta_smt::TraceEvent`]s into a
+//! * [`run_with`] additionally streams [`sta_smt::TraceEvent`]s into a
 //!   shared sink as jobs finish (the `--trace` JSONL backend).
 //!
 //! The `sta campaign` CLI subcommand and every `sta bench` suite,
 //! the paper's evaluation ([`paper`]) included, are thin builders over
-//! this crate.
+//! this crate. Its job types are also the one outcome model of every
+//! front end: `sta verify`/`replay`/`synthesize` and `sta serve` build
+//! a [`JobResult`] through [`JobResult::verified`] or
+//! [`JobResult::synthesized`], and [`Verdict`] holds the one table of
+//! verdict tokens and exit codes that the report, the traces, the serve
+//! replies and `sta client` read.
 //!
 //! [`base encoding`]: sta_core::attack::VerifySession
 //!
@@ -54,6 +59,6 @@ pub mod spec;
 
 pub use bench::{BenchDiff, BenchEnv, BenchResult, JobMeasurement};
 pub use histogram::LatencyHistogram;
-pub use pool::{run, run_traced, run_with, RunOptions, ServicePool, SubmitError};
+pub use pool::{run, run_with, RunOptions, ServicePool, SubmitError};
 pub use report::{CampaignReport, JobResult, Verdict};
 pub use spec::{CampaignSpec, CaseSpec, JobKind, JobSpec};

@@ -31,22 +31,23 @@
 //!
 //! # Deadlines
 //!
-//! A verification job's deadline becomes a [`Budget`] polled in every
-//! solver phase — Tseitin/cardinality encoding, the CDCL conflict and
-//! decision loops, and the simplex pivot loop — so an exhausted budget
-//! surfaces as `unknown(timeout)` rather than a hung worker, even when
-//! the job never leaves the encoding phase. Synthesis
-//! jobs apply the deadline to each embedded verification check (the
-//! CEGIS loop re-checks feasibility many times; a per-check deadline
-//! bounds each step, and a timed-out check ends the job as
-//! `inconclusive`).
+//! A job's deadline is its own, else the campaign's, else its scenario's
+//! `timeout-ms` ([`sta_core::attack::AttackModel::deadline_ms`], the rule
+//! every front end applies). A verification job's deadline becomes a
+//! [`Budget`] polled in every solver phase — Tseitin/cardinality
+//! encoding, the CDCL conflict and decision loops, and the simplex pivot
+//! loop — so an exhausted budget surfaces as `unknown(timeout)` rather
+//! than a hung worker, even when the job never leaves the encoding
+//! phase. Synthesis jobs apply the deadline to each embedded
+//! verification check (the CEGIS loop re-checks feasibility many times;
+//! a per-check deadline bounds each step, and a timed-out check ends the
+//! job as `inconclusive`).
 
 use crate::report::{CampaignReport, JobResult, Verdict};
 use crate::spec::{CampaignSpec, JobKind};
-use sta_core::attack::{AttackOutcome, AttackVerifier, VerifySession};
-use sta_core::synthesis::{Synthesizer, SynthesisOutcome};
-use sta_estimator::PowerFlowError;
-use sta_smt::{flatten_spans, phase_events, Budget, Clock, Profiler, SharedSink, TraceEvent};
+use sta_core::attack::{AttackVerifier, VerifySession};
+use sta_core::synthesis::Synthesizer;
+use sta_smt::{Budget, Clock, Profiler, SharedSink, TraceEvent};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -65,12 +66,9 @@ pub struct RunOptions {
     pub clock: Clock,
     /// Attach a span profiler to every job, collecting per-job
     /// encode/search/simplex (and CEGIS iterate/select) span trees into
-    /// [`JobResult::spans`].
+    /// [`JobResult::spans`]; profiled checks also sample their progress
+    /// (see [`sta_smt::ProgressSample`]).
     pub profile: bool,
-    /// Enable sampled solver progress timelines on verification jobs
-    /// (conflict/restart/pivot rates over the search; see
-    /// [`sta_smt::ProgressSample`]).
-    pub progress: bool,
     /// Emit a campaign-level [`TraceEvent::Heartbeat`] into the trace
     /// sink at this cadence while jobs run (one is always emitted
     /// immediately at run start so even sub-period campaigns show
@@ -96,25 +94,16 @@ pub fn run(spec: &CampaignSpec, workers: usize) -> CampaignReport {
     run_with(spec, &RunOptions::with_workers(workers), None)
 }
 
-/// Like [`run`], additionally streaming [`TraceEvent`]s into `sink` as
-/// jobs complete (the `--trace` JSONL backend).
+/// The fully-optioned engine entry point: worker count, clock injection
+/// and span profiling (see [`RunOptions`]), plus an optional trace sink
+/// streaming [`TraceEvent`]s as jobs complete (the `--trace` JSONL
+/// backend).
 ///
-/// Each finished job's events — `job-start`, three `phase` records, and
-/// `job-end` — are emitted in one batch so they stay contiguous in the
-/// stream; the relative order of *different* jobs follows completion and
-/// is therefore nondeterministic, like every other timing-class quantity.
-/// The report itself is identical to [`run`]'s.
-pub fn run_traced(
-    spec: &CampaignSpec,
-    workers: usize,
-    sink: Option<&SharedSink>,
-) -> CampaignReport {
-    run_with(spec, &RunOptions::with_workers(workers), sink)
-}
-
-/// The fully-optioned engine entry point: worker count, clock injection,
-/// span profiling, and progress sampling (see [`RunOptions`]), plus an
-/// optional trace sink.
+/// Each finished job's events ([`JobResult::job_events`]) are emitted in
+/// one batch so they stay contiguous in the stream; the relative order of
+/// *different* jobs follows completion and is therefore
+/// nondeterministic, like every other timing-class quantity. The report
+/// itself is identical to [`run`]'s.
 pub fn run_with(
     spec: &CampaignSpec,
     options: &RunOptions,
@@ -178,7 +167,7 @@ pub fn run_with(
                     while let Some(job) = next_job(queues, w) {
                         let result = execute(spec, job, w, &mut sessions, options);
                         if let Some(sink) = sink {
-                            sink.emit_all(&job_events(&result));
+                            sink.emit_all(&result.job_events());
                         }
                         finished.fetch_add(1, Ordering::Relaxed);
                         done.push(result);
@@ -223,45 +212,6 @@ pub fn run_with(
     report
 }
 
-/// The trace-event batch of one finished job: `job-start`, a `phase`
-/// record per phase (with wall clock where tracked), `job-end`.
-fn job_events(result: &JobResult) -> Vec<TraceEvent> {
-    let mut events = vec![TraceEvent::JobStart {
-        job: result.id,
-        label: result.label.clone(),
-        case: result.case.clone(),
-    }];
-    if let (Some(metrics), Some(timings)) = (&result.metrics, &result.phase_wall) {
-        events.extend(phase_events(result.id, metrics, timings));
-    }
-    if let Some(spans) = &result.spans {
-        for (path, node) in flatten_spans(spans) {
-            events.push(TraceEvent::Span {
-                job: result.id,
-                path,
-                count: node.count,
-                incl_us: node.inclusive.as_micros() as u64,
-                excl_us: node.exclusive().as_micros() as u64,
-            });
-        }
-    }
-    if let Some(stats) = &result.stats {
-        for sample in &stats.progress {
-            events.push(TraceEvent::Progress {
-                job: result.id,
-                at_us: sample.at.as_micros() as u64,
-                counters: sample.counters(),
-            });
-        }
-    }
-    events.push(TraceEvent::JobEnd {
-        job: result.id,
-        verdict: result.verdict.token().to_string(),
-        wall_us: result.wall.as_micros() as u64,
-    });
-    events
-}
-
 /// Locks a mutex, shrugging off poisoning: a panicking sibling worker
 /// already propagates through the thread scope, and job results are
 /// append-only, so the guarded data is never half-updated.
@@ -294,7 +244,7 @@ fn execute(
 ) -> JobResult {
     let job = &spec.jobs[job_id];
     let case = &spec.cases[job.case];
-    let timeout = spec.effective_timeout_ms(job);
+    let caller_ms = spec.effective_timeout_ms(job);
     // One clock read per boundary: the job wall is `end − started`, never
     // a second `elapsed()` that could disagree with other readings taken
     // for the same row.
@@ -304,101 +254,47 @@ fn execute(
     let profiler = options
         .profile
         .then(|| Profiler::with_clock(options.clock.clone()));
-    let mut result = JobResult {
-        id: job_id,
-        label: job.label.clone(),
-        case: case.name.clone(),
-        verdict: Verdict::Unsat,
-        witness: None,
-        architecture: None,
-        iterations: None,
-        stats: None,
-        metrics: None,
-        phase_wall: None,
-        spans: None,
-        wall: Duration::ZERO,
-        worker,
-    };
-    match &job.kind {
+    let ran = match &job.kind {
         JobKind::Verify(model) => {
-            let key = (job.case, model.allow_topology_attack);
-            let session = match sessions.entry(key) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => match AttackVerifier::new(&case.system) {
-                    Ok(verifier) => e.insert(VerifySession::with_verifier(
+            let session = match sessions.entry((job.case, model.allow_topology_attack)) {
+                Entry::Occupied(e) => Ok(e.into_mut()),
+                Entry::Vacant(e) => AttackVerifier::new(&case.system).map(|verifier| {
+                    e.insert(VerifySession::with_verifier(
                         verifier.with_certify(spec.certify).with_simplex(spec.simplex),
                         model.allow_topology_attack,
-                    )),
-                    Err(err) => return unanchored(result, err, options, started),
-                },
+                    ))
+                }),
             };
-            if let Some(p) = &profiler {
-                session.set_profiler(p.clone());
-            }
-            session.set_progress_sampling(options.progress);
-            // The budget starts ticking at job start, not spec build.
-            let budget = Budget::from_timeout_ms(timeout);
-            let report = session.verify_with_budget(model, &budget);
-            result.metrics = Some(report.stats.metrics);
-            result.phase_wall = Some(report.stats.timings);
-            result.stats = Some(report.stats);
-            result.verdict = match report.outcome {
-                AttackOutcome::Feasible(v) => {
-                    result.witness = Some(*v);
-                    Verdict::Sat
+            session.map(|session| {
+                if let Some(p) = &profiler {
+                    session.set_profiler(p.clone());
                 }
-                AttackOutcome::Infeasible => Verdict::Unsat,
-                AttackOutcome::Unknown(why) => Verdict::Unknown(why),
-            };
+                // The budget starts ticking at job start, not spec build.
+                let budget = Budget::from_timeout_ms(model.deadline_ms(caller_ms));
+                let report = session.verify_with_budget(model, &budget);
+                JobResult::verified(job_id, &job.label, &case.name, report)
+            })
         }
         JobKind::Synthesize { attacker, config } => {
-            let mut synth = match Synthesizer::new(&case.system) {
-                Ok(synth) => synth.with_certify(spec.certify).with_simplex(spec.simplex),
-                Err(err) => return unanchored(result, err, options, started),
-            };
-            if let Some(p) = &profiler {
-                synth = synth.with_profiler(p.clone());
-            }
-            let mut attacker = attacker.clone();
-            if attacker.timeout_ms.is_none() {
-                attacker.timeout_ms = timeout;
-            }
-            let (outcome, obs) = synth.synthesize_with_metrics(&attacker, config);
-            result.metrics = Some(obs.metrics);
-            result.phase_wall = Some(obs.timings);
-            result.verdict = match outcome {
-                SynthesisOutcome::Architecture(a) => {
-                    result.iterations = Some(a.iterations);
-                    result.architecture = Some(a.secured_buses);
-                    Verdict::Architecture
+            Synthesizer::new(&case.system).map(|synth| {
+                let mut synth = synth.with_certify(spec.certify).with_simplex(spec.simplex);
+                if let Some(p) = &profiler {
+                    synth = synth.with_profiler(p.clone());
                 }
-                SynthesisOutcome::NoSolution { iterations } => {
-                    result.iterations = Some(iterations);
-                    Verdict::NoSolution
-                }
-                SynthesisOutcome::Inconclusive { iterations } => {
-                    result.iterations = Some(iterations);
-                    Verdict::Inconclusive
-                }
-            };
+                let mut attacker = attacker.clone();
+                attacker.timeout_ms = attacker.deadline_ms(caller_ms);
+                let (outcome, obs) = synth.synthesize_with_metrics(&attacker, config);
+                JobResult::synthesized(job_id, &job.label, &case.name, outcome, obs)
+            })
         }
-    }
-    if let Some(p) = &profiler {
-        result.spans = Some(p.take());
-    }
-    result.wall = options.clock.now().saturating_sub(started);
-    result
-}
-
-/// Closes `result` as a job whose case has no operating point: nothing
-/// ran, so only the verdict and the wall are set.
-fn unanchored(
-    mut result: JobResult,
-    err: PowerFlowError,
-    options: &RunOptions,
-    started: Duration,
-) -> JobResult {
-    result.verdict = Verdict::NoOperatingPoint(err);
+    };
+    // A case with no operating point is an input error: nothing ran, so
+    // only the verdict and the wall are set.
+    let mut result = ran.unwrap_or_else(|err| {
+        JobResult::new(job_id, &job.label, &case.name, Verdict::NoOperatingPoint(err))
+    });
+    result.worker = worker;
+    result.spans = profiler.map(|p| p.take());
     result.wall = options.clock.now().saturating_sub(started);
     result
 }

@@ -8,14 +8,33 @@
 //! pin down.
 
 use crate::histogram::LatencyHistogram;
-use sta_core::attack::AttackVector;
+use sta_core::attack::{AttackOutcome, AttackVector, VerificationReport};
+use sta_core::synthesis::{SynthesisObservation, SynthesisOutcome};
 use sta_estimator::PowerFlowError;
 use sta_grid::BusId;
 use sta_smt::json::{escape_into, f64_into};
-use sta_smt::{merge_spans, Interrupt, PhaseMetrics, PhaseTimings, SolverStats, SpanNode};
+use sta_smt::{
+    flatten_spans, merge_spans, phase_events, Interrupt, PhaseMetrics, PhaseTimings,
+    SolverStats, SpanNode, TraceEvent,
+};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
+
+/// Every verdict token with the exit code a front end ends on, in
+/// [`CampaignReport::summary`] order. The one table behind the report
+/// JSON, the trace's `job-end` records, `sta serve`'s replies, and the
+/// exit codes of the CLI and `sta client`.
+const VERDICTS: [(&str, u8); 8] = [
+    ("sat", 0),
+    ("unsat", 1),
+    ("unknown(timeout)", 3),
+    ("unknown(cancelled)", 3),
+    ("architecture", 0),
+    ("no-solution", 1),
+    ("inconclusive", 1),
+    ("no-operating-point", 2),
+];
 
 /// The conclusion of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,8 +49,8 @@ pub enum Verdict {
     Architecture,
     /// Synthesis: the candidate space is exhausted.
     NoSolution,
-    /// Synthesis: the iteration cap (or a timed-out check) stopped the
-    /// loop early.
+    /// Synthesis: a check ran out of budget, so the loop stopped without
+    /// a conclusion.
     Inconclusive,
     /// The job's case has no DC operating point to anchor the attack
     /// model on (an islanded grid): an input error, so nothing ran.
@@ -39,18 +58,37 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Stable lowercase token used in JSON and exit-code mapping.
+    /// This verdict's row of [`VERDICTS`].
+    fn row(&self) -> (&'static str, u8) {
+        VERDICTS[match self {
+            Verdict::Sat => 0,
+            Verdict::Unsat => 1,
+            Verdict::Unknown(Interrupt::Timeout) => 2,
+            Verdict::Unknown(Interrupt::Cancelled) => 3,
+            Verdict::Architecture => 4,
+            Verdict::NoSolution => 5,
+            Verdict::Inconclusive => 6,
+            Verdict::NoOperatingPoint(_) => 7,
+        }]
+    }
+
+    /// Stable lowercase token used in JSON and traces.
     pub fn token(&self) -> &'static str {
-        match self {
-            Verdict::Sat => "sat",
-            Verdict::Unsat => "unsat",
-            Verdict::Unknown(Interrupt::Timeout) => "unknown(timeout)",
-            Verdict::Unknown(Interrupt::Cancelled) => "unknown(cancelled)",
-            Verdict::Architecture => "architecture",
-            Verdict::NoSolution => "no-solution",
-            Verdict::Inconclusive => "inconclusive",
-            Verdict::NoOperatingPoint(_) => "no-operating-point",
-        }
+        self.row().0
+    }
+
+    /// The exit code of a command that ends on this verdict: 0 = attack
+    /// or architecture found, 1 = a conclusive negative (`unsat`,
+    /// `no-solution`) or an `inconclusive` synthesis, 2 = input error,
+    /// 3 = budget exhausted (`unknown`, which is *not* unsat).
+    pub fn exit_code(&self) -> u8 {
+        self.row().1
+    }
+
+    /// The exit code of a verdict token as a reply carries it, or `None`
+    /// when `token` is no verdict token.
+    pub fn token_exit_code(token: &str) -> Option<u8> {
+        VERDICTS.iter().find(|(t, _)| *t == token).map(|&(_, code)| code)
     }
 
     /// Whether the job ran out of budget.
@@ -100,6 +138,141 @@ pub struct JobResult {
     pub worker: usize,
 }
 
+impl JobResult {
+    /// A result with `verdict` and no payload, run on worker 0 in no
+    /// time; the constructors below fill in the rest.
+    pub(crate) fn new(id: usize, label: &str, case: &str, verdict: Verdict) -> JobResult {
+        JobResult {
+            id,
+            label: label.to_string(),
+            case: case.to_string(),
+            verdict,
+            witness: None,
+            architecture: None,
+            iterations: None,
+            stats: None,
+            metrics: None,
+            phase_wall: None,
+            spans: None,
+            wall: Duration::ZERO,
+            worker: 0,
+        }
+    }
+
+    /// The result of one verification: `sat` with its witness, `unsat`,
+    /// or `unknown(…)`, with the check's stats and phase counters.
+    pub fn verified(id: usize, label: &str, case: &str, report: VerificationReport) -> JobResult {
+        let VerificationReport { outcome, stats } = report;
+        let (verdict, witness) = match outcome {
+            AttackOutcome::Feasible(v) => (Verdict::Sat, Some(*v)),
+            AttackOutcome::Infeasible => (Verdict::Unsat, None),
+            AttackOutcome::Unknown(why) => (Verdict::Unknown(why), None),
+        };
+        JobResult {
+            witness,
+            metrics: Some(stats.metrics),
+            phase_wall: Some(stats.timings),
+            stats: Some(stats),
+            ..JobResult::new(id, label, case, verdict)
+        }
+    }
+
+    /// The result of one synthesis run: its verdict, architecture and
+    /// round trips, with the counters summed over the whole CEGIS loop.
+    pub fn synthesized(
+        id: usize,
+        label: &str,
+        case: &str,
+        outcome: SynthesisOutcome,
+        obs: SynthesisObservation,
+    ) -> JobResult {
+        let (verdict, architecture, iterations) = match outcome {
+            SynthesisOutcome::Architecture(a) => {
+                (Verdict::Architecture, Some(a.secured_buses), a.iterations)
+            }
+            SynthesisOutcome::NoSolution { iterations } => (Verdict::NoSolution, None, iterations),
+            SynthesisOutcome::Inconclusive { iterations } => {
+                (Verdict::Inconclusive, None, iterations)
+            }
+        };
+        JobResult {
+            architecture,
+            iterations: Some(iterations),
+            metrics: Some(obs.metrics),
+            phase_wall: Some(obs.timings),
+            ..JobResult::new(id, label, case, verdict)
+        }
+    }
+
+    /// Appends the outcome keys — `verdict`, then `witness`,
+    /// `architecture` and `iterations` where present — each after a
+    /// comma. The campaign report and `sta serve`'s replies both write
+    /// their outcome through here.
+    pub fn outcome_json_into(&self, out: &mut String) {
+        out.push_str(",\"verdict\":");
+        escape_into(self.verdict.token(), out);
+        if let Some(w) = &self.witness {
+            out.push_str(",\"witness\":");
+            witness_json(w, out);
+        }
+        if let Some(arch) = &self.architecture {
+            out.push_str(",\"architecture\":[");
+            for (k, b) in arch.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{}", b.0 + 1);
+            }
+            out.push(']');
+        }
+        if let Some(iters) = self.iterations {
+            let _ = write!(out, ",\"iterations\":{iters}");
+        }
+    }
+
+    /// The trace-event batch of this finished job: `job-start`, a
+    /// `phase` record per phase (with wall clock where tracked), its
+    /// spans and progress samples when profiled, `job-end`. The campaign
+    /// pool streams one batch per job; the CLI's one-shot commands wrap
+    /// theirs in `run-start`/`run-end`.
+    pub fn job_events(&self) -> Vec<TraceEvent> {
+        let mut events = vec![TraceEvent::JobStart {
+            job: self.id,
+            label: self.label.clone(),
+            case: self.case.clone(),
+        }];
+        if let (Some(metrics), Some(timings)) = (&self.metrics, &self.phase_wall) {
+            events.extend(phase_events(self.id, metrics, timings));
+        }
+        if let Some(spans) = &self.spans {
+            for (path, node) in flatten_spans(spans) {
+                events.push(TraceEvent::Span {
+                    job: self.id,
+                    path,
+                    count: node.count,
+                    incl_us: node.inclusive.as_micros() as u64,
+                    excl_us: node.exclusive().as_micros() as u64,
+                });
+            }
+        }
+        if let Some(stats) = &self.stats {
+            for sample in &stats.progress {
+                events.push(TraceEvent::Progress {
+                    job: self.id,
+                    at_us: sample.at.as_micros() as u64,
+                    counters: sample.counters(),
+                });
+            }
+        }
+        events.push(TraceEvent::JobEnd {
+            job: self.id,
+            verdict: self.verdict.token().to_string(),
+            wall_us: self.wall.as_micros() as u64,
+        });
+        events
+    }
+}
+
 /// Deterministically aggregated results of one campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
@@ -116,9 +289,8 @@ pub struct CampaignReport {
 
 /// Serializes an attack witness as the canonical report JSON object
 /// (`alterations`/`compromised_buses`/`excluded_lines`/`included_lines`,
-/// all ids 1-based). Shared by the campaign report and the service
-/// layer's verify responses so both speak the same witness grammar.
-pub fn witness_json(w: &AttackVector, out: &mut String) {
+/// all ids 1-based).
+fn witness_json(w: &AttackVector, out: &mut String) {
     out.push_str("{\"alterations\":[");
     for (i, a) in w.alterations.iter().enumerate() {
         if i > 0 {
@@ -185,26 +357,30 @@ fn stats_json(s: &SolverStats, include_memory: bool, out: &mut String) {
 }
 
 impl CampaignReport {
-    /// Counts per verdict token, ordered by first occurrence of the
-    /// token in the fixed token list (deterministic).
+    /// Counts per verdict token present, in the order of the verdict
+    /// table (deterministic).
     pub fn summary(&self) -> Vec<(&'static str, usize)> {
-        let tokens = [
-            "sat",
-            "unsat",
-            "unknown(timeout)",
-            "unknown(cancelled)",
-            "architecture",
-            "no-solution",
-            "inconclusive",
-            "no-operating-point",
-        ];
-        tokens
+        VERDICTS
             .iter()
-            .map(|&t| {
+            .map(|&(t, _)| {
                 (t, self.results.iter().filter(|r| r.verdict.token() == t).count())
             })
             .filter(|(_, n)| *n > 0)
             .collect()
+    }
+
+    /// Appends the [`Self::summary`] as a JSON object of token counts —
+    /// the report's `summary` and `sta serve`'s campaign reply.
+    pub fn summary_json_into(&self, out: &mut String) {
+        out.push('{');
+        for (i, (token, n)) in self.summary().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_into(token, out);
+            let _ = write!(out, ":{n}");
+        }
+        out.push('}');
     }
 
     /// Whether any job ran out of budget.
@@ -319,25 +495,7 @@ impl CampaignReport {
             escape_into(&r.label, &mut out);
             out.push_str(",\"case\":");
             escape_into(&r.case, &mut out);
-            out.push_str(",\"verdict\":");
-            escape_into(r.verdict.token(), &mut out);
-            if let Some(w) = &r.witness {
-                out.push_str(",\"witness\":");
-                witness_json(w, &mut out);
-            }
-            if let Some(arch) = &r.architecture {
-                out.push_str(",\"architecture\":[");
-                for (k, b) in arch.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}", b.0 + 1);
-                }
-                out.push(']');
-            }
-            if let Some(iters) = r.iterations {
-                let _ = write!(out, ",\"iterations\":{iters}");
-            }
+            r.outcome_json_into(&mut out);
             if let Some(s) = &r.stats {
                 out.push_str(",\"stats\":");
                 stats_json(s, include_timing, &mut out);
@@ -361,15 +519,8 @@ impl CampaignReport {
             }
             out.push('}');
         }
-        out.push_str("],\"summary\":{");
-        for (i, (token, n)) in self.summary().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(token, &mut out);
-            let _ = write!(out, ":{n}");
-        }
-        out.push('}');
+        out.push_str("],\"summary\":");
+        self.summary_json_into(&mut out);
         if self.results.iter().any(|r| r.metrics.is_some()) {
             // Deterministic rollup: part of the timing-stripped output on
             // purpose, so the 1-vs-N-worker byte comparison also pins the

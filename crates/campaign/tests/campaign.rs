@@ -1,7 +1,7 @@
 //! Campaign-engine integration tests: scheduling determinism and deadline
 //! behavior over the real IEEE 14-bus encoding.
 
-use sta_campaign::{run, run_traced, run_with, CampaignSpec, RunOptions, Verdict};
+use sta_campaign::{run, run_with, CampaignSpec, RunOptions, Verdict};
 use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
 use sta_core::synthesis::SynthesisConfig;
 use sta_grid::{ieee14, BusId};
@@ -115,7 +115,7 @@ fn metrics_rollup_is_byte_identical_across_worker_counts() {
     assert!(timed.contains("\"p99_us\""));
 }
 
-/// Tentpole: `run_traced` streams a well-formed event sequence — one
+/// A traced `run_with` streams a well-formed event sequence — one
 /// run-start/run-end bracket, and a contiguous job-start → phase× →
 /// job-end batch per job.
 #[test]
@@ -123,7 +123,7 @@ fn traced_run_emits_contiguous_job_batches() {
     let spec = mixed_spec();
     let collect = CollectSink::new();
     let sink = SharedSink::new(Box::new(collect.clone()));
-    let report = run_traced(&spec, 4, Some(&sink));
+    let report = run_with(&spec, &RunOptions::with_workers(4), Some(&sink));
     let events = collect.events();
     assert!(matches!(&events[0], TraceEvent::RunStart { jobs, .. } if *jobs == spec.jobs.len()));
     assert!(matches!(events.last(), Some(TraceEvent::RunEnd { .. })));
@@ -174,7 +174,6 @@ fn profiled_run_collects_spans_and_progress() {
     let options = RunOptions {
         workers: 2,
         profile: true,
-        progress: true,
         ..RunOptions::default()
     };
     let report = run_with(&spec, &options, Some(&sink));

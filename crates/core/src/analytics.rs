@@ -94,37 +94,21 @@ impl fmt::Display for ThreatAssessment {
 pub struct ThreatAnalyzer<'a> {
     system: &'a TestSystem,
     verifier: AttackVerifier,
-    /// Base scenario applied to every probe (knowledge, accessibility,
-    /// extra protection); targets and budgets are overridden per probe.
-    base: AttackModel,
 }
 
 impl<'a> ThreatAnalyzer<'a> {
-    /// Creates an analyzer with a full-knowledge, unconstrained base
-    /// attacker.
+    /// Creates an analyzer whose probes model a full-knowledge attacker.
     ///
     /// # Errors
     /// As [`AttackVerifier::new`]: an islanded system has no operating
     /// point to anchor on.
     pub fn new(system: &'a TestSystem) -> Result<Self, PowerFlowError> {
-        Ok(ThreatAnalyzer {
-            system,
-            verifier: AttackVerifier::new(system)?,
-            base: AttackModel::new(system.grid.num_buses()),
-        })
-    }
-
-    /// Replaces the base attacker scenario (targets and budgets in it are
-    /// ignored).
-    pub fn with_base(mut self, base: AttackModel) -> Self {
-        self.base = base;
-        self
+        Ok(ThreatAnalyzer { system, verifier: AttackVerifier::new(system)? })
     }
 
     fn probe(&self, bus: BusId, t_cz: Option<usize>, t_cb: Option<usize>) -> Option<AttackVector> {
-        let mut model = self.base.clone();
-        model.targets = vec![StateTarget::Free; self.system.grid.num_buses()];
-        model.targets[bus.0] = StateTarget::MustChange;
+        let mut model =
+            AttackModel::new(self.system.grid.num_buses()).target(bus, StateTarget::MustChange);
         model.max_altered_measurements = t_cz;
         model.max_compromised_buses = t_cb;
         self.verifier.verify(&model).vector().cloned()

@@ -94,16 +94,11 @@ impl VerifySession {
     /// Attaches a span profiler to the session's solver: each
     /// [`VerifySession::verify`] records a `verify` span whose `encode`
     /// child splits into `base` (cache extension) vs `delta` (the
-    /// scenario's scoped constraints) — the base-reuse story in time.
+    /// scenario's scoped constraints) — the base-reuse story in time —
+    /// and samples its progress.
     pub fn set_profiler(&mut self, profiler: sta_smt::Profiler) {
         self.verifier.set_profiler(profiler.clone());
         self.solver.set_profiler(profiler);
-    }
-
-    /// Enables progress-timeline sampling on the session's checks.
-    pub fn set_progress_sampling(&mut self, on: bool) {
-        self.verifier.set_progress_sampling(on);
-        self.solver.set_progress_sampling(on);
     }
 
     /// The underlying verifier.

@@ -85,7 +85,8 @@ pub struct AttackModel {
     /// `None` = unlimited. When the deadline passes before the solver
     /// reaches a verdict, verification returns
     /// [`crate::attack::AttackOutcome::Unknown`] — which is *not*
-    /// infeasibility.
+    /// infeasibility. A caller's deadline overrides it (see
+    /// [`AttackModel::deadline_ms`]).
     pub timeout_ms: Option<u64>,
 }
 
@@ -114,6 +115,16 @@ impl AttackModel {
     pub fn with_timeout_ms(mut self, ms: u64) -> Self {
         self.timeout_ms = Some(ms);
         self
+    }
+
+    /// The deadline, in milliseconds, that a check of this scenario runs
+    /// under — the one rule every front end applies. The caller's
+    /// deadline wins: `--timeout-ms`, a request's `timeout_ms`, or a
+    /// campaign job's or campaign's deadline. The scenario's own
+    /// [`AttackModel::timeout_ms`] applies only when the caller sets
+    /// none. A synthesis run bounds each of its checks by it.
+    pub fn deadline_ms(&self, caller_ms: Option<u64>) -> Option<u64> {
+        caller_ms.or(self.timeout_ms)
     }
 
     /// Requires at least this certification level when the scenario is
@@ -193,12 +204,6 @@ impl AttackModel {
     /// Adds extra secured buses (all their measurements become secured).
     pub fn secure_buses(mut self, buses: &[BusId]) -> Self {
         self.extra_secured_buses.extend_from_slice(buses);
-        self
-    }
-
-    /// Marks a measurement inaccessible to the attacker.
-    pub fn deny_access(mut self, id: sta_grid::MeasurementId) -> Self {
-        self.inaccessible_measurements.push(id);
         self
     }
 

@@ -105,10 +105,9 @@ pub struct AttackVerifier {
     /// this and the scenario's own [`AttackModel::certify`]).
     certify: CertifyLevel,
     /// Span profiler handed to every solver this verifier builds; each
-    /// check records a `verify` span over the solver's phase tree.
+    /// check records a `verify` span over the solver's phase tree and
+    /// samples its progress.
     profiler: Option<Profiler>,
-    /// Whether solver checks sample progress timelines into their stats.
-    progress: bool,
     /// Simplex engine of every solver this verifier builds: revised,
     /// unless a test or the scale suite pins the dense oracle.
     simplex: SimplexMode,
@@ -180,7 +179,6 @@ impl AttackVerifier {
             base_theta,
             certify: CertifyLevel::Off,
             profiler: None,
-            progress: false,
             simplex: SimplexMode::default(),
         }
     }
@@ -219,23 +217,6 @@ impl AttackVerifier {
         self.profiler.as_ref()
     }
 
-    /// In-place form of [`AttackVerifier::with_progress_sampling`].
-    pub fn set_progress_sampling(&mut self, on: bool) {
-        self.progress = on;
-    }
-
-    /// Enables progress-timeline sampling on every solver this verifier
-    /// builds (see [`sta_smt::Solver::set_progress_sampling`]).
-    pub fn with_progress_sampling(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
-    }
-
-    /// Whether progress sampling is enabled.
-    pub fn progress_sampling(&self) -> bool {
-        self.progress
-    }
-
     /// Pins the simplex engine of every solver this verifier builds.
     /// Production verifiers keep the default, the revised engine; tests
     /// and the scale suite pin [`SimplexMode::Dense`] to run the dense
@@ -246,25 +227,17 @@ impl AttackVerifier {
         self
     }
 
-    /// Applies this verifier's observability configuration (profiler,
-    /// clock, progress sampling) and engine selection to a solver it is
-    /// about to drive.
+    /// Applies this verifier's profiler (with its clock) and engine
+    /// selection to a solver it is about to drive.
     pub(crate) fn configure_solver(&self, solver: &mut Solver) {
         if let Some(p) = &self.profiler {
             solver.set_profiler(p.clone());
         }
-        solver.set_progress_sampling(self.progress);
         solver.set_simplex_mode(self.simplex);
     }
 
     /// The system under verification.
     pub fn system(&self) -> &TestSystem {
-        &self.system
-    }
-
-    /// The shared handle to the system under verification (cheap to
-    /// clone into other verifiers or sessions over the same case).
-    pub fn system_arc(&self) -> &Arc<TestSystem> {
         &self.system
     }
 

@@ -10,8 +10,8 @@
 //! together with all of its subsets (protection is monotone: removing
 //! secured buses can only help the attacker), via the blocking clause
 //! `∨_{j ∉ S} sb_j`. The loop ends with an architecture (verifier returns
-//! unsat) or with an exhausted candidate space (no solution at this
-//! budget).
+//! unsat), with an exhausted candidate space (no solution at this
+//! budget), or inconclusive when a check runs out of budget.
 
 use crate::attack::{AttackModel, AttackVerifier, VerifySession};
 use sta_estimator::PowerFlowError;
@@ -63,12 +63,6 @@ pub struct SynthesisConfig {
     pub max_secured_buses: usize,
     /// Buses the operator cannot secure (Eq. 29).
     pub unsecurable_buses: Vec<BusId>,
-    /// Apply the Eq. 30 pruning: never secure two buses adjacent through
-    /// a taken flow meter. On by default, as in the paper.
-    pub adjacency_pruning: bool,
-    /// Safety valve on loop iterations; `None` = unbounded (the candidate
-    /// space is finite, so the loop always terminates anyway).
-    pub max_iterations: Option<usize>,
     /// Refinement-clause strategy.
     pub blocking: BlockingStrategy,
     /// Force the reference bus into every architecture (counted against
@@ -92,8 +86,6 @@ impl SynthesisConfig {
         SynthesisConfig {
             max_secured_buses: t_sb,
             unsecurable_buses: Vec::new(),
-            adjacency_pruning: true,
-            max_iterations: None,
             blocking: BlockingStrategy::default(),
             require_reference_secured: false,
             counterexamples_per_round: 4,
@@ -147,7 +139,8 @@ pub enum SynthesisOutcome {
         /// Rounds explored before exhausting the candidate space.
         iterations: usize,
     },
-    /// The iteration cap was hit before a conclusion.
+    /// A check ran out of budget before a conclusion: the loop can
+    /// certify nothing about the candidate it was checking.
     Inconclusive {
         /// Rounds performed.
         iterations: usize,
@@ -292,19 +285,15 @@ impl<'a> Synthesizer<'a> {
                 .assert_formula(&Formula::var(sb[self.system.reference_bus.0]));
         }
         // Eq. 30: no two buses adjacent through a taken flow meter.
-        if config.adjacency_pruning {
-            for (i, line) in self.system.grid.lines().iter().enumerate() {
-                let l = self.system.grid.num_lines();
-                let fwd_taken =
-                    self.system.measurements.is_taken(MeasurementId(i));
-                let bwd_taken =
-                    self.system.measurements.is_taken(MeasurementId(l + i));
-                if fwd_taken || bwd_taken {
-                    selection.assert_formula(&Formula::or(vec![
-                        Formula::var(sb[line.from.0]).not(),
-                        Formula::var(sb[line.to.0]).not(),
-                    ]));
-                }
+        for (i, line) in self.system.grid.lines().iter().enumerate() {
+            let l = self.system.grid.num_lines();
+            let fwd_taken = self.system.measurements.is_taken(MeasurementId(i));
+            let bwd_taken = self.system.measurements.is_taken(MeasurementId(l + i));
+            if fwd_taken || bwd_taken {
+                selection.assert_formula(&Formula::or(vec![
+                    Formula::var(sb[line.from.0]).not(),
+                    Formula::var(sb[line.to.0]).not(),
+                ]));
             }
         }
 
@@ -321,11 +310,6 @@ impl<'a> Synthesizer<'a> {
 
         let mut iterations = 0usize;
         loop {
-            if let Some(cap) = config.max_iterations {
-                if iterations >= cap {
-                    return SynthesisOutcome::Inconclusive { iterations };
-                }
-            }
             iterations += 1;
             let _sp_iter = self.profiler.as_ref().map(|p| p.span("iterate"));
             let selection_result = {
@@ -728,18 +712,5 @@ mod tests {
                 obs.metrics
             );
         }
-    }
-
-    #[test]
-    fn iteration_cap_returns_inconclusive() {
-        let sys = ieee14::system();
-        let synth = Synthesizer::new(&sys).unwrap();
-        let attacker = AttackModel::new(14);
-        let mut config = SynthesisConfig::with_budget(1);
-        config.max_iterations = Some(1);
-        // Budget 1 can't stop an unconstrained attacker; with a 1-round
-        // cap we must get Inconclusive or NoSolution, never a solution.
-        let outcome = synth.synthesize(&attacker, &config);
-        assert!(!outcome.is_solution());
     }
 }

@@ -39,11 +39,6 @@ impl Vector {
         &self.data
     }
 
-    /// Mutable view of the entries.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the vector, returning its storage.
     pub fn into_vec(self) -> Vec<f64> {
         self.data

@@ -29,7 +29,7 @@
 
 use crate::client;
 use crate::server::{spawn, ServeConfig};
-use sta_campaign::bench::{BenchEnv, BenchResult, JobMeasurement, SCHEMA};
+use sta_campaign::bench::{median, BenchEnv, BenchResult, JobMeasurement, SCHEMA};
 use sta_smt::json::{parse, Json};
 use sta_smt::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,21 +48,6 @@ pub fn unique_listen_addr(tag: &str) -> String {
         .join(format!("sta-serve-{}-{tag}-{n}.sock", std::process::id()))
         .to_string_lossy()
         .into_owned()
-}
-
-/// Median of `samples` (even lengths average the middle pair), matching
-/// the campaign bench's convention.
-fn median(samples: &mut [u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2
-    }
 }
 
 /// Warm requests per keep-alive connection, after its priming verify.
@@ -186,14 +171,6 @@ pub fn run_serve_suite(reps: usize, jobs: usize) -> Result<BenchResult, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_matches_campaign_convention() {
-        assert_eq!(median(&mut []), 0);
-        assert_eq!(median(&mut [9]), 9);
-        assert_eq!(median(&mut [4, 2]), 3);
-        assert_eq!(median(&mut [5, 1, 9]), 5);
-    }
 
     #[test]
     fn unique_addrs_do_not_collide() {

@@ -10,6 +10,7 @@
 //! every line the service sends back.
 
 use crate::net;
+use sta_campaign::Verdict;
 use sta_smt::json::{parse, Json};
 use std::io::{BufRead, BufReader};
 
@@ -105,10 +106,11 @@ pub fn is_final(line: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Maps a final reply line onto the CLI exit-code contract:
-/// 0 = sat / architecture / plain success, 1 = unsat / no-solution /
-/// inconclusive, 2 = error, 3 = unknown (budget exhausted; campaigns
-/// with any unknown job included).
+/// Maps a final reply line onto the CLI exit-code contract: a verdict
+/// exits with [`Verdict::exit_code`]'s code for its token (0 = sat /
+/// architecture, 1 = unsat / no-solution / inconclusive, 3 = unknown),
+/// a campaign with any unknown job with 3, an error or an unrecognised
+/// verdict with 2, and any other response with 0.
 pub fn exit_code(line: &str) -> u8 {
     let Ok(json) = parse(line) else { return 2 };
     match json.get("type").and_then(Json::as_str) {
@@ -116,12 +118,7 @@ pub fn exit_code(line: &str) -> u8 {
         _ => return 2,
     }
     if let Some(verdict) = json.get("verdict").and_then(Json::as_str) {
-        return match verdict {
-            "sat" | "architecture" => 0,
-            "unsat" | "no-solution" | "inconclusive" => 1,
-            v if v.starts_with("unknown") => 3,
-            _ => 2,
-        };
+        return Verdict::token_exit_code(verdict).unwrap_or(2);
     }
     if let Some(Json::Bool(true)) = json.get("any_unknown") {
         return 3;
@@ -148,6 +145,7 @@ mod tests {
         assert_eq!(exit_code(&resp(",\"verdict\":\"architecture\"")), 0);
         assert_eq!(exit_code(&resp(",\"verdict\":\"unsat\"")), 1);
         assert_eq!(exit_code(&resp(",\"verdict\":\"no-solution\"")), 1);
+        assert_eq!(exit_code(&resp(",\"verdict\":\"inconclusive\"")), 1);
         assert_eq!(exit_code(&resp(",\"verdict\":\"unknown(timeout)\"")), 3);
         assert_eq!(exit_code(&resp(",\"verdict\":\"unknown(cancelled)\"")), 3);
         assert_eq!(exit_code(&resp(",\"ok\":true")), 0);

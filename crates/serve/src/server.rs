@@ -30,11 +30,13 @@
 //! # Deadlines and drain
 //!
 //! Every solver job gets a cancel token registered in an in-flight table;
-//! a request `timeout_ms` additionally arms a wall-clock deadline. Both
-//! feed the same [`Budget`] polled in every solver phase. Graceful drain
-//! (`shutdown`) stops admitting, waits up to the drain deadline for
-//! in-flight work, cancels whatever remains via the tokens, waits one
-//! more drain window for the cancellations to surface as
+//! a request `timeout_ms` additionally arms a wall-clock deadline, which
+//! wins over the scenario's own `timeout-ms` for every query op
+//! ([`AttackModel::deadline_ms`]). Both feed the same [`Budget`] polled
+//! in every solver phase; a synthesis bounds each CEGIS check by it.
+//! Graceful drain (`shutdown`) stops admitting, waits up to the drain
+//! deadline for in-flight work, cancels whatever remains via the tokens,
+//! waits one more drain window for the cancellations to surface as
 //! `unknown(cancelled)` responses, then stops the listener — in-flight
 //! clients always receive a final line.
 
@@ -42,11 +44,10 @@ use crate::cache::{SessionCache, SessionKey};
 use crate::metrics::{MetricOp, MetricsRegistry, MetricsSnapshot, ServiceGauges};
 use crate::net;
 use crate::protocol::{self, ErrorKind, MetricsFormat, Op, Query, Request};
-use sta_campaign::report::witness_json;
-use sta_campaign::{CampaignSpec, RunOptions, ServicePool, SubmitError};
-use sta_core::attack::{AttackModel, AttackOutcome, AttackVerifier, VerifySession};
+use sta_campaign::{CampaignSpec, JobResult, RunOptions, ServicePool, SubmitError, Verdict};
+use sta_core::attack::{AttackModel, AttackVerifier, VerifySession};
 use sta_core::scenario;
-use sta_core::synthesis::{SynthesisConfig, SynthesisOutcome, Synthesizer};
+use sta_core::synthesis::{SynthesisConfig, Synthesizer};
 use sta_grid::{caseformat, TestSystem};
 use sta_smt::json::escape_into;
 use sta_smt::{phase_events, Budget, Clock, Interrupt, SharedSink, TraceEvent, TraceSink};
@@ -686,10 +687,9 @@ fn run_verify(
     worker: usize,
     started: Duration,
 ) -> Vec<String> {
-    // The request deadline overrides the scenario's own `timeout-ms`,
-    // like `--timeout-ms` in the CLI; the cancel token rides along either
-    // way so drain can always reach this job.
-    let budget = Budget::from_timeout_ms(q.timeout_ms.or(model.timeout_ms))
+    // The cancel token rides along whatever the deadline, so drain can
+    // always reach this job.
+    let budget = Budget::from_timeout_ms(model.deadline_ms(q.timeout_ms))
         .with_cancel_token(Arc::clone(token));
     let key: SessionKey = (q.case.clone(), model.allow_topology_attack, q.certify);
     // Check out in a statement of its own: the cache guard must not live
@@ -714,29 +714,21 @@ fn run_verify(
     let displaced = lock(&state.sessions).put(key, session);
     drop(displaced);
     let wall = state.clock.now().saturating_sub(started);
+    let timings = report.stats.timings;
     let mut lines = Vec::new();
     if q.trace {
-        for event in phase_events(0, &report.stats.metrics, &report.stats.timings) {
+        for event in phase_events(0, &report.stats.metrics, &timings) {
             lines.push(protocol::trace_line(id, &event));
         }
     }
-    let mut out = protocol::response_head(id, "verify");
-    match &report.outcome {
-        AttackOutcome::Feasible(v) => {
-            out.push_str(",\"verdict\":\"sat\",\"witness\":");
-            witness_json(v, &mut out);
-        }
-        AttackOutcome::Infeasible => out.push_str(",\"verdict\":\"unsat\""),
-        AttackOutcome::Unknown(why) => {
-            if matches!(why, Interrupt::Cancelled) {
-                state.metrics.record_cancelled();
-            }
-            let _ = write!(out, ",\"verdict\":\"unknown({why})\"");
-        }
+    let result = JobResult::verified(0, id, &q.case, report);
+    if result.verdict == Verdict::Unknown(Interrupt::Cancelled) {
+        state.metrics.record_cancelled();
     }
+    let mut out = protocol::response_head(id, "verify");
+    result.outcome_json_into(&mut out);
     if q.timing {
-        let pw = &report.stats.timings;
-        timing_tail(&mut out, wall, pw.encode, pw.search, Some(warm), worker);
+        timing_tail(&mut out, wall, timings.encode, timings.search, Some(warm), worker);
     }
     out.push('}');
     lines.push(out);
@@ -761,13 +753,10 @@ fn run_synthesize(
             "synthesize needs a numeric \"budget\"",
         );
     };
+    // The chosen deadline bounds each CEGIS check (the loop re-verifies
+    // many times; an expired check ends the job as `inconclusive`).
     let mut attacker = model;
-    if attacker.timeout_ms.is_none() {
-        // The per-request deadline bounds each CEGIS check (the loop
-        // re-verifies many times; an expired check ends the job as
-        // `inconclusive`), mirroring the campaign engine.
-        attacker.timeout_ms = q.timeout_ms;
-    }
+    attacker.timeout_ms = attacker.deadline_ms(q.timeout_ms);
     let synth = match Synthesizer::new(system) {
         Ok(synth) => synth.with_certify(q.certify),
         Err(e) => return query_error(state, MetricOp::Synthesize, id, &e.to_string()),
@@ -775,27 +764,12 @@ fn run_synthesize(
     let config = SynthesisConfig::with_budget(budget);
     let (outcome, obs) = synth.synthesize_with_metrics(&attacker, &config);
     let wall = state.clock.now().saturating_sub(started);
+    let timings = obs.timings;
+    let result = JobResult::synthesized(0, id, &q.case, outcome, obs);
     let mut out = protocol::response_head(id, "synthesize");
-    match outcome {
-        SynthesisOutcome::Architecture(arch) => {
-            out.push_str(",\"verdict\":\"architecture\",\"architecture\":[");
-            for (i, b) in arch.secured_buses.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", b.0 + 1);
-            }
-            let _ = write!(out, "],\"iterations\":{}", arch.iterations);
-        }
-        SynthesisOutcome::NoSolution { iterations } => {
-            let _ = write!(out, ",\"verdict\":\"no-solution\",\"iterations\":{iterations}");
-        }
-        SynthesisOutcome::Inconclusive { iterations } => {
-            let _ = write!(out, ",\"verdict\":\"inconclusive\",\"iterations\":{iterations}");
-        }
-    }
+    result.outcome_json_into(&mut out);
     if q.timing {
-        timing_tail(&mut out, wall, obs.timings.encode, obs.timings.search, None, worker);
+        timing_tail(&mut out, wall, timings.encode, timings.search, None, worker);
     }
     out.push('}');
     vec![out]
@@ -837,14 +811,9 @@ fn run_campaign(
     }
     let wall = state.clock.now().saturating_sub(started);
     let mut out = protocol::response_head(id, "campaign");
-    let _ = write!(out, ",\"jobs\":{},\"summary\":{{", report.results.len());
-    for (i, (token, n)) in report.summary().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{token}\":{n}");
-    }
-    out.push_str("},\"any_unknown\":");
+    let _ = write!(out, ",\"jobs\":{},\"summary\":", report.results.len());
+    report.summary_json_into(&mut out);
+    out.push_str(",\"any_unknown\":");
     out.push_str(if report.any_unknown() { "true" } else { "false" });
     if q.timing {
         timing_tail(&mut out, wall, Duration::ZERO, Duration::ZERO, None, worker);

@@ -73,12 +73,6 @@ impl Budget {
         }
     }
 
-    /// Sets an absolute deadline.
-    pub fn with_deadline(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Attaches a shared cancellation flag (raised with [`Budget::cancel`]
     /// or by storing `true` from any thread).
     pub fn with_cancel_token(mut self, token: Arc<AtomicBool>) -> Self {

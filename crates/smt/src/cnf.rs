@@ -55,6 +55,15 @@ pub struct Encoder {
     polls: u64,
 }
 
+/// The clause `[¬act, lit]` under an activation literal `act`, or the
+/// unit `[lit]` without one.
+fn guarded(guard: Option<Lit>, lit: Lit) -> Vec<Lit> {
+    match guard {
+        Some(act) => vec![!act, lit],
+        None => vec![lit],
+    }
+}
+
 impl Encoder {
     /// Creates an empty encoder (unlimited budget).
     pub fn new() -> Self {
@@ -100,16 +109,26 @@ impl Encoder {
     /// Tseitin `t ↔ at-most-k` costs an extra `O(n·(n−k))` counter for
     /// the never-used negative direction, which dominated the CNF for
     /// small `k` over many variables.
+    ///
+    /// With a `guard`, every asserted clause carries the extra literal
+    /// `¬act`: the formula is enforced only while the activation literal
+    /// `act` is assumed true. Tseitin definitions of sub-formulas stay
+    /// unguarded — they define fresh variables and are globally sound —
+    /// so only the top-level assertion clauses pay the guard. This is
+    /// what makes `pop` logical instead of physical in the persistent
+    /// incremental core: retracting a scope just stops assuming its
+    /// activation literal, and learned clauses survive.
     pub fn assert_root(
         &mut self,
         f: &Formula,
+        guard: Option<Lit>,
         sat: &mut CdclSolver,
         simplex: &mut Simplex,
     ) -> Result<(), Interrupt> {
         match &*f.0 {
             Node::And(fs) => {
                 for g in fs {
-                    self.assert_root(g, sat, simplex)?;
+                    self.assert_root(g, guard, sat, simplex)?;
                 }
             }
             Node::AtMost(fs, k) => {
@@ -117,7 +136,7 @@ impl Encoder {
                     .iter()
                     .map(|g| self.encode(g, sat, simplex))
                     .collect::<Result<Vec<Lit>, Interrupt>>()?;
-                self.assert_at_most(&lits, *k, sat)?;
+                self.assert_at_most(&lits, *k, guard, sat)?;
             }
             Node::AtLeast(fs, k) => {
                 let lits = fs
@@ -125,87 +144,23 @@ impl Encoder {
                     .map(|g| self.encode(g, sat, simplex).map(|l| !l))
                     .collect::<Result<Vec<Lit>, Interrupt>>()?;
                 let n = lits.len();
-                self.assert_at_most(&lits, n - *k, sat)?;
+                self.assert_at_most(&lits, n - *k, guard, sat)?;
             }
             _ => {
                 let lit = self.encode(f, sat, simplex)?;
-                self.push_clause(sat, vec![lit]);
+                self.push_clause(sat, guarded(guard, lit));
             }
         }
         Ok(())
     }
 
-    /// Like [`Encoder::assert_root`], but every asserted clause carries the
-    /// extra literal `¬act`: the formula is enforced only while the
-    /// activation literal `act` is assumed true. Tseitin definitions of
-    /// sub-formulas stay unguarded — they define fresh variables and are
-    /// globally sound — so only the top-level assertion clauses pay the
-    /// guard. This is what makes `pop` logical instead of physical in the
-    /// persistent incremental core: retracting a scope just stops assuming
-    /// its activation literal, and learned clauses survive.
-    pub fn assert_root_guarded(
-        &mut self,
-        f: &Formula,
-        act: Lit,
-        sat: &mut CdclSolver,
-        simplex: &mut Simplex,
-    ) -> Result<(), Interrupt> {
-        match &*f.0 {
-            Node::And(fs) => {
-                for g in fs {
-                    self.assert_root_guarded(g, act, sat, simplex)?;
-                }
-            }
-            Node::AtMost(fs, k) => {
-                let lits = fs
-                    .iter()
-                    .map(|g| self.encode(g, sat, simplex))
-                    .collect::<Result<Vec<Lit>, Interrupt>>()?;
-                self.assert_at_most_guarded(&lits, *k, act, sat)?;
-            }
-            Node::AtLeast(fs, k) => {
-                let lits = fs
-                    .iter()
-                    .map(|g| self.encode(g, sat, simplex).map(|l| !l))
-                    .collect::<Result<Vec<Lit>, Interrupt>>()?;
-                let n = lits.len();
-                self.assert_at_most_guarded(&lits, n - *k, act, sat)?;
-            }
-            _ => {
-                let lit = self.encode(f, sat, simplex)?;
-                self.push_clause(sat, vec![!act, lit]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Asserts `act → at-most-k(lits)` (no definition literal).
-    fn assert_at_most_guarded(
-        &mut self,
-        lits: &[Lit],
-        k: usize,
-        act: Lit,
-        sat: &mut CdclSolver,
-    ) -> Result<(), Interrupt> {
-        let n = lits.len();
-        if k >= n {
-            return Ok(());
-        }
-        if k == 0 {
-            for &l in lits {
-                self.poll()?;
-                self.push_clause(sat, vec![!act, !l]);
-            }
-            return Ok(());
-        }
-        self.guarded_sequential_counter(lits, k, !act, sat)
-    }
-
-    /// Asserts `at-most-k(lits)` directly (no definition literal).
+    /// Asserts `at-most-k(lits)` directly (no definition literal), under
+    /// `guard` as in [`Encoder::assert_root`].
     fn assert_at_most(
         &mut self,
         lits: &[Lit],
         k: usize,
+        guard: Option<Lit>,
         sat: &mut CdclSolver,
     ) -> Result<(), Interrupt> {
         let n = lits.len();
@@ -215,12 +170,17 @@ impl Encoder {
         if k == 0 {
             for &l in lits {
                 self.poll()?;
-                self.push_clause(sat, vec![!l]);
+                self.push_clause(sat, guarded(guard, !l));
             }
             return Ok(());
         }
-        let always_false = !self.true_lit(sat);
-        self.guarded_sequential_counter(lits, k, always_false, sat)
+        // Unguarded, the counter's guard literal is `¬true`, which never
+        // holds.
+        let off = match guard {
+            Some(act) => !act,
+            None => !self.true_lit(sat),
+        };
+        self.guarded_sequential_counter(lits, k, off, sat)
     }
 
     /// The SAT variable backing problem Boolean `v` (created on demand).
@@ -490,7 +450,7 @@ mod tests {
         let mut sat = CdclSolver::new();
         let mut simplex = Simplex::new();
         let mut enc = Encoder::new();
-        enc.assert_root(f, &mut sat, &mut simplex).expect("unlimited encode");
+        enc.assert_root(f, None, &mut sat, &mut simplex).expect("unlimited encode");
         if sat.solve(&mut simplex) == SatOutcome::Unsat {
             return None;
         }
@@ -607,8 +567,8 @@ mod tests {
         let mut enc = Encoder::new();
         let a = LinExpr::var(x).le(LinExpr::from(3));
         let b = LinExpr::var(x).gt(LinExpr::from(3)).not();
-        enc.assert_root(&a, &mut sat, &mut simplex).expect("encode");
-        enc.assert_root(&b, &mut sat, &mut simplex).expect("encode");
+        enc.assert_root(&a, None, &mut sat, &mut simplex).expect("encode");
+        enc.assert_root(&b, None, &mut sat, &mut simplex).expect("encode");
         assert_eq!(enc.num_atoms(), 1);
         assert_eq!(sat.solve(&mut simplex), SatOutcome::Sat);
     }
@@ -623,18 +583,21 @@ mod tests {
         let mut enc = Encoder::new();
         enc.assert_root(
             &LinExpr::var(x).eq_expr(LinExpr::var(y)),
+            None,
             &mut sat,
             &mut simplex,
         )
         .expect("encode");
         enc.assert_root(
             &LinExpr::var(y).eq_expr(LinExpr::from(3)),
+            None,
             &mut sat,
             &mut simplex,
         )
         .expect("encode");
         enc.assert_root(
             &LinExpr::var(x).ne_expr(LinExpr::from(3)),
+            None,
             &mut sat,
             &mut simplex,
         )
@@ -655,7 +618,7 @@ mod tests {
         let mut simplex = Simplex::new();
         let mut enc = Encoder::new();
         let act = Lit::positive(sat.new_var());
-        enc.assert_root_guarded(&f, act, &mut sat, &mut simplex)
+        enc.assert_root(&f, Some(act), &mut sat, &mut simplex)
             .expect("unlimited encode");
         // All three true at once violates the guarded constraint…
         let all_true: Vec<Lit> = (0..3)
@@ -685,7 +648,7 @@ mod tests {
         let mut simplex = Simplex::new();
         let mut enc = Encoder::new();
         enc.set_budget(Budget::with_timeout(Duration::ZERO));
-        let err = enc.assert_root(&f, &mut sat, &mut simplex);
+        let err = enc.assert_root(&f, None, &mut sat, &mut simplex);
         assert_eq!(err, Err(Interrupt::Timeout));
         // The very first poll fires before any clause is pushed.
         assert_eq!(enc.clauses, 0);
@@ -702,12 +665,12 @@ mod tests {
         let mut budget = Budget::unlimited();
         let token = budget.new_cancel_token();
         enc.set_budget(budget);
-        enc.assert_root(&f, &mut sat, &mut simplex)
+        enc.assert_root(&f, None, &mut sat, &mut simplex)
             .expect("token not raised yet");
         let before = enc.clauses;
         assert!(before > 0);
         token.store(true, std::sync::atomic::Ordering::Relaxed);
-        let err = enc.assert_root(&f, &mut sat, &mut simplex);
+        let err = enc.assert_root(&f, None, &mut sat, &mut simplex);
         assert_eq!(err, Err(Interrupt::Cancelled));
     }
 
@@ -719,7 +682,7 @@ mod tests {
         let mut sat = CdclSolver::new();
         let mut simplex = Simplex::new();
         let mut enc = Encoder::new();
-        enc.assert_root(&f, &mut sat, &mut simplex).expect("unlimited");
+        enc.assert_root(&f, None, &mut sat, &mut simplex).expect("unlimited");
         assert!(enc.clauses > 0);
         assert_eq!(sat.solve(&mut simplex), SatOutcome::Sat);
     }

@@ -56,21 +56,6 @@ pub trait Theory {
     }
 }
 
-/// A theory that accepts everything — turns the solver into plain SAT.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTheory;
-
-impl Theory for NullTheory {
-    fn on_new_level(&mut self) {}
-    fn on_backtrack(&mut self, _n_levels: usize) {}
-    fn on_assert(&mut self, _lit: Lit) -> TheoryResult {
-        TheoryResult::Ok
-    }
-    fn check(&mut self) -> TheoryResult {
-        TheoryResult::Ok
-    }
-}
-
 /// Outcome of [`CdclSolver::solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SatOutcome {
@@ -1069,6 +1054,24 @@ impl CdclSolver {
                 }
             }
         }
+    }
+}
+
+/// A theory that accepts everything — turns the solver into plain SAT
+/// for the unit tests.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NullTheory;
+
+#[cfg(test)]
+impl Theory for NullTheory {
+    fn on_new_level(&mut self) {}
+    fn on_backtrack(&mut self, _n_levels: usize) {}
+    fn on_assert(&mut self, _lit: Lit) -> TheoryResult {
+        TheoryResult::Ok
+    }
+    fn check(&mut self) -> TheoryResult {
+        TheoryResult::Ok
     }
 }
 

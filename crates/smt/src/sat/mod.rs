@@ -4,11 +4,12 @@
 //! plugin interface the simplex LRA solver implements.
 
 pub mod cdcl;
-pub mod dimacs;
 pub mod lit;
 pub mod proof;
 
-pub use cdcl::{CdclSolver, NullTheory, SatCounters, SatOutcome, Theory, TheoryResult};
-pub use dimacs::{DimacsInstance, ParseDimacsError};
+pub use cdcl::{CdclSolver, SatCounters, SatOutcome, Theory, TheoryResult};
 pub use lit::{LBool, Lit, SatVar};
 pub use proof::{FarkasCertificate, ProofLog, ProofStep};
+
+#[cfg(test)]
+pub use cdcl::NullTheory;

@@ -96,38 +96,6 @@ impl ProofLog {
             _ => false,
         })
     }
-
-    /// Renders the derivation in textual DRAT: one line per step, literals
-    /// in DIMACS convention terminated by `0`, deletions prefixed `d`,
-    /// theory lemmas prefixed `t` (a nonstandard extension — DRAT has no
-    /// notion of theory axioms, and a stock DRAT checker would have to
-    /// treat them as assumptions).
-    pub fn to_drat(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let dimacs = |lits: &[Lit], out: &mut String| {
-            for l in lits {
-                let v = i64::from(l.var()) + 1;
-                let _ = write!(out, "{} ", if l.is_positive() { v } else { -v });
-            }
-            let _ = writeln!(out, "0");
-        };
-        for step in &self.steps {
-            match step {
-                ProofStep::Original(_) => {} // axioms are not part of a DRAT file
-                ProofStep::Learned(lits) => dimacs(lits, &mut out),
-                ProofStep::TheoryLemma(lits, _) => {
-                    out.push_str("t ");
-                    dimacs(lits, &mut out);
-                }
-                ProofStep::Delete(lits) => {
-                    out.push_str("d ");
-                    dimacs(lits, &mut out);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +113,5 @@ mod tests {
         log.log_learned(vec![]);
         assert!(log.derives_empty_clause());
         assert_eq!(log.num_derivations(), 2);
-    }
-
-    #[test]
-    fn drat_rendering() {
-        let mut log = ProofLog::new();
-        log.log_original(vec![Lit::positive(0)]);
-        log.log_learned(vec![Lit::negative(1), Lit::positive(2)]);
-        log.log_delete(vec![Lit::negative(1), Lit::positive(2)]);
-        log.log_learned(vec![]);
-        let text = log.to_drat();
-        assert_eq!(text, "-2 3 0\nd -2 3 0\n0\n");
     }
 }

@@ -373,14 +373,6 @@ impl Simplex {
         self.shared.atoms.insert(sat_var, AtomBinding { var, bound, strict });
     }
 
-    /// The current value of problem variable `rv`, if it has been seen.
-    pub fn value_of(&self, rv: RealVar) -> Option<&DeltaRational> {
-        self.shared
-            .real_vars
-            .get(rv.0 as usize)
-            .map(|&sv| &self.shared.assignment[sv])
-    }
-
     /// Computes a positive `ε` small enough that substituting it for `δ`
     /// keeps every asserted bound satisfied, then returns the concretized
     /// rational value of every problem variable.

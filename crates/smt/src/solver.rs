@@ -271,12 +271,8 @@ impl Core {
         while self.encoded < assertions.len() {
             let i = self.encoded;
             let f = &assertions[i];
-            let encoded = match self.guard(scopes.partition_point(|&mark| mark <= i)) {
-                None => self.encoder.assert_root(f, &mut self.sat, &mut self.simplex),
-                Some(act) => {
-                    self.encoder.assert_root_guarded(f, act, &mut self.sat, &mut self.simplex)
-                }
-            };
+            let guard = self.guard(scopes.partition_point(|&mark| mark <= i));
+            let encoded = self.encoder.assert_root(f, guard, &mut self.sat, &mut self.simplex);
             if let Err(why) = encoded {
                 done = Err(why);
                 break;
@@ -360,10 +356,9 @@ pub struct Solver {
     /// [`SolverStats`] (tests inject a fake; see [`crate::profile`]).
     clock: Clock,
     /// Span profiler, when attached: checks open `encode`/`search`/
-    /// `certify` spans (with `base`/`delta` and `simplex` leaves).
+    /// `certify` spans (with `base`/`delta` and `simplex` leaves) and
+    /// sample a progress timeline into their stats.
     profiler: Option<Profiler>,
-    /// Whether checks sample a progress timeline into their stats.
-    progress: bool,
 }
 
 impl Default for Solver {
@@ -382,7 +377,6 @@ impl Default for Solver {
             simplex_mode: SimplexMode::default(),
             clock: Clock::default(),
             profiler: None,
-            progress: false,
         }
     }
 }
@@ -529,7 +523,9 @@ impl Solver {
     /// stats timings come from the same source). Checks then record an
     /// `encode` → `search` → `certify` span tree, with `base`/`delta`
     /// encode children and the simplex's accumulated self-time as a
-    /// `simplex` leaf under `search`.
+    /// `simplex` leaf under `search`, and each check's
+    /// [`SolverStats::progress`] carries a bounded sequence of counter
+    /// samples recorded at decision boundaries.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.clock = profiler.clock().clone();
         self.profiler = Some(profiler);
@@ -539,13 +535,6 @@ impl Solver {
     /// inject a fake). [`Solver::set_profiler`] also sets this.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
-    }
-
-    /// Enables (or disables) progress-timeline sampling: when on, each
-    /// check's [`SolverStats::progress`] carries a bounded sequence of
-    /// counter samples recorded at decision boundaries.
-    pub fn set_progress_sampling(&mut self, on: bool) {
-        self.progress = on;
     }
 
     /// Statically analyses the current assertion set without solving.
@@ -819,10 +808,8 @@ impl Solver {
         let prof = self.profiler.clone();
         core.sat.set_budget(self.budget.clone());
         core.simplex.set_budget(self.budget.clone());
-        if self.progress {
-            core.sat.enable_progress(self.clock.clone());
-        }
         if prof.is_some() {
+            core.sat.enable_progress(self.clock.clone());
             core.simplex.enable_timing(self.clock.clone());
         }
         let encode_done = self.clock.now();
@@ -1309,13 +1296,12 @@ mod tests {
 
     /// The span profiler must see the solver's phase structure: `encode`
     /// with `base`/`delta` children and `search` with a `simplex` leaf,
-    /// and progress sampling must yield a monotone timeline.
+    /// and the progress sampling it brings must yield a monotone timeline.
     #[test]
     fn profiler_records_span_tree_and_progress() {
         let mut s = Solver::new();
         let prof = Profiler::new();
         s.set_profiler(prof.clone());
-        s.set_progress_sampling(true);
         let p = s.new_bool();
         let x = s.new_real();
         s.assert_formula(&Formula::var(p).implies(LinExpr::var(x).ge(LinExpr::from(5))));

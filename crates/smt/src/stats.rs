@@ -87,8 +87,8 @@ pub struct SolverStats {
     pub lint_infos: usize,
     /// Wall-clock time of the check.
     pub solve_time: Duration,
-    /// Sampled progress timeline of the search; empty unless sampling
-    /// was enabled (see [`crate::Solver::set_progress_sampling`]).
+    /// Sampled progress timeline of the search; empty unless a profiler
+    /// was attached (see [`crate::Solver::set_profiler`]).
     pub progress: Vec<ProgressSample>,
 }
 

@@ -82,20 +82,19 @@
 //! | 3 | undecided: the solver's wall-clock budget ran out (`unknown`), or at least one campaign job did — **not** the same as unsat |
 
 use sta::campaign::pool::{run_with as run_campaign, RunOptions};
-use sta::campaign::{bench, paper, CampaignSpec};
+use sta::campaign::{bench, paper, CampaignSpec, JobResult, Verdict};
 use sta::core::analytics::ThreatAnalyzer;
-use sta::core::attack::{AttackModel, AttackOutcome, AttackVerifier, StateTarget};
-use sta::core::synthesis::{SynthesisConfig, Synthesizer};
+use sta::core::attack::{AttackModel, AttackVerifier, StateTarget};
+use sta::core::synthesis::{SynthesisConfig, SynthesisOutcome, Synthesizer};
 use sta::core::{scenario, validation};
 use sta::grid::{caseformat, TestSystem};
 use sta::smt::{
-    phase_events, render_spans, CertifyLevel, JsonlSink, PhaseMetrics, PhaseTimings, Profiler,
+    render_spans, Budget, CertifyLevel, Clock, JsonlSink, PhaseMetrics, PhaseTimings, Profiler,
     SharedSink, TraceEvent, TraceSink,
 };
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
-use std::time::Duration;
 
 /// Opens the `--trace` JSONL sink over a buffered file writer.
 fn open_trace(path: &str) -> Result<JsonlSink<BufWriter<File>>, String> {
@@ -104,47 +103,31 @@ fn open_trace(path: &str) -> Result<JsonlSink<BufWriter<File>>, String> {
     Ok(JsonlSink::new(BufWriter::new(file)))
 }
 
-/// The trace-event sequence of a one-shot run (one verify or synthesize
-/// invocation): run/job brackets around the per-phase counter records.
-fn one_shot_events(
-    name: &str,
-    label: &str,
-    case: &str,
-    verdict: &str,
-    metrics: &PhaseMetrics,
-    timings: &PhaseTimings,
-) -> Vec<TraceEvent> {
-    let mut events = vec![
-        TraceEvent::RunStart { name: name.to_string(), jobs: 1 },
-        TraceEvent::JobStart { job: 0, label: label.to_string(), case: case.to_string() },
-    ];
-    events.extend(phase_events(0, metrics, timings));
-    let wall: Duration = timings.encode + timings.search;
-    let wall_us = wall.as_micros() as u64;
-    events.push(TraceEvent::JobEnd { job: 0, verdict: verdict.to_string(), wall_us });
-    events.push(TraceEvent::RunEnd { name: name.to_string(), wall_us });
-    events
-}
-
-/// Writes a one-shot trace file and/or prints the phase table, per flags.
+/// Writes a one-shot run's trace file — its one job's events, as the
+/// campaign pool streams them, between `run-start` and `run-end` — and/or
+/// prints its phase table and span tree, per flags.
 fn observe_one_shot(
     trace: Option<&str>,
     metrics_flag: bool,
     name: &str,
-    label: &str,
-    case: &str,
-    verdict: &str,
-    metrics: &PhaseMetrics,
-    timings: &PhaseTimings,
+    result: &JobResult,
 ) -> Result<(), String> {
     if let Some(path) = trace {
         let mut sink = open_trace(path)?;
-        for ev in one_shot_events(name, label, case, verdict, metrics, timings) {
+        sink.emit(&TraceEvent::RunStart { name: name.to_string(), jobs: 1 });
+        for ev in result.job_events() {
             sink.emit(&ev);
         }
+        let wall_us = result.wall.as_micros() as u64;
+        sink.emit(&TraceEvent::RunEnd { name: name.to_string(), wall_us });
     }
-    if metrics_flag {
+    if let (true, Some(metrics), Some(timings)) =
+        (metrics_flag, &result.metrics, &result.phase_wall)
+    {
         print_metrics(metrics, timings);
+    }
+    if let Some(spans) = &result.spans {
+        print!("{}", render_spans(spans));
     }
     Ok(())
 }
@@ -206,9 +189,9 @@ struct VerifyFlags {
 }
 
 /// Parses the trailing flags verify/replay accept: `--certify`,
-/// `--timeout-ms` (a CLI-level deadline overriding the scenario file's
-/// own `timeout-ms`), and — when `observability` is allowed — `--trace`,
-/// `--metrics`, and `--profile`.
+/// `--timeout-ms` (the caller's deadline, which wins over the scenario
+/// file's own `timeout-ms`), and — when `observability` is allowed —
+/// `--trace`, `--metrics`, and `--profile`.
 fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, String> {
     let mut flags = VerifyFlags {
         certify: CertifyLevel::Off,
@@ -262,88 +245,62 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let (case, scen) = two(args)?;
     let flags = verify_flags(&args[2..], true)?;
     let sys = caseformat::load(&case)?;
-    let mut model = load_scenario(&scen, &sys)?;
-    if flags.timeout_ms.is_some() {
-        model.timeout_ms = flags.timeout_ms;
-    }
+    let model = load_scenario(&scen, &sys)?;
+    // The job wall runs from the verifier's set-up, as a campaign job's
+    // runs from its session's.
+    let clock = Clock::monotonic();
     let mut verifier = AttackVerifier::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
         .with_certify(flags.certify);
-    let profiler = flags.profile.then(Profiler::new);
+    let profiler = flags.profile.then(|| Profiler::with_clock(clock.clone()));
     if let Some(p) = &profiler {
         verifier = verifier.with_profiler(p.clone());
     }
-    let report = verifier.verify_with_stats(&model);
-    let verdict = match &report.outcome {
-        AttackOutcome::Feasible(_) => "sat".to_string(),
-        AttackOutcome::Infeasible => "unsat".to_string(),
-        AttackOutcome::Unknown(why) => format!("unknown({why})"),
-    };
-    observe_one_shot(
-        flags.trace.as_deref(),
-        flags.metrics,
-        &format!("verify:{case}"),
-        &scen,
-        &case,
-        &verdict,
-        &report.stats.metrics,
-        &report.stats.timings,
-    )?;
-    if let Some(p) = &profiler {
-        print!("{}", render_spans(&p.take()));
+    let budget = Budget::from_timeout_ms(model.deadline_ms(flags.timeout_ms));
+    let report = verifier.verify_with_budget(&model, &budget);
+    let mut result = JobResult::verified(0, &scen, &case, report);
+    result.spans = profiler.map(|p| p.take());
+    result.wall = clock.now();
+    observe_one_shot(flags.trace.as_deref(), flags.metrics, &format!("verify:{case}"), &result)?;
+    match (&result.verdict, &result.witness) {
+        (_, Some(v)) => println!("sat\n{v}"),
+        (Verdict::Unknown(why), _) => {
+            println!("unknown ({why}) — budget exhausted before a verdict; NOT unsat")
+        }
+        _ => println!("unsat — no attack satisfies the scenario"),
     }
-    match &report.outcome {
-        AttackOutcome::Feasible(v) => {
-            println!("sat");
-            println!("{v}");
-            println!("solver: {}", report.stats);
-            Ok(ExitCode::SUCCESS)
-        }
-        AttackOutcome::Infeasible => {
-            println!("unsat — no attack satisfies the scenario");
-            println!("solver: {}", report.stats);
-            Ok(ExitCode::from(1))
-        }
-        AttackOutcome::Unknown(why) => {
-            println!("unknown ({why}) — budget exhausted before a verdict; NOT unsat");
-            println!("solver: {}", report.stats);
-            Ok(ExitCode::from(3))
-        }
+    if let Some(stats) = &result.stats {
+        println!("solver: {stats}");
     }
+    Ok(ExitCode::from(result.verdict.exit_code()))
 }
 
 fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     let (case, scen) = two(args)?;
     let flags = verify_flags(&args[2..], false)?;
     let sys = caseformat::load(&case)?;
-    let mut model = load_scenario(&scen, &sys)?;
-    if flags.timeout_ms.is_some() {
-        model.timeout_ms = flags.timeout_ms;
-    }
+    let model = load_scenario(&scen, &sys)?;
     let verifier = AttackVerifier::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
         .with_certify(flags.certify);
-    match verifier.verify(&model) {
-        AttackOutcome::Feasible(v) => {
+    let budget = Budget::from_timeout_ms(model.deadline_ms(flags.timeout_ms));
+    let result = JobResult::verified(0, &scen, &case, verifier.verify_with_budget(&model, &budget));
+    match (&result.verdict, &result.witness) {
+        (_, Some(v)) => {
             println!("attack: {v}");
-            let result = validation::replay_default(&sys, &v)
-                .map_err(|e| e.to_string())?;
-            println!("replay: {result}");
+            let replayed = validation::replay_default(&sys, v).map_err(|e| e.to_string())?;
+            println!("replay: {replayed}");
             println!(
                 "stealthy: {}",
-                if result.is_stealthy(1e-6) { "yes" } else { "NO (model bug?)" }
+                if replayed.is_stealthy(1e-6) { "yes" } else { "NO (model bug?)" }
             );
-            Ok(ExitCode::SUCCESS)
         }
-        AttackOutcome::Infeasible => {
-            println!("unsat — nothing to replay");
-            Ok(ExitCode::from(1))
+        (Verdict::Unknown(why), _) => {
+            println!("unknown ({why}) — budget exhausted; nothing to replay, but NOT unsat")
         }
-        AttackOutcome::Unknown(why) => {
-            println!("unknown ({why}) — budget exhausted; nothing to replay, but NOT unsat");
-            Ok(ExitCode::from(3))
-        }
+        _ => println!("unsat — nothing to replay"),
     }
+    Ok(ExitCode::from(result.verdict.exit_code()))
 }
 
 fn cmd_assess(args: &[String]) -> Result<ExitCode, String> {
@@ -396,10 +353,11 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
             "--trace/--metrics/--profile are not supported with --measurements".into(),
         );
     }
+    let clock = Clock::monotonic();
     let mut synth = Synthesizer::new(&sys)
         .map_err(|e| format!("case {case}: {e}"))?
         .with_certify(certify);
-    let profiler = profile.then(Profiler::new);
+    let profiler = profile.then(|| Profiler::with_clock(clock.clone()));
     if let Some(p) = &profiler {
         synth = synth.with_profiler(p.clone());
     }
@@ -428,40 +386,21 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
             config = config.paper_blocking();
         }
         let (outcome, obs) = synth.synthesize_with_metrics(&model, &config);
-        let verdict = match &outcome {
-            sta::core::SynthesisOutcome::Architecture(_) => "architecture",
-            sta::core::SynthesisOutcome::NoSolution { .. } => "no-solution",
-            sta::core::SynthesisOutcome::Inconclusive { .. } => "inconclusive",
+        let prose = match &outcome {
+            SynthesisOutcome::Architecture(arch) => arch.to_string(),
+            SynthesisOutcome::NoSolution { iterations } => {
+                format!("no architecture within budget {budget} ({iterations} iterations)")
+            }
+            SynthesisOutcome::Inconclusive { iterations } => {
+                format!("inconclusive after {iterations} iterations")
+            }
         };
-        observe_one_shot(
-            trace.as_deref(),
-            metrics,
-            &format!("synthesize:{case}"),
-            &scen,
-            &case,
-            verdict,
-            &obs.metrics,
-            &obs.timings,
-        )?;
-        if let Some(p) = &profiler {
-            print!("{}", render_spans(&p.take()));
-        }
-        match outcome {
-            sta::core::SynthesisOutcome::Architecture(arch) => {
-                println!("{arch}");
-                Ok(ExitCode::SUCCESS)
-            }
-            sta::core::SynthesisOutcome::NoSolution { iterations } => {
-                println!(
-                    "no architecture within budget {budget} ({iterations} iterations)"
-                );
-                Ok(ExitCode::from(1))
-            }
-            sta::core::SynthesisOutcome::Inconclusive { iterations } => {
-                println!("inconclusive after {iterations} iterations");
-                Ok(ExitCode::from(1))
-            }
-        }
+        let mut result = JobResult::synthesized(0, &scen, &case, outcome, obs);
+        result.spans = profiler.map(|p| p.take());
+        result.wall = clock.now();
+        observe_one_shot(trace.as_deref(), metrics, &format!("synthesize:{case}"), &result)?;
+        println!("{prose}");
+        Ok(ExitCode::from(result.verdict.exit_code()))
     }
 }
 
@@ -545,7 +484,6 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let options = RunOptions {
         workers: jobs,
         profile,
-        progress: profile,
         ..RunOptions::default()
     };
     let report = run_campaign(&spec, &options, sink.as_ref());
