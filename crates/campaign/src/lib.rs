@@ -21,12 +21,13 @@
 //!
 //! The `sta campaign` CLI subcommand and every `sta bench` suite,
 //! the paper's evaluation ([`paper`]) included, are thin builders over
-//! this crate. Its job types are also the one outcome model of every
-//! front end: `sta verify`/`replay`/`synthesize` and `sta serve` build
-//! a [`JobResult`] through [`JobResult::verified`] or
+//! this crate, and `sta verify`/`replay`/`synthesize` run here as
+//! one-job campaigns on one worker. Its job types are also the one
+//! outcome model of every front end: the pool and `sta serve` build a
+//! [`JobResult`] through [`JobResult::verified`] or
 //! [`JobResult::synthesized`], and [`Verdict`] holds the one table of
 //! verdict tokens and exit codes that the report, the traces, the serve
-//! replies and `sta client` read.
+//! replies, the CLI and `sta client` read.
 //!
 //! [`base encoding`]: sta_core::attack::VerifySession
 //!

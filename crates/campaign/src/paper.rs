@@ -23,9 +23,9 @@ use crate::report::{CampaignReport, Verdict};
 use crate::spec::{CampaignSpec, JobKind, JobSpec};
 use sta_core::attack::{AttackModel, StateTarget};
 use sta_core::baselines;
-use sta_core::synthesis::{BlockingStrategy, SynthesisConfig, Synthesizer};
-use sta_grid::{ieee14, synthetic, BusId, MeasurementId, TestSystem};
-use sta_smt::{Align, BoolVar, Clock, Formula, Solver, Table};
+use sta_core::synthesis::{selection_model, BlockingStrategy, SynthesisConfig, Synthesizer};
+use sta_grid::{ieee14, synthetic, BusId, TestSystem};
+use sta_smt::{Align, Clock, Table};
 
 /// Names of the paper-evaluation suites.
 pub const SUITES: [&str; 4] = ["fig4", "fig5", "table4", "ablation"];
@@ -109,6 +109,7 @@ impl Defense {
             Defense::Measurements(budget) => Synthesizer::new(sys)
                 .ok()?
                 .synthesize_measurements(&attacker, budget)
+                .ok()
                 .map(|(set, _)| set.len()),
         }
     }
@@ -381,26 +382,12 @@ fn render(
 }
 
 /// Table IV's candidate-selection model for `sys`: the estimated memory,
-/// in MB, of one checked selection model at the paper-scale budget
+/// in MB, of one checked [`selection_model`] at the paper-scale budget
 /// `T_SB = 6` (the §IV-E ceiling). The cardinality encoding grows with
 /// `b·T_SB`, and the paper sizes its selection model at fixed small
-/// operator budgets. One adjacency clause per taken flow meter keeps
-/// its two end buses from both being secured (Eq. 30).
+/// operator budgets.
 pub fn selection_model_mb(sys: &TestSystem) -> f64 {
-    let lines = sys.grid.num_lines();
-    let mut solver = Solver::new();
-    let sb: Vec<BoolVar> = (0..sys.grid.num_buses()).map(|_| solver.new_bool()).collect();
-    solver.assert_formula(&Formula::at_most(sb.iter().map(|&v| Formula::var(v)).collect(), 6));
-    for (i, line) in sys.grid.lines().iter().enumerate() {
-        if sys.measurements.is_taken(MeasurementId(i))
-            || sys.measurements.is_taken(MeasurementId(lines + i))
-        {
-            solver.assert_formula(&Formula::or(vec![
-                Formula::var(sb[line.from.0]).not(),
-                Formula::var(sb[line.to.0]).not(),
-            ]));
-        }
-    }
+    let (mut solver, _) = selection_model(sys, &SynthesisConfig::with_budget(6));
     let _ = solver.check();
     solver.last_stats().map_or(0.0, |s| s.estimated_mb())
 }

@@ -18,6 +18,12 @@
 //! own sessions, whose CEGIS loops run on persistent solver cores that
 //! live exactly as long as the job.
 //!
+//! A profiled job records that cold set-up — the DC operating point and
+//! the session's base formulas, or a synthesizer's operating point —
+//! under a `setup` root span, so only the first job of each key on a
+//! worker carries one. The CLI's `verify`, `replay` and `synthesize` run
+//! here too, as one-job campaigns on one worker.
+//!
 //! # Determinism
 //!
 //! A job's deterministic outputs (verdict, witness, stats) depend only on
@@ -99,7 +105,7 @@ pub fn run(spec: &CampaignSpec, workers: usize) -> CampaignReport {
 /// streaming [`TraceEvent`]s as jobs complete (the `--trace` JSONL
 /// backend).
 ///
-/// Each finished job's events ([`JobResult::job_events`]) are emitted in
+/// Each finished job's events (`JobResult::job_events`) are emitted in
 /// one batch so they stay contiguous in the stream; the relative order of
 /// *different* jobs follows completion and is therefore
 /// nondeterministic, like every other timing-class quantity. The report
@@ -258,12 +264,15 @@ fn execute(
         JobKind::Verify(model) => {
             let session = match sessions.entry((job.case, model.allow_topology_attack)) {
                 Entry::Occupied(e) => Ok(e.into_mut()),
-                Entry::Vacant(e) => AttackVerifier::new(&case.system).map(|verifier| {
-                    e.insert(VerifySession::with_verifier(
-                        verifier.with_certify(spec.certify).with_simplex(spec.simplex),
-                        model.allow_topology_attack,
-                    ))
-                }),
+                Entry::Vacant(e) => {
+                    let _setup = profiler.as_ref().map(|p| p.span("setup"));
+                    AttackVerifier::new(&case.system).map(|verifier| {
+                        e.insert(VerifySession::with_verifier(
+                            verifier.with_certify(spec.certify).with_simplex(spec.simplex),
+                            model.allow_topology_attack,
+                        ))
+                    })
+                }
             };
             session.map(|session| {
                 if let Some(p) = &profiler {
@@ -276,7 +285,11 @@ fn execute(
             })
         }
         JobKind::Synthesize { attacker, config } => {
-            Synthesizer::new(&case.system).map(|synth| {
+            let synth = {
+                let _setup = profiler.as_ref().map(|p| p.span("setup"));
+                Synthesizer::new(&case.system)
+            };
+            synth.map(|synth| {
                 let mut synth = synth.with_certify(spec.certify).with_simplex(spec.simplex);
                 if let Some(p) = &profiler {
                     synth = synth.with_profiler(p.clone());

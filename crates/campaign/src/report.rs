@@ -233,9 +233,9 @@ impl JobResult {
     /// The trace-event batch of this finished job: `job-start`, a
     /// `phase` record per phase (with wall clock where tracked), its
     /// spans and progress samples when profiled, `job-end`. The campaign
-    /// pool streams one batch per job; the CLI's one-shot commands wrap
-    /// theirs in `run-start`/`run-end`.
-    pub fn job_events(&self) -> Vec<TraceEvent> {
+    /// pool, the one trace writer, streams one batch per job between
+    /// `run-start` and `run-end`.
+    pub(crate) fn job_events(&self) -> Vec<TraceEvent> {
         let mut events = vec![TraceEvent::JobStart {
             job: self.id,
             label: self.label.clone(),

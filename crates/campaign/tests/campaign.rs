@@ -1,7 +1,7 @@
 //! Campaign-engine integration tests: scheduling determinism and deadline
 //! behavior over the real IEEE 14-bus encoding.
 
-use sta_campaign::{run, run_with, CampaignSpec, RunOptions, Verdict};
+use sta_campaign::{run, run_with, CampaignSpec, JobKind, RunOptions, Verdict};
 use sta_core::attack::{AttackModel, AttackVerifier, StateTarget};
 use sta_core::synthesis::SynthesisConfig;
 use sta_grid::{ieee14, BusId};
@@ -203,6 +203,38 @@ fn profiled_run_collects_spans_and_progress() {
         .any(|e| matches!(e, TraceEvent::Progress { .. })));
     // An unprofiled run attaches nothing.
     assert!(run(&spec, 2).results.iter().all(|r| r.spans.is_none()));
+}
+
+/// A profiled run claims each job's cold set-up — the operating point and
+/// the session's base formulas — as a `setup` root span. On one worker a
+/// verification session is built once per `(case, topology)` key, so only
+/// the first job of each key carries one; every synthesis job builds its
+/// own synthesizer. An unprofiled run records no spans at all.
+#[test]
+fn profiled_run_claims_cold_setup_once_per_session_key() {
+    let spec = mixed_spec();
+    let options = RunOptions { workers: 1, profile: true, ..RunOptions::default() };
+    let report = run_with(&spec, &options, None);
+    let mut keys = std::collections::BTreeSet::new();
+    let mut synthesis_jobs = 0;
+    for (job, result) in spec.jobs.iter().zip(&report.results) {
+        let expected = match &job.kind {
+            JobKind::Verify(model) => keys.insert((job.case, model.allow_topology_attack)),
+            JobKind::Synthesize { .. } => {
+                synthesis_jobs += 1;
+                true
+            }
+        };
+        let spans = result.spans.as_ref().expect("a profiled job has spans");
+        let setup: Vec<u64> =
+            spans.iter().filter(|n| n.name == "setup").map(|n| n.count).collect();
+        assert_eq!(setup, if expected { vec![1] } else { vec![] }, "{}", job.label);
+    }
+    assert_eq!(keys.len(), 2, "ieee14 plain and ieee14-unsecured with topology");
+    let merged = report.merged_spans();
+    let setup: Vec<u64> = merged.iter().filter(|n| n.name == "setup").map(|n| n.count).collect();
+    assert_eq!(setup, vec![keys.len() as u64 + synthesis_jobs]);
+    assert!(run(&spec, 1).results.iter().all(|r| r.spans.is_none()));
 }
 
 /// Satellite: worker-count edge cases — one worker, and more workers than

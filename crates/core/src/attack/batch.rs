@@ -14,6 +14,14 @@
 //! solver's persistent core, which keeps learned clauses and the simplex
 //! basis across calls.
 //!
+//! A session is also the one verification solve body, and the one place
+//! a solver answer becomes a [`VerificationReport`]: a one-shot
+//! [`AttackVerifier::verify`] builds a session for its single check, the
+//! campaign pool keeps one per worker and `(case, topology)` key (the
+//! CLI's `verify` and `replay` run there as one-job campaigns), the
+//! synthesis loop holds one for its whole run, and `sta serve` checks
+//! them out of its cache.
+//!
 //! Sessions are keyed by topology support: a base built with `el`/`il`
 //! variables serves both topology and non-topology scenarios (the latter
 //! pin the variables false), but the extra variables and conditional
@@ -27,7 +35,6 @@ use crate::attack::verifier::{AttackEncoding, AttackVerifier};
 use sta_estimator::PowerFlowError;
 use sta_grid::{BusId, MeasurementId, TestSystem};
 use sta_smt::{Budget, SatResult, Solver};
-use std::sync::Arc;
 
 /// A reusable verification context over one test system.
 ///
@@ -70,23 +77,18 @@ impl VerifySession {
         Ok(Self::with_verifier(AttackVerifier::new(system)?, topology))
     }
 
-    /// Builds a session over an already-shared system without cloning
-    /// the case data.
-    ///
-    /// # Errors
-    /// As [`AttackVerifier::shared`].
-    pub fn shared(system: Arc<TestSystem>, topology: bool) -> Result<Self, PowerFlowError> {
-        Ok(Self::with_verifier(AttackVerifier::shared(system)?, topology))
-    }
-
     /// Builds a session around a configured verifier (operating point,
-    /// certification level).
+    /// certification level, profiler, simplex engine). This is the only
+    /// place a verification solver is built.
     pub fn with_verifier(verifier: AttackVerifier, topology: bool) -> Self {
         let mut solver = Solver::new();
         solver.set_certify(verifier.certify_level());
-        // Inherit the verifier's observability configuration so a
-        // profiled campaign worker sees session checks too.
-        verifier.configure_solver(&mut solver);
+        solver.set_simplex_mode(verifier.simplex);
+        // Inherit the verifier's profiler (and its clock) so a profiled
+        // caller sees session checks too.
+        if let Some(p) = verifier.profiler() {
+            solver.set_profiler(p.clone());
+        }
         let enc = verifier.encode_base(&mut solver, topology);
         VerifySession { verifier, solver, enc }
     }
@@ -143,19 +145,12 @@ impl VerifySession {
             .assert_scenario(&mut self.solver, &self.enc, model);
         self.solver.set_budget(budget.clone());
         let result = self.solver.check();
-        let stats = self.solver.last_stats().cloned().unwrap_or_default();
-        let outcome = match result {
-            SatResult::Unsat => AttackOutcome::Infeasible,
-            SatResult::Unknown(why) => AttackOutcome::Unknown(why),
-            SatResult::Sat(m) => AttackOutcome::Feasible(Box::new(
-                self.verifier.extract_vector(&self.enc, &m),
-            )),
-        };
+        let report = self.report(result);
         self.solver.set_budget(Budget::unlimited());
         // The matching push is at the top of this method.
         let popped = self.solver.pop();
         debug_assert!(popped.is_ok());
-        VerificationReport { outcome, stats }
+        report
     }
 
     /// Opens a scenario scope for assumption-based re-verification:
@@ -199,6 +194,15 @@ impl VerifySession {
         );
         self.solver.set_budget(budget.clone());
         let result = self.solver.check_assuming(&assumptions);
+        let report = self.report(result);
+        self.solver.set_budget(Budget::unlimited());
+        report
+    }
+
+    /// The report of the check that just answered `result`: its verdict,
+    /// witness and stats — the one mapping from a solver answer to a
+    /// [`VerificationReport`].
+    fn report(&self, result: SatResult) -> VerificationReport {
         let stats = self.solver.last_stats().cloned().unwrap_or_default();
         let outcome = match result {
             SatResult::Unsat => AttackOutcome::Infeasible,
@@ -207,7 +211,6 @@ impl VerifySession {
                 self.verifier.extract_vector(&self.enc, &m),
             )),
         };
-        self.solver.set_budget(Budget::unlimited());
         VerificationReport { outcome, stats }
     }
 

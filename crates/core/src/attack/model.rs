@@ -219,15 +219,6 @@ impl AttackModel {
         }
         self
     }
-
-    /// Buses whose estimate the scenario requires to be corrupted.
-    pub fn must_change_states(&self) -> impl Iterator<Item = BusId> + '_ {
-        self.targets
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| **t == StateTarget::MustChange)
-            .map(|(j, _)| BusId(j))
-    }
 }
 
 #[cfg(test)]
@@ -248,8 +239,6 @@ mod tests {
         assert_eq!(m.targets[0], StateTarget::Free);
         assert_eq!(m.different_changes, vec![(BusId(1), BusId(2))]);
         assert!(m.allow_topology_attack);
-        let musts: Vec<BusId> = m.must_change_states().collect();
-        assert_eq!(musts, vec![BusId(2)]);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub enum AttackOutcome {
     Infeasible,
     /// The verification's budget ran out before a verdict — the scenario is
     /// undecided, which is *not* the same as infeasible (see
-    /// [`crate::attack::AttackVerifier::verify_with_budget`]).
+    /// [`crate::attack::VerifySession::verify_with_budget`]).
     Unknown(Interrupt),
 }
 

@@ -38,16 +38,20 @@
 //! scenario-specific attributes (knowledge, budgets, goals, extra
 //! protection) on top. [`crate::attack::VerifySession`] combines the two
 //! with the solver's push/pop scopes so a whole campaign of variants pays
-//! for the base exactly once.
+//! for the base exactly once. It is the only place a verification solver
+//! is built: a one-shot [`AttackVerifier::verify`] runs on a session
+//! built for that one check, so every front end decides a scenario
+//! through the same solve body.
 
 use crate::attack::model::{AttackModel, StateTarget};
 use crate::attack::vector::{Alteration, AttackOutcome, AttackVector, VerificationReport};
+use crate::attack::VerifySession;
 use crate::decimal;
 use sta_estimator::{dcflow, PowerFlowError};
 use sta_grid::{BusId, LineId, MeasurementConfig, MeasurementId, TestSystem};
 use sta_smt::{
-    BoolVar, Budget, CertifyLevel, Formula, LinExpr, LinExprCmp, Model, Profiler, RealVar,
-    Rational, SatResult, SimplexMode, Solver,
+    BoolVar, CertifyLevel, Formula, LinExpr, LinExprCmp, Model, Profiler, RealVar, Rational,
+    SimplexMode, Solver,
 };
 use std::sync::Arc;
 
@@ -104,13 +108,13 @@ pub struct AttackVerifier {
     /// Certification level applied to every solver check (the stricter of
     /// this and the scenario's own [`AttackModel::certify`]).
     certify: CertifyLevel,
-    /// Span profiler handed to every solver this verifier builds; each
-    /// check records a `verify` span over the solver's phase tree and
-    /// samples its progress.
+    /// Span profiler handed to the solver of every session built on this
+    /// verifier; each check records a `verify` span over the solver's
+    /// phase tree and samples its progress.
     profiler: Option<Profiler>,
-    /// Simplex engine of every solver this verifier builds: revised,
-    /// unless a test or the scale suite pins the dense oracle.
-    simplex: SimplexMode,
+    /// Simplex engine of every solver this verifier's sessions build:
+    /// revised, unless a test or the scale suite pins the dense oracle.
+    pub(crate) simplex: SimplexMode,
 }
 
 impl AttackVerifier {
@@ -217,23 +221,14 @@ impl AttackVerifier {
         self.profiler.as_ref()
     }
 
-    /// Pins the simplex engine of every solver this verifier builds.
-    /// Production verifiers keep the default, the revised engine; tests
-    /// and the scale suite pin [`SimplexMode::Dense`] to run the dense
-    /// oracle. Verdicts, models and deterministic counters are identical
-    /// across engines (see [`sta_smt::Solver::set_simplex_mode`]).
+    /// Pins the simplex engine of every solver this verifier's sessions
+    /// build. Production verifiers keep the default, the revised engine;
+    /// tests and the scale suite pin [`SimplexMode::Dense`] to run the
+    /// dense oracle. Verdicts, models and deterministic counters are
+    /// identical across engines (see [`sta_smt::Solver::set_simplex_mode`]).
     pub fn with_simplex(mut self, mode: SimplexMode) -> Self {
         self.simplex = mode;
         self
-    }
-
-    /// Applies this verifier's profiler (with its clock) and engine
-    /// selection to a solver it is about to drive.
-    pub(crate) fn configure_solver(&self, solver: &mut Solver) {
-        if let Some(p) = &self.profiler {
-            solver.set_profiler(p.clone());
-        }
-        solver.set_simplex_mode(self.simplex);
     }
 
     /// The system under verification.
@@ -293,49 +288,17 @@ impl AttackVerifier {
     }
 
     /// Checks feasibility and returns solver statistics alongside,
-    /// honoring the scenario's own [`AttackModel::timeout_ms`].
+    /// honoring the scenario's own [`AttackModel::timeout_ms`]. The check
+    /// runs on a [`VerifySession`] built for it alone, so one-shot and
+    /// session checks share one solve body and give identical reports.
+    /// An exhausted budget yields [`AttackOutcome::Unknown`] — the
+    /// scenario is *undecided*, not infeasible.
     ///
     /// # Panics
     /// Panics if `model.targets.len()` does not match the system's bus
     /// count, or a knowledge vector has the wrong length.
     pub fn verify_with_stats(&self, model: &AttackModel) -> VerificationReport {
-        self.verify_with_budget(model, &Budget::from_timeout_ms(model.timeout_ms))
-    }
-
-    /// Checks feasibility under an explicit wall-clock/cancellation
-    /// budget. An exhausted budget yields
-    /// [`AttackOutcome::Unknown`] — the scenario is *undecided*, not
-    /// infeasible. The budget covers *every* solver phase, including the
-    /// Tseitin/cardinality encoding of the §III constraints: a large
-    /// system whose CNF expansion alone exceeds the deadline still comes
-    /// back `Unknown` on time. The returned report's stats carry the
-    /// per-phase observability counters (see [`sta_smt::PhaseMetrics`]).
-    ///
-    /// # Panics
-    /// Panics if `model.targets.len()` does not match the system's bus
-    /// count, or a knowledge vector has the wrong length.
-    pub fn verify_with_budget(
-        &self,
-        model: &AttackModel,
-        budget: &Budget,
-    ) -> VerificationReport {
-        let _sp = self.profiler.as_ref().map(|p| p.span("verify"));
-        let mut solver = Solver::new();
-        solver.set_certify(self.certify.max(model.certify));
-        self.configure_solver(&mut solver);
-        let enc = self.encode_base(&mut solver, model.allow_topology_attack);
-        self.assert_scenario(&mut solver, &enc, model);
-        solver.set_budget(budget.clone());
-        let result = solver.check();
-        let stats = solver.last_stats().cloned().unwrap_or_default();
-        let outcome = match result {
-            SatResult::Unsat => AttackOutcome::Infeasible,
-            SatResult::Unknown(why) => AttackOutcome::Unknown(why),
-            SatResult::Sat(m) => {
-                AttackOutcome::Feasible(Box::new(self.extract_vector(&enc, &m)))
-            }
-        };
-        VerificationReport { outcome, stats }
+        VerifySession::with_verifier(self.clone(), model.allow_topology_attack).verify(model)
     }
 
     /// Asserts every scenario-independent constraint into `solver` and

@@ -162,6 +162,43 @@ impl SynthesisOutcome {
     }
 }
 
+/// Algorithm 1's candidate-selection model over `system`: one `sb_j` per
+/// bus under the Eq. 27 budget, the Eq. 29 exclusions, the §IV-E
+/// reference convention when `config` asks for it, and the Eq. 30
+/// adjacency pruning (no two buses adjacent through a taken flow meter
+/// both secured). Returns the unchecked solver and the `sb` variables.
+/// The synthesis loop checks it round after round; Table IV sizes it.
+pub fn selection_model(system: &TestSystem, config: &SynthesisConfig) -> (Solver, Vec<BoolVar>) {
+    let mut selection = Solver::new();
+    let sb: Vec<BoolVar> = (0..system.grid.num_buses()).map(|_| selection.new_bool()).collect();
+    // Eq. 27: the budget.
+    selection.assert_formula(&Formula::at_most(
+        sb.iter().map(|&v| Formula::var(v)).collect(),
+        config.max_secured_buses,
+    ));
+    // Eq. 29: operator exclusions.
+    for bus in &config.unsecurable_buses {
+        selection.assert_formula(&Formula::var(sb[bus.0]).not());
+    }
+    // §IV-E convention: the reference bus is always secured.
+    if config.require_reference_secured {
+        selection.assert_formula(&Formula::var(sb[system.reference_bus.0]));
+    }
+    // Eq. 30: no two buses adjacent through a taken flow meter.
+    let l = system.grid.num_lines();
+    for (i, line) in system.grid.lines().iter().enumerate() {
+        if system.measurements.is_taken(MeasurementId(i))
+            || system.measurements.is_taken(MeasurementId(l + i))
+        {
+            selection.assert_formula(&Formula::or(vec![
+                Formula::var(sb[line.from.0]).not(),
+                Formula::var(sb[line.to.0]).not(),
+            ]));
+        }
+    }
+    (selection, sb)
+}
+
 /// The Algorithm 1 synthesizer.
 ///
 /// # Examples
@@ -186,9 +223,9 @@ impl SynthesisOutcome {
 #[derive(Debug)]
 pub struct Synthesizer<'a> {
     system: &'a TestSystem,
+    /// The loop's verifier; its certification level and profiler also
+    /// govern the candidate-selection checks.
     verifier: AttackVerifier,
-    certify: CertifyLevel,
-    profiler: Option<sta_smt::Profiler>,
 }
 
 impl<'a> Synthesizer<'a> {
@@ -199,18 +236,12 @@ impl<'a> Synthesizer<'a> {
     /// As [`AttackVerifier::new`]: an islanded system has no operating
     /// point to anchor on.
     pub fn new(system: &'a TestSystem) -> Result<Self, PowerFlowError> {
-        Ok(Synthesizer {
-            system,
-            verifier: AttackVerifier::new(system)?,
-            certify: CertifyLevel::Off,
-            profiler: None,
-        })
+        Ok(Synthesizer { system, verifier: AttackVerifier::new(system)? })
     }
 
     /// Certifies every solver answer in the loop — both the candidate
     /// selection model and the attack verification calls.
     pub fn with_certify(mut self, level: CertifyLevel) -> Self {
-        self.certify = level;
         self.verifier = self.verifier.with_certify(level);
         self
     }
@@ -220,8 +251,7 @@ impl<'a> Synthesizer<'a> {
     /// check) and the verifier's `verify` spans (base/delta encode,
     /// search, simplex self-time) nested alongside it.
     pub fn with_profiler(mut self, profiler: sta_smt::Profiler) -> Self {
-        self.verifier = self.verifier.with_profiler(profiler.clone());
-        self.profiler = Some(profiler);
+        self.verifier = self.verifier.with_profiler(profiler);
         self
     }
 
@@ -264,37 +294,11 @@ impl<'a> Synthesizer<'a> {
         obs: &mut SynthesisObservation,
     ) -> SynthesisOutcome {
         let b = self.system.grid.num_buses();
-        let mut selection = Solver::new();
-        selection.set_certify(self.certify.max(attacker.certify));
-        if let Some(p) = &self.profiler {
+        let (mut selection, sb) = selection_model(self.system, config);
+        selection.set_certify(self.verifier.certify_level().max(attacker.certify));
+        let profiler = self.verifier.profiler();
+        if let Some(p) = profiler {
             selection.set_profiler(p.clone());
-        }
-        let sb: Vec<BoolVar> = (0..b).map(|_| selection.new_bool()).collect();
-        // Eq. 27: the budget.
-        selection.assert_formula(&Formula::at_most(
-            sb.iter().map(|&v| Formula::var(v)).collect(),
-            config.max_secured_buses,
-        ));
-        // Eq. 29: operator exclusions.
-        for bus in &config.unsecurable_buses {
-            selection.assert_formula(&Formula::var(sb[bus.0]).not());
-        }
-        // §IV-E convention: the reference bus is always secured.
-        if config.require_reference_secured {
-            selection
-                .assert_formula(&Formula::var(sb[self.system.reference_bus.0]));
-        }
-        // Eq. 30: no two buses adjacent through a taken flow meter.
-        for (i, line) in self.system.grid.lines().iter().enumerate() {
-            let l = self.system.grid.num_lines();
-            let fwd_taken = self.system.measurements.is_taken(MeasurementId(i));
-            let bwd_taken = self.system.measurements.is_taken(MeasurementId(l + i));
-            if fwd_taken || bwd_taken {
-                selection.assert_formula(&Formula::or(vec![
-                    Formula::var(sb[line.from.0]).not(),
-                    Formula::var(sb[line.to.0]).not(),
-                ]));
-            }
         }
 
         // One live verification session for the whole loop: the attack
@@ -311,9 +315,9 @@ impl<'a> Synthesizer<'a> {
         let mut iterations = 0usize;
         loop {
             iterations += 1;
-            let _sp_iter = self.profiler.as_ref().map(|p| p.span("iterate"));
+            let _sp_iter = profiler.map(|p| p.span("iterate"));
             let selection_result = {
-                let _sp = self.profiler.as_ref().map(|p| p.span("select"));
+                let _sp = profiler.map(|p| p.span("select"));
                 // Assumption-based check: on the persistent core the
                 // selection solver's learned clauses survive across rounds
                 // even as blocking clauses accumulate at the base level.
@@ -432,13 +436,17 @@ impl<'a> Synthesizer<'a> {
     /// measurements whose protection blocks `attacker`, using the same
     /// counterexample-hitting refinement (any architecture disjoint from
     /// a found attack's altered measurements admits that same attack).
-    /// Returns the measurement set and the number of iterations, or
-    /// `None` when no set within the budget works.
+    /// Returns the measurement set and the number of iterations.
+    ///
+    /// # Errors
+    /// [`SynthesisOutcome::NoSolution`] when no set within the budget
+    /// blocks the attack, and [`SynthesisOutcome::Inconclusive`] when a
+    /// check ran out of budget first — undecided, not a negative.
     pub fn synthesize_measurements(
         &self,
         attacker: &AttackModel,
         max_secured: usize,
-    ) -> Option<(Vec<MeasurementId>, usize)> {
+    ) -> Result<(Vec<MeasurementId>, usize), SynthesisOutcome> {
         let m = self.system.grid.num_potential_measurements();
         // Only taken, not-already-secured measurements are candidates.
         let candidates: Vec<MeasurementId> = (0..m)
@@ -449,7 +457,7 @@ impl<'a> Synthesizer<'a> {
             })
             .collect();
         let mut selection = Solver::new();
-        selection.set_certify(self.certify.max(attacker.certify));
+        selection.set_certify(self.verifier.certify_level().max(attacker.certify));
         let sm: Vec<BoolVar> =
             candidates.iter().map(|_| selection.new_bool()).collect();
         let index_of: std::collections::BTreeMap<MeasurementId, usize> = candidates
@@ -473,10 +481,11 @@ impl<'a> Synthesizer<'a> {
         loop {
             iterations += 1;
             let chosen: Vec<MeasurementId> = match selection.check_assuming(&[]) {
-                sta_smt::SatResult::Unsat | sta_smt::SatResult::Unknown(_) => {
-                    return None
+                SatResult::Unsat => return Err(SynthesisOutcome::NoSolution { iterations }),
+                SatResult::Unknown(_) => {
+                    return Err(SynthesisOutcome::Inconclusive { iterations })
                 }
-                sta_smt::SatResult::Sat(model) => candidates
+                SatResult::Sat(model) => candidates
                     .iter()
                     .enumerate()
                     .filter(|(k, _)| model.bool_value(sm[*k]))
@@ -486,10 +495,10 @@ impl<'a> Synthesizer<'a> {
             let outcome = session.verify_assuming(&[], &chosen, &verify_budget).outcome;
             if outcome.is_unknown() {
                 // Undecided verification: no sound conclusion either way.
-                return None;
+                return Err(SynthesisOutcome::Inconclusive { iterations });
             }
             match outcome.vector() {
-                None => return Some((chosen, iterations)),
+                None => return Ok((chosen, iterations)),
                 Some(vector) => {
                     // Hit at least one altered measurement of the attack.
                     selection.assert_formula(&Formula::or(
@@ -589,8 +598,11 @@ mod tests {
         let tiny = sta_grid::TestSystem::fully_metered("ring", ring);
         let tiny_synth = Synthesizer::new(&tiny).unwrap();
         let tiny_attacker = AttackModel::new(4);
-        assert!(tiny_synth.synthesize_measurements(&tiny_attacker, 3).is_some());
-        assert!(tiny_synth.synthesize_measurements(&tiny_attacker, 2).is_none());
+        assert!(tiny_synth.synthesize_measurements(&tiny_attacker, 3).is_ok());
+        assert!(matches!(
+            tiny_synth.synthesize_measurements(&tiny_attacker, 2),
+            Err(SynthesisOutcome::NoSolution { .. })
+        ));
     }
 
     #[test]

@@ -354,64 +354,6 @@ impl CsrMatrix {
         self.values.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 
-    /// Solves `L·x = b` for a lower-triangular matrix (entries strictly
-    /// above the diagonal are ignored; the diagonal must be stored and
-    /// nonzero). Returns `None` on a missing or zero diagonal.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or `b.len()` mismatches.
-    pub fn solve_lower_triangular(&self, b: &[f64]) -> Option<Vec<f64>> {
-        assert_eq!(self.rows, self.cols, "triangular solve needs a square matrix");
-        assert_eq!(b.len(), self.rows, "rhs length mismatch");
-        let mut x = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let mut acc = b[i];
-            let mut diag = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                if j < i {
-                    acc -= self.values[k] * x[j];
-                } else if j == i {
-                    diag = self.values[k];
-                }
-            }
-            if diag == 0.0 {
-                return None;
-            }
-            x[i] = acc / diag;
-        }
-        Some(x)
-    }
-
-    /// Solves `U·x = b` for an upper-triangular matrix (entries strictly
-    /// below the diagonal are ignored; the diagonal must be stored and
-    /// nonzero). Returns `None` on a missing or zero diagonal.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or `b.len()` mismatches.
-    pub fn solve_upper_triangular(&self, b: &[f64]) -> Option<Vec<f64>> {
-        assert_eq!(self.rows, self.cols, "triangular solve needs a square matrix");
-        assert_eq!(b.len(), self.rows, "rhs length mismatch");
-        let mut x = vec![0.0; self.rows];
-        for i in (0..self.rows).rev() {
-            let mut acc = b[i];
-            let mut diag = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                if j > i {
-                    acc -= self.values[k] * x[j];
-                } else if j == i {
-                    diag = self.values[k];
-                }
-            }
-            if diag == 0.0 {
-                return None;
-            }
-            x[i] = acc / diag;
-        }
-        Some(x)
-    }
-
     /// Returns a copy with column `j` replaced by the sparse entries
     /// `col` (as `(row, value)` pairs; exact zeros are dropped). The
     /// column-replacement primitive behind basis updates.
@@ -568,31 +510,6 @@ mod tests {
         assert_eq!(a.transpose(), a);
         let y = CsrMatrix::zeros(2, 3).mul_vec(&Vector::zeros(3));
         assert_eq!(y.len(), 2);
-    }
-
-    #[test]
-    fn triangular_solves_round_trip() {
-        // L = [2 0 0; 1 3 0; 0 -1 4], U = Lᵀ.
-        let l = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0), (2, 1, -1.0), (2, 2, 4.0)],
-        );
-        let x_true = vec![1.0, -2.0, 0.5];
-        let b = l.mul_vec(&Vector::from(x_true.clone()));
-        let x = l.solve_lower_triangular(b.as_slice()).unwrap();
-        for i in 0..3 {
-            assert!((x[i] - x_true[i]).abs() < 1e-12);
-        }
-        let u = l.transpose();
-        let bu = u.mul_vec(&Vector::from(x_true.clone()));
-        let xu = u.solve_upper_triangular(bu.as_slice()).unwrap();
-        for i in 0..3 {
-            assert!((xu[i] - x_true[i]).abs() < 1e-12);
-        }
-        // A zero diagonal is reported, not divided by.
-        let sing = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]);
-        assert!(sing.solve_lower_triangular(&[1.0, 1.0]).is_none());
     }
 
     #[test]

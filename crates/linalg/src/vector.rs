@@ -39,11 +39,6 @@ impl Vector {
         &self.data
     }
 
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterates over the entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
@@ -70,11 +65,6 @@ impl Vector {
     /// Maximum absolute entry (`l∞` norm).
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
-    }
-
-    /// Sum of absolute entries (`l1` norm).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
     }
 
     /// Entry-wise scaling by `k`.
@@ -168,7 +158,6 @@ mod tests {
         let v = Vector::from(vec![3.0, -4.0]);
         assert_eq!(v.norm2(), 5.0);
         assert_eq!(v.norm_inf(), 4.0);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(Vector::zeros(3).norm2(), 0.0);
     }
 
@@ -195,6 +184,5 @@ mod tests {
         v[1] = 7.0;
         assert_eq!(v[1], 7.0);
         assert_eq!(v.iter().sum::<f64>(), 7.0);
-        assert_eq!(v.clone().into_vec(), vec![0.0, 7.0]);
     }
 }

@@ -44,11 +44,6 @@ impl Lit {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Rebuilds a literal from [`Lit::index`].
-    pub fn from_index(idx: usize) -> Lit {
-        Lit(idx as u32)
-    }
 }
 
 impl Not for Lit {
@@ -104,7 +99,6 @@ mod tests {
         assert!(!n.is_positive());
         assert_eq!(!p, n);
         assert_eq!(!n, p);
-        assert_eq!(Lit::from_index(p.index()), p);
         assert_eq!(Lit::with_polarity(3, false), Lit::negative(3));
     }
 

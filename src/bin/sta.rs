@@ -67,10 +67,13 @@
 //! `full` additionally lints the formulas (deny mode) and replays unsat
 //! proofs through an independent RUP/Farkas checker.
 //!
-//! The CEGIS synthesis loop runs on persistent solver cores — learned
-//! clauses and the warm simplex basis survive across rounds — while
-//! `verify` and campaign verification jobs solve a fresh clone of an
-//! encoded template per check (DESIGN.md §12).
+//! `verify`, `replay` and bus-level `synthesize` run as one-job
+//! campaigns on one worker of the campaign pool, so they share its job
+//! runner, trace writer and `--metrics`/`--profile` printer with
+//! `sta campaign`. Verification checks solve a fresh clone of an encoded
+//! template per check; the CEGIS synthesis loop runs on persistent solver
+//! cores, whose learned clauses and warm simplex basis survive across
+//! rounds (DESIGN.md §12).
 //!
 //! # Exit codes
 //!
@@ -81,67 +84,79 @@
 //! | 2 | usage or input error |
 //! | 3 | undecided: the solver's wall-clock budget ran out (`unknown`), or at least one campaign job did — **not** the same as unsat |
 
-use sta::campaign::pool::{run_with as run_campaign, RunOptions};
-use sta::campaign::{bench, paper, CampaignSpec, JobResult, Verdict};
+use sta::campaign::pool::{run_with, RunOptions};
+use sta::campaign::{bench, paper, CampaignReport, CampaignSpec, JobResult, Verdict};
 use sta::core::analytics::ThreatAnalyzer;
-use sta::core::attack::{AttackModel, AttackVerifier, StateTarget};
-use sta::core::synthesis::{SynthesisConfig, SynthesisOutcome, Synthesizer};
+use sta::core::attack::{AttackModel, StateTarget};
+use sta::core::synthesis::{SecurityArchitecture, SynthesisConfig, SynthesisOutcome, Synthesizer};
 use sta::core::{scenario, validation};
 use sta::grid::{caseformat, TestSystem};
-use sta::smt::{
-    render_spans, Budget, CertifyLevel, Clock, JsonlSink, PhaseMetrics, PhaseTimings, Profiler,
-    SharedSink, TraceEvent, TraceSink,
-};
+use sta::smt::{render_spans, CertifyLevel, JsonlSink, SharedSink};
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
 
-/// Opens the `--trace` JSONL sink over a buffered file writer.
-fn open_trace(path: &str) -> Result<JsonlSink<BufWriter<File>>, String> {
-    let file = File::create(path)
-        .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-    Ok(JsonlSink::new(BufWriter::new(file)))
+/// What a run reports beyond its verdicts: `--trace FILE` streams its
+/// events as JSON Lines, `--metrics` prints the phase table and
+/// `--profile` the span tree.
+#[derive(Default)]
+struct Observe {
+    trace: Option<String>,
+    metrics: bool,
+    profile: bool,
 }
 
-/// Writes a one-shot run's trace file — its one job's events, as the
-/// campaign pool streams them, between `run-start` and `run-end` — and/or
-/// prints its phase table and span tree, per flags.
-fn observe_one_shot(
-    trace: Option<&str>,
-    metrics_flag: bool,
-    name: &str,
-    result: &JobResult,
-) -> Result<(), String> {
-    if let Some(path) = trace {
-        let mut sink = open_trace(path)?;
-        sink.emit(&TraceEvent::RunStart { name: name.to_string(), jobs: 1 });
-        for ev in result.job_events() {
-            sink.emit(&ev);
+/// Runs `spec` on the campaign pool with `workers` threads, streaming its
+/// events to the `--trace` file. A case with no operating point is an
+/// input error. `sta campaign` runs its sweep through here, and `verify`,
+/// `replay` and `synthesize` their one job.
+fn run_campaign(
+    spec: &CampaignSpec,
+    workers: usize,
+    observe: &Observe,
+) -> Result<CampaignReport, String> {
+    let sink = match &observe.trace {
+        Some(path) => {
+            let file = File::create(path)
+                .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
+            Some(SharedSink::new(Box::new(JsonlSink::new(BufWriter::new(file)))))
         }
-        let wall_us = result.wall.as_micros() as u64;
-        sink.emit(&TraceEvent::RunEnd { name: name.to_string(), wall_us });
+        None => None,
+    };
+    let options = RunOptions { workers, profile: observe.profile, ..RunOptions::default() };
+    let report = run_with(spec, &options, sink.as_ref());
+    drop(sink); // flush the trace file before reporting
+    match report.input_error() {
+        Some(message) => Err(message),
+        None => Ok(report),
     }
-    if let (true, Some(metrics), Some(timings)) =
-        (metrics_flag, &result.metrics, &result.phase_wall)
-    {
-        print_metrics(metrics, timings);
-    }
-    if let Some(spans) = &result.spans {
-        print!("{}", render_spans(spans));
-    }
-    Ok(())
 }
 
-/// Prints the `--metrics` output: the deterministic phase table, then the
-/// observational counters on one line below it — the base-cache and
+/// Prints a run's `--metrics` output and `--profile` span tree, per
+/// flags. The metrics are the deterministic phase table, then the
+/// observational counters on one line below it: the base-cache and
 /// refactorization counts depend on engine mode and scheduling, so they
 /// never join the phase metrics themselves.
-fn print_metrics(metrics: &PhaseMetrics, timings: &PhaseTimings) {
-    print!("{}", metrics.table());
-    println!(
-        "observational: cache {} hits / {} misses, refactorizations {}",
-        timings.cache_hits, timings.cache_misses, timings.refactorizations
-    );
+fn print_observed(report: &CampaignReport, observe: &Observe) {
+    if observe.metrics {
+        let timings = report.timings_rollup();
+        print!("{}", report.metrics_rollup().table());
+        println!(
+            "observational: cache {} hits / {} misses, refactorizations {}",
+            timings.cache_hits, timings.cache_misses, timings.refactorizations
+        );
+    }
+    if observe.profile {
+        print!("{}", render_spans(&report.merged_spans()));
+    }
+}
+
+/// Runs the one job of `spec` on one worker and prints its metrics and
+/// span tree, per flags, ahead of the command's prose.
+fn run_one(spec: &CampaignSpec, observe: &Observe) -> Result<JobResult, String> {
+    let report = run_campaign(spec, 1, observe)?;
+    print_observed(&report, observe);
+    report.results.into_iter().next().ok_or_else(|| format!("{}: no job ran", spec.name))
 }
 
 fn usage() -> ExitCode {
@@ -183,9 +198,7 @@ fn parse_certify(v: &str) -> Result<CertifyLevel, String> {
 struct VerifyFlags {
     certify: CertifyLevel,
     timeout_ms: Option<u64>,
-    trace: Option<String>,
-    metrics: bool,
-    profile: bool,
+    observe: Observe,
 }
 
 /// Parses the trailing flags verify/replay accept: `--certify`,
@@ -196,9 +209,7 @@ fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, Str
     let mut flags = VerifyFlags {
         certify: CertifyLevel::Off,
         timeout_ms: None,
-        trace: None,
-        metrics: false,
-        profile: false,
+        observe: Observe::default(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -213,11 +224,11 @@ fn verify_flags(args: &[String], observability: bool) -> Result<VerifyFlags, Str
                     Some(v.parse().map_err(|_| "bad --timeout-ms value")?);
             }
             "--trace" if observability => {
-                flags.trace =
+                flags.observe.trace =
                     Some(it.next().ok_or("--trace needs a file")?.clone());
             }
-            "--metrics" if observability => flags.metrics = true,
-            "--profile" if observability => flags.profile = true,
+            "--metrics" if observability => flags.observe.metrics = true,
+            "--profile" if observability => flags.observe.profile = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -241,27 +252,29 @@ fn cmd_case(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
+/// Runs the check `verify` and `replay` share — `<case> <scenario>` and
+/// the trailing flags — as a one-job campaign named `<cmd>:<case>`.
+/// Returns the campaign, whose one case holds the loaded system, and the
+/// job's result.
+fn verify_one(
+    cmd: &str,
+    args: &[String],
+    observability: bool,
+) -> Result<(CampaignSpec, JobResult), String> {
     let (case, scen) = two(args)?;
-    let flags = verify_flags(&args[2..], true)?;
+    let flags = verify_flags(&args[2..], observability)?;
     let sys = caseformat::load(&case)?;
     let model = load_scenario(&scen, &sys)?;
-    // The job wall runs from the verifier's set-up, as a campaign job's
-    // runs from its session's.
-    let clock = Clock::monotonic();
-    let mut verifier = AttackVerifier::new(&sys)
-        .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(flags.certify);
-    let profiler = flags.profile.then(|| Profiler::with_clock(clock.clone()));
-    if let Some(p) = &profiler {
-        verifier = verifier.with_profiler(p.clone());
-    }
-    let budget = Budget::from_timeout_ms(model.deadline_ms(flags.timeout_ms));
-    let report = verifier.verify_with_budget(&model, &budget);
-    let mut result = JobResult::verified(0, &scen, &case, report);
-    result.spans = profiler.map(|p| p.take());
-    result.wall = clock.now();
-    observe_one_shot(flags.trace.as_deref(), flags.metrics, &format!("verify:{case}"), &result)?;
+    let mut spec = CampaignSpec::new(format!("{cmd}:{case}")).with_certify(flags.certify);
+    let c = spec.add_case(&case, sys);
+    spec.verify(c, &scen, model);
+    spec.timeout_ms = flags.timeout_ms;
+    let result = run_one(&spec, &flags.observe)?;
+    Ok((spec, result))
+}
+
+fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
+    let (_, result) = verify_one("verify", args, true)?;
     match (&result.verdict, &result.witness) {
         (_, Some(v)) => println!("sat\n{v}"),
         (Verdict::Unknown(why), _) => {
@@ -276,19 +289,12 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
-    let (case, scen) = two(args)?;
-    let flags = verify_flags(&args[2..], false)?;
-    let sys = caseformat::load(&case)?;
-    let model = load_scenario(&scen, &sys)?;
-    let verifier = AttackVerifier::new(&sys)
-        .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(flags.certify);
-    let budget = Budget::from_timeout_ms(model.deadline_ms(flags.timeout_ms));
-    let result = JobResult::verified(0, &scen, &case, verifier.verify_with_budget(&model, &budget));
+    let (spec, result) = verify_one("replay", args, false)?;
     match (&result.verdict, &result.witness) {
         (_, Some(v)) => {
             println!("attack: {v}");
-            let replayed = validation::replay_default(&sys, v).map_err(|e| e.to_string())?;
+            let replayed = validation::replay_default(&spec.cases[0].system, v)
+                .map_err(|e| e.to_string())?;
             println!("replay: {replayed}");
             println!(
                 "stealthy: {}",
@@ -322,9 +328,7 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
     let mut measurements = false;
     let mut paper_blocking = false;
     let mut certify = CertifyLevel::Off;
-    let mut trace: Option<String> = None;
-    let mut metrics = false;
-    let mut profile = false;
+    let mut observe = Observe::default();
     let mut it = args[2..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -340,68 +344,65 @@ fn cmd_synthesize(args: &[String]) -> Result<ExitCode, String> {
                 certify = parse_certify(v)?;
             }
             "--trace" => {
-                trace = Some(it.next().ok_or("--trace needs a file")?.clone());
+                observe.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
             }
-            "--metrics" => metrics = true,
-            "--profile" => profile = true,
+            "--metrics" => observe.metrics = true,
+            "--profile" => observe.profile = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     let budget = budget.ok_or("missing --budget")?;
-    if measurements && (trace.is_some() || metrics || profile) {
-        return Err(
-            "--trace/--metrics/--profile are not supported with --measurements".into(),
-        );
-    }
-    let clock = Clock::monotonic();
-    let mut synth = Synthesizer::new(&sys)
-        .map_err(|e| format!("case {case}: {e}"))?
-        .with_certify(certify);
-    let profiler = profile.then(|| Profiler::with_clock(clock.clone()));
-    if let Some(p) = &profiler {
-        synth = synth.with_profiler(p.clone());
-    }
     if measurements {
-        match synth.synthesize_measurements(&model, budget) {
-            Some((set, iters)) => {
+        // Not a campaign job kind: the measurement-granular loop runs here.
+        if observe.trace.is_some() || observe.metrics || observe.profile {
+            return Err(
+                "--trace/--metrics/--profile are not supported with --measurements".into(),
+            );
+        }
+        let synth = Synthesizer::new(&sys)
+            .map_err(|e| format!("case {case}: {e}"))?
+            .with_certify(certify);
+        let verdict = match synth.synthesize_measurements(&model, budget) {
+            Ok((set, iters)) => {
                 let ids: Vec<String> =
                     set.iter().map(|m| (m.0 + 1).to_string()).collect();
                 println!(
                     "secure measurements {{{}}} ({iters} iterations)",
                     ids.join(", ")
                 );
-                Ok(ExitCode::SUCCESS)
+                Verdict::Architecture
             }
-            None => {
+            Err(SynthesisOutcome::Inconclusive { iterations }) => {
+                println!("inconclusive after {iterations} iterations");
+                Verdict::Inconclusive
+            }
+            Err(_) => {
                 println!("no measurement set within budget {budget} blocks the scenario");
-                Ok(ExitCode::from(1))
-            }
-        }
-    } else {
-        let mut config = SynthesisConfig::with_budget(budget);
-        if reference_secured {
-            config = config.with_reference_secured();
-        }
-        if paper_blocking {
-            config = config.paper_blocking();
-        }
-        let (outcome, obs) = synth.synthesize_with_metrics(&model, &config);
-        let prose = match &outcome {
-            SynthesisOutcome::Architecture(arch) => arch.to_string(),
-            SynthesisOutcome::NoSolution { iterations } => {
-                format!("no architecture within budget {budget} ({iterations} iterations)")
-            }
-            SynthesisOutcome::Inconclusive { iterations } => {
-                format!("inconclusive after {iterations} iterations")
+                Verdict::NoSolution
             }
         };
-        let mut result = JobResult::synthesized(0, &scen, &case, outcome, obs);
-        result.spans = profiler.map(|p| p.take());
-        result.wall = clock.now();
-        observe_one_shot(trace.as_deref(), metrics, &format!("synthesize:{case}"), &result)?;
-        println!("{prose}");
-        Ok(ExitCode::from(result.verdict.exit_code()))
+        return Ok(ExitCode::from(verdict.exit_code()));
     }
+    let mut config = SynthesisConfig::with_budget(budget);
+    if reference_secured {
+        config = config.with_reference_secured();
+    }
+    if paper_blocking {
+        config = config.paper_blocking();
+    }
+    let mut spec = CampaignSpec::new(format!("synthesize:{case}")).with_certify(certify);
+    let c = spec.add_case(&case, sys);
+    spec.synthesize(c, &scen, model, config);
+    let result = run_one(&spec, &observe)?;
+    let iterations = result.iterations.unwrap_or_default();
+    match (result.verdict, result.architecture) {
+        (_, Some(secured_buses)) => {
+            println!("{}", SecurityArchitecture { secured_buses, iterations })
+        }
+        (Verdict::Inconclusive, _) => println!("inconclusive after {iterations} iterations"),
+        _ => println!("no architecture within budget {budget} ({iterations} iterations)"),
+    }
+    Ok(ExitCode::from(result.verdict.exit_code()))
 }
 
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
@@ -413,17 +414,15 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     let mut force_timeout = false;
     let mut out_file: Option<String> = None;
     let mut strip_timing = false;
-    let mut trace: Option<String> = None;
-    let mut metrics = false;
-    let mut profile = false;
+    let mut observe = Observe::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => {
-                trace = Some(it.next().ok_or("--trace needs a file")?.clone());
+                observe.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
             }
-            "--metrics" => metrics = true,
-            "--profile" => profile = true,
+            "--metrics" => observe.metrics = true,
+            "--profile" => observe.profile = true,
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
                 jobs = v.parse().map_err(|_| "bad --jobs value")?;
@@ -477,27 +476,9 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         spec = spec.with_timeout_ms(ms);
     }
     spec = spec.with_certify(certify);
-    let sink = match &trace {
-        Some(path) => Some(SharedSink::new(Box::new(open_trace(path)?))),
-        None => None,
-    };
-    let options = RunOptions {
-        workers: jobs,
-        profile,
-        ..RunOptions::default()
-    };
-    let report = run_campaign(&spec, &options, sink.as_ref());
-    drop(sink); // flush the trace file before reporting
-    if let Some(message) = report.input_error() {
-        return Err(message);
-    }
+    let report = run_campaign(&spec, jobs, &observe)?;
     print!("{}", report.table());
-    if metrics {
-        print_metrics(&report.metrics_rollup(), &report.timings_rollup());
-    }
-    if profile {
-        print!("{}", render_spans(&report.merged_spans()));
-    }
+    print_observed(&report, &observe);
     if let Some(path) = out_file {
         let json = report.to_json(!strip_timing);
         std::fs::write(&path, json)

@@ -111,6 +111,29 @@ fn synthesize_with_budget() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// Measurement-granular synthesis whose check runs out of budget is
+/// undecided: it prints `inconclusive`, never the conclusive "no
+/// measurement set blocks the scenario" that an exhausted candidate
+/// space earns. Without the deadline the same scenario is blocked.
+#[test]
+fn measurement_synthesis_out_of_budget_is_inconclusive() {
+    let dir = std::env::temp_dir().join("sta-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scen_path = dir.join("measurements-deadline.scenario");
+    let scenario = "target 12 change\nmax-measurements 8\n";
+    let run = |text: &str| {
+        std::fs::write(&scen_path, text).unwrap();
+        let path = scen_path.to_str().unwrap();
+        sta(&["synthesize", "ieee14-unsecured", path, "--budget", "13", "--measurements"])
+    };
+    let out = run(&format!("{scenario}timeout-ms 0\n"));
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(stdout(&out), "inconclusive after 1 iterations\n");
+    let out = run(scenario);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout(&out), "secure measurements {2, 29, 32} (4 iterations)\n");
+}
+
 #[test]
 fn bad_inputs_give_errors() {
     let out = sta(&["verify", "/no/such/file.case", "-"]);

@@ -185,7 +185,7 @@ fn every_front_end_reports_one_outcome() {
 
         let mut args = vec!["verify", "ieee14", path, "--trace", trace.to_str().expect("path")];
         args.extend(&timeout);
-        let (cli_code, _) = sta(&args);
+        let (cli_code, cli_out) = sta(&args);
         let (client_code, served) = sta_client(&addr, "verify", "ieee14", &scenario, &timeout);
 
         assert_eq!(result.verdict.token(), *token, "{name}: campaign");
@@ -199,6 +199,13 @@ fn every_front_end_reports_one_outcome() {
             .expect("the job's report entry");
         assert_eq!(fragment(entry, "witness"), fragment(&served, "witness"), "{name}");
         assert_eq!(fragment(&served, "witness").is_some(), *token == "sat", "{name}: {served}");
+        // `sta verify` prints the campaign job's witness byte for byte.
+        match &result.witness {
+            Some(w) => {
+                assert!(cli_out.starts_with(&format!("sat\n{w}\nsolver: ")), "{name}: {cli_out}")
+            }
+            None => assert!(!cli_out.starts_with("sat"), "{name}: {cli_out}"),
+        }
     }
 
     // Synthesis: one architecture and one iteration count.

@@ -6,7 +6,12 @@
 #      (tests/rational_equiv.rs; its ignored variant, so tier-1 runs
 #      only the few-seed one), and the many-seed observability
 #      differential with its 300-bus rung in release
-#      (tests/sparse_equiv.rs, likewise its ignored variant)
+#      (tests/sparse_equiv.rs, likewise its ignored variant); last, a
+#      release build of the `stabench/` benchmark, a workspace of its
+#      own that the workspace build never compiles, so deleting a public
+#      item it uses fails here rather than in its first bench run. It
+#      builds into target/stabench-check and writes nothing under
+#      stabench/ (about 40 s)
 #   2. source lint (tests/lint.rs): no unwrap/expect in smt/core library code
 #   3. sta-smt under --features certify-debug (simplex invariant auditor on)
 #   4. end-to-end certification smoke on IEEE 14-bus: one SAT answer with
@@ -83,6 +88,10 @@ cargo test -q --release --test rational_equiv -- --ignored
 
 echo "==> tier-1: many-seed observability differential (release)"
 cargo test -q --release --test sparse_equiv -- --ignored
+
+echo "==> tier-1: the benchmark builds against this tree"
+cargo build --release --offline --locked --manifest-path stabench/Cargo.toml \
+    --target-dir target/stabench-check
 
 echo "==> source lint (invariant analyzer via cargo test)"
 cargo test -q --test lint
