@@ -51,7 +51,7 @@ pub use lu::{Lu, SingularMatrixError};
 pub use matrix::Matrix;
 pub use sparse::CsrMatrix;
 pub use sparse_cholesky::{amd_order, SparseCholesky, SparseSymbolic};
-pub use sparse_lu::{FactorizedBasis, LuError, Scalar, SparseLu, VectorElem};
+pub use sparse_lu::{FactorizedBasis, LuError, Scalar, SolveWork, SparseLu, VectorElem};
 pub use vector::Vector;
 
 #[cfg(test)]

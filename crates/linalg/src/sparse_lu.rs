@@ -35,10 +35,9 @@ use std::collections::BTreeMap;
 /// An exact (or approximately exact) coefficient field.
 ///
 /// Implemented for `f64` here and for `sta-smt`'s `Rational` in that crate.
-/// `recip` is only ever called on values for which `is_zero` is false.
-pub trait Scalar: Clone + std::fmt::Debug {
-    /// Additive identity.
-    fn zero() -> Self;
+/// `Default::default()` is the additive identity. `recip` is only ever
+/// called on values for which `is_zero` is false.
+pub trait Scalar: Clone + Default + std::fmt::Debug {
     /// Multiplicative identity.
     fn one() -> Self;
     /// Exact test against the additive identity.
@@ -56,9 +55,6 @@ pub trait Scalar: Clone + std::fmt::Debug {
 }
 
 impl Scalar for f64 {
-    fn zero() -> Self {
-        0.0
-    }
     fn one() -> Self {
         1.0
     }
@@ -84,10 +80,9 @@ impl Scalar for f64 {
 
 /// Element type of a right-hand-side vector solvable against factors with
 /// scalar type `S`. The blanket impl covers `S` itself; `sta-smt` adds
-/// `DeltaRational` over `Rational`.
-pub trait VectorElem<S>: Clone + std::fmt::Debug {
-    /// Additive identity.
-    fn zero() -> Self;
+/// `DeltaRational` over `Rational`. `Default::default()` is the additive
+/// identity.
+pub trait VectorElem<S>: Clone + Default + std::fmt::Debug {
     /// Exact test against the additive identity.
     fn is_zero(&self) -> bool;
     /// `self + other`.
@@ -99,9 +94,6 @@ pub trait VectorElem<S>: Clone + std::fmt::Debug {
 }
 
 impl<S: Scalar> VectorElem<S> for S {
-    fn zero() -> Self {
-        Scalar::zero()
-    }
     fn is_zero(&self) -> bool {
         Scalar::is_zero(self)
     }
@@ -121,9 +113,9 @@ impl<S: Scalar> VectorElem<S> for S {
 pub enum LuError {
     /// The matrix (or a replacement column's pivot entry) is singular.
     Singular,
-    /// The caller's poll callback requested an interrupt; no state was
-    /// mutated (factorizations build into a fresh object, solves work on
-    /// scratch).
+    /// The caller's poll callback requested an interrupt. Factorizations
+    /// build into a fresh object; an interrupted solve leaves its
+    /// [`SolveWork`] all zero.
     Interrupted,
 }
 
@@ -138,33 +130,230 @@ impl std::fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
-/// One elimination step of the factorization, in elimination order.
-///
-/// Replaying the steps forward applies `L⁻¹` (the recorded multipliers);
-/// replaying them backward with the stored pivot-row entries applies `U⁻¹`.
-#[derive(Debug, Clone)]
-struct PivotStep<S> {
-    /// Pivot row (right-hand-side slot this step eliminates into).
-    row: usize,
-    /// Pivot column (solution slot this step determines).
-    col: usize,
-    /// Cached reciprocal of the pivot value.
-    inv_diag: S,
-    /// `(row, multiplier)`: during elimination, `work[row] −= m·work[pivot_row]`.
-    l: Vec<(usize, S)>,
-    /// Remaining pivot-row entries `(col, value)` over columns eliminated
-    /// by *later* steps (the strict upper part in elimination order).
-    u: Vec<(usize, S)>,
+/// A dense vector plus the list of slots that may hold a nonzero; every
+/// unlisted slot is zero.
+#[derive(Debug, Clone, Default)]
+struct Pattern<E> {
+    vals: Vec<E>,
+    list: Vec<usize>,
+    listed: Vec<bool>,
 }
 
-/// A sparse LU factorization of a square matrix given by columns.
+impl<E: Default> Pattern<E> {
+    fn fit(&mut self, n: usize) {
+        if self.vals.len() < n {
+            self.vals.resize_with(n, E::default);
+            self.listed.resize(n, false);
+        }
+    }
+
+    /// Slot `i`, listed.
+    fn slot(&mut self, i: usize) -> &mut E {
+        self.fit(i + 1);
+        if !self.listed[i] {
+            self.listed[i] = true;
+            self.list.push(i);
+        }
+        &mut self.vals[i]
+    }
+
+    /// Moves every listed slot `i` to `to[map[i]]`, leaving `self` clear;
+    /// slots that `is_zero` are dropped instead.
+    fn move_into(&mut self, to: &mut Pattern<E>, map: &[usize], is_zero: fn(&E) -> bool) {
+        for &i in &self.list {
+            self.listed[i] = false;
+            let v = std::mem::take(&mut self.vals[i]);
+            if !is_zero(&v) {
+                *to.slot(map[i]) = v;
+            }
+        }
+        self.list.clear();
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.vals[i] = E::default();
+            self.listed[i] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// Reusable scratch of the hypersparse solves: the vector being solved
+/// (the right-hand side on entry, the solution on return) with its
+/// nonzero pattern, plus the kernels' own step-space vector and search
+/// stack.
 ///
-/// Produced by [`SparseLu::factor`]; consumed by the FTRAN/BTRAN solves,
-/// usually through a [`FactorizedBasis`] that layers eta updates on top.
+/// Everything is zero between solves: a solve that returns an error,
+/// interrupted or not, clears the whole scratch, and the caller clears
+/// the result with [`SolveWork::clear`] once read. Buffers only grow, so
+/// a warm scratch solves without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct SolveWork<S, E = S> {
+    /// The caller's vector, in matrix-row or matrix-column coordinates.
+    x: Pattern<E>,
+    /// The same vector in elimination-step coordinates.
+    w: Pattern<E>,
+    /// Depth-first-search stack of `(step, next edge)`.
+    stack: Vec<(usize, usize)>,
+    /// Spare pattern-list buffer swapped in by the reach.
+    spare: Vec<usize>,
+    field: std::marker::PhantomData<fn() -> S>,
+}
+
+impl<S: Scalar, E: VectorElem<S>> SolveWork<S, E> {
+    /// An empty scratch; it sizes itself to each solve.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Entry `i` of the vector, for writing a right-hand side.
+    pub fn slot(&mut self, i: usize) -> &mut E {
+        self.x.slot(i)
+    }
+
+    /// The nonzero entries, in pattern order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &E)> + '_ {
+        self.x
+            .list
+            .iter()
+            .map(|&i| (i, &self.x.vals[i]))
+            .filter(|(_, v)| !v.is_zero())
+    }
+
+    /// Moves the nonzero entries out in ascending index order, leaving
+    /// the scratch clear.
+    pub fn take_sorted(&mut self) -> Vec<(usize, E)> {
+        self.x.list.sort_unstable();
+        let mut out = Vec::with_capacity(self.x.list.len());
+        for &i in &self.x.list {
+            self.x.listed[i] = false;
+            let v = std::mem::take(&mut self.x.vals[i]);
+            if !v.is_zero() {
+                out.push((i, v));
+            }
+        }
+        self.x.list.clear();
+        out
+    }
+
+    /// Zeroes the vector's pattern (the solves keep the rest clear).
+    pub fn clear(&mut self) {
+        self.x.clear();
+        self.w.clear();
+        self.stack.clear();
+    }
+
+    /// Whether every slot is zero and nothing is listed: the state the
+    /// scratch must be in between solves. O(size); for audits and tests.
+    pub fn is_clear(&self) -> bool {
+        [&self.x, &self.w].iter().all(|p| {
+            p.list.is_empty()
+                && !p.listed.iter().any(|&l| l)
+                && p.vals.iter().all(|v| v.is_zero())
+        }) && self.stack.is_empty()
+    }
+
+    fn fit(&mut self, n: usize) {
+        self.x.fit(n);
+        self.w.fit(n);
+    }
+
+    /// Replaces the step-space pattern by everything reachable from its
+    /// nonzeros along `adj`, in depth-first postorder (Gilbert–Peierls):
+    /// read backwards, each step precedes every step it pushes into.
+    fn reach(&mut self, adj: &[Vec<(usize, S)>]) {
+        let SolveWork { w, stack, spare, .. } = self;
+        let starts = std::mem::replace(&mut w.list, std::mem::take(spare));
+        for &s in &starts {
+            w.listed[s] = false;
+        }
+        for &s in &starts {
+            if w.listed[s] || w.vals[s].is_zero() {
+                continue;
+            }
+            w.listed[s] = true;
+            stack.push((s, 0));
+            while let Some(top) = stack.len().checked_sub(1) {
+                let (k, next) = stack[top];
+                match adj[k].get(next) {
+                    Some(&(t, _)) => {
+                        stack[top].1 = next + 1;
+                        if !w.listed[t] {
+                            w.listed[t] = true;
+                            stack.push((t, 0));
+                        }
+                    }
+                    None => {
+                        stack.pop();
+                        w.list.push(k);
+                    }
+                }
+            }
+        }
+        *spare = starts;
+        spare.clear();
+    }
+
+    /// Solves one triangular factor in step space by pushes: each reached
+    /// step `k`, in topological order, is scaled by `diag[k]` when given
+    /// and then applies `w[t] −= a·w[k]` for every `(t, a)` in `adj[k]`.
+    /// Steps left at zero push nothing.
+    fn push_solve(
+        &mut self,
+        adj: &[Vec<(usize, S)>],
+        diag: Option<&[S]>,
+        poll: &mut dyn FnMut() -> bool,
+    ) -> Result<(), LuError> {
+        self.reach(adj);
+        let w = &mut self.w;
+        for (count, &k) in w.list.iter().rev().enumerate() {
+            if count % SOLVE_POLL_STRIDE == 0 && poll() {
+                return Err(LuError::Interrupted);
+            }
+            if w.vals[k].is_zero() {
+                continue;
+            }
+            let mut wk = std::mem::take(&mut w.vals[k]);
+            if let Some(d) = diag {
+                wk = wk.scale(&d[k]);
+            }
+            for (t, a) in &adj[k] {
+                w.vals[*t] = w.vals[*t].sub(&wk.scale(a));
+            }
+            w.vals[k] = wk;
+        }
+        Ok(())
+    }
+}
+
+/// A sparse LU factorization of a square matrix given by columns, stored
+/// in elimination-step coordinates: step `k` pivots on matrix row
+/// `row_of_step[k]` and column `col_of_step[k]`.
+///
+/// Each factor is indexed both ways, so every triangular solve runs as a
+/// push along one of them and touches only the steps its right-hand side
+/// reaches (Gilbert and Peierls 1988; Hall and McKinnon 2005). Produced by
+/// [`SparseLu::factor`]; consumed by the FTRAN/BTRAN solves, usually
+/// through a [`FactorizedBasis`] that layers eta updates on top.
 #[derive(Debug, Clone)]
 pub struct SparseLu<S> {
-    n: usize,
-    steps: Vec<PivotStep<S>>,
+    row_of_step: Vec<usize>,
+    col_of_step: Vec<usize>,
+    step_of_row: Vec<usize>,
+    step_of_col: Vec<usize>,
+    /// Reciprocal of each step's pivot.
+    inv_diag: Vec<S>,
+    /// `L` by column: `(s, m)` in `l_col[k]` eliminates `w[s] −= m·w[k]`
+    /// (`s > k`).
+    l_col: Vec<Vec<(usize, S)>>,
+    /// `L` by row: `(k, m)` in `l_row[s]` for each `(s, m)` in `l_col[k]`.
+    l_row: Vec<Vec<(usize, S)>>,
+    /// `U` by row: step `k`'s remaining pivot-row entries `(s, v)` over
+    /// later steps' columns (`s > k`).
+    u_row: Vec<Vec<(usize, S)>>,
+    /// `U` by column: `(k, v)` in `u_col[s]` for each `(s, v)` in `u_row[k]`.
+    u_col: Vec<Vec<(usize, S)>>,
     nnz: usize,
 }
 
@@ -172,6 +361,18 @@ pub struct SparseLu<S> {
 /// callback itself is expected to be cheap; this just keeps the dynamic
 /// call out of the innermost scatter loops.
 const SOLVE_POLL_STRIDE: usize = 64;
+
+/// The other orientation of a step-indexed adjacency: `(k, a)` in
+/// `out[t]` for every `(t, a)` in `adj[k]`.
+fn transpose<S: Clone>(adj: &[Vec<(usize, S)>]) -> Vec<Vec<(usize, S)>> {
+    let mut out = vec![Vec::new(); adj.len()];
+    for (k, entries) in adj.iter().enumerate() {
+        for (t, a) in entries {
+            out[*t].push((k, a.clone()));
+        }
+    }
+    out
+}
 
 impl<S: Scalar> SparseLu<S> {
     /// Factors the square matrix whose `j`-th column holds the sparse
@@ -206,9 +407,14 @@ impl<S: Scalar> SparseLu<S> {
                 col_rows[j].insert(i);
             }
         }
-        let mut row_active = vec![true; n];
         let mut col_active = vec![true; n];
-        let mut steps: Vec<PivotStep<S>> = Vec::with_capacity(n);
+        let mut row_of_step = Vec::with_capacity(n);
+        let mut col_of_step = Vec::with_capacity(n);
+        let mut inv_diags = Vec::with_capacity(n);
+        // Multipliers by matrix row and upper entries by matrix column,
+        // mapped to step coordinates once the elimination order is known.
+        let mut l_col: Vec<Vec<(usize, S)>> = Vec::with_capacity(n);
+        let mut u_row: Vec<Vec<(usize, S)>> = Vec::with_capacity(n);
         let mut nnz = 0usize;
         for _ in 0..n {
             if poll() {
@@ -254,7 +460,6 @@ impl<S: Scalar> SparseLu<S> {
                 return Err(LuError::Singular);
             };
             let inv_diag = diag.recip();
-            row_active[pr] = false;
             col_active[pc] = false;
             for &j in pivot_row.keys() {
                 col_rows[j].remove(&pr);
@@ -293,103 +498,107 @@ impl<S: Scalar> SparseLu<S> {
             col_rows[pc].clear();
             let u: Vec<(usize, S)> = pivot_row.into_iter().collect();
             nnz += 1 + l.len() + u.len();
-            steps.push(PivotStep { row: pr, col: pc, inv_diag, l, u });
+            row_of_step.push(pr);
+            col_of_step.push(pc);
+            inv_diags.push(inv_diag);
+            l_col.push(l);
+            u_row.push(u);
         }
-        if steps.len() != n {
+        if row_of_step.len() != n {
             return Err(LuError::Singular);
         }
-        Ok(SparseLu { n, steps, nnz })
+        let mut step_of_row = vec![0; n];
+        let mut step_of_col = vec![0; n];
+        for k in 0..n {
+            step_of_row[row_of_step[k]] = k;
+            step_of_col[col_of_step[k]] = k;
+        }
+        for entry in l_col.iter_mut().flatten() {
+            entry.0 = step_of_row[entry.0];
+        }
+        for entry in u_row.iter_mut().flatten() {
+            entry.0 = step_of_col[entry.0];
+        }
+        Ok(SparseLu {
+            l_row: transpose(&l_col),
+            u_col: transpose(&u_row),
+            row_of_step,
+            col_of_step,
+            step_of_row,
+            step_of_col,
+            inv_diag: inv_diags,
+            l_col,
+            u_row,
+            nnz,
+        })
     }
 
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
-        self.n
+        self.row_of_step.len()
     }
 
-    /// Stored factor entries (diagonal + multipliers + upper rows).
+    /// Stored factor entries (diagonal + multipliers + upper rows), each
+    /// counted once although both orientations are kept.
     pub fn nnz(&self) -> usize {
         self.nnz
     }
 
-    /// Solves `A·x = b` where `b` is indexed by matrix row; the result is
-    /// indexed by matrix column. Zero right-hand-side slots are skipped, so
-    /// sparse inputs solve in time proportional to the reachable factor
-    /// entries.
+    /// Solves `A·x = b` in place: `work` holds `b`, indexed by matrix row,
+    /// on entry and `x`, indexed by matrix column, on return. The cost is
+    /// proportional to the factor entries `b`'s nonzeros reach.
     pub fn solve<E: VectorElem<S>>(
         &self,
-        mut b: Vec<E>,
+        work: &mut SolveWork<S, E>,
         poll: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<E>, LuError> {
-        debug_assert_eq!(b.len(), self.n);
-        // Forward pass: b := L⁻¹·b, replaying multipliers in order.
-        for (k, step) in self.steps.iter().enumerate() {
-            if k % SOLVE_POLL_STRIDE == 0 && poll() {
-                return Err(LuError::Interrupted);
-            }
-            if b[step.row].is_zero() {
-                continue;
-            }
-            for (r, m) in &step.l {
-                let delta = b[step.row].scale(m);
-                b[*r] = b[*r].sub(&delta);
-            }
+    ) -> Result<(), LuError> {
+        let done = self.solve_steps(work, poll);
+        if done.is_err() {
+            work.clear();
         }
-        // Back substitution: x[col_k] from later-determined columns.
-        let mut x: Vec<E> = vec![E::zero(); self.n];
-        for (k, step) in self.steps.iter().enumerate().rev() {
-            if k % SOLVE_POLL_STRIDE == 0 && poll() {
-                return Err(LuError::Interrupted);
-            }
-            let mut acc = b[step.row].clone();
-            for (j, v) in &step.u {
-                if !x[*j].is_zero() {
-                    acc = acc.sub(&x[*j].scale(v));
-                }
-            }
-            x[step.col] = acc.scale(&step.inv_diag);
-        }
-        Ok(x)
+        done
     }
 
-    /// Solves `Aᵀ·y = c` where `c` is indexed by matrix column; the result
-    /// is indexed by matrix row.
+    /// Solves `Aᵀ·y = c` in place: `work` holds `c`, indexed by matrix
+    /// column, on entry and `y`, indexed by matrix row, on return.
     pub fn solve_transpose<E: VectorElem<S>>(
         &self,
-        c: Vec<E>,
+        work: &mut SolveWork<S, E>,
         poll: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<E>, LuError> {
-        debug_assert_eq!(c.len(), self.n);
-        // Uᵀ pass in elimination order with a scatter accumulator: each
-        // step determines y[row_k] from c[col_k] minus earlier steps'
-        // upper-entry contributions, then scatters its own.
-        let mut y: Vec<E> = vec![E::zero(); self.n];
-        let mut acc: Vec<E> = vec![E::zero(); self.n];
-        for (k, step) in self.steps.iter().enumerate() {
-            if k % SOLVE_POLL_STRIDE == 0 && poll() {
-                return Err(LuError::Interrupted);
-            }
-            let z = c[step.col].sub(&acc[step.col]).scale(&step.inv_diag);
-            if !z.is_zero() {
-                for (j, v) in &step.u {
-                    acc[*j] = acc[*j].add(&z.scale(v));
-                }
-            }
-            y[step.row] = z;
+    ) -> Result<(), LuError> {
+        let done = self.solve_transpose_steps(work, poll);
+        if done.is_err() {
+            work.clear();
         }
-        // Lᵀ pass in reverse order: y[row_k] −= Σ m·y[r].
-        for (k, step) in self.steps.iter().enumerate().rev() {
-            if k % SOLVE_POLL_STRIDE == 0 && poll() {
-                return Err(LuError::Interrupted);
-            }
-            let mut z = y[step.row].clone();
-            for (r, m) in &step.l {
-                if !y[*r].is_zero() {
-                    z = z.sub(&y[*r].scale(m));
-                }
-            }
-            y[step.row] = z;
-        }
-        Ok(y)
+        done
+    }
+
+    /// `L` forward, then `U` backward, both as pushes in step space.
+    fn solve_steps<E: VectorElem<S>>(
+        &self,
+        work: &mut SolveWork<S, E>,
+        poll: &mut dyn FnMut() -> bool,
+    ) -> Result<(), LuError> {
+        work.fit(self.dim());
+        work.x.move_into(&mut work.w, &self.step_of_row, E::is_zero);
+        work.push_solve(&self.l_col, None, poll)?;
+        work.push_solve(&self.u_col, Some(&self.inv_diag), poll)?;
+        work.w.move_into(&mut work.x, &self.col_of_step, E::is_zero);
+        Ok(())
+    }
+
+    /// `Uᵀ` forward, then `Lᵀ` backward, both as pushes in step space.
+    fn solve_transpose_steps<E: VectorElem<S>>(
+        &self,
+        work: &mut SolveWork<S, E>,
+        poll: &mut dyn FnMut() -> bool,
+    ) -> Result<(), LuError> {
+        work.fit(self.dim());
+        work.x.move_into(&mut work.w, &self.step_of_col, E::is_zero);
+        work.push_solve(&self.u_row, Some(&self.inv_diag), poll)?;
+        work.push_solve(&self.l_row, None, poll)?;
+        work.w.move_into(&mut work.x, &self.row_of_step, E::is_zero);
+        Ok(())
     }
 }
 
@@ -447,52 +656,65 @@ impl<S: Scalar> FactorizedBasis<S> {
         self.lu.nnz()
     }
 
-    /// FTRAN: solves `B·x = b` with `b` indexed by constraint row; the
-    /// result is indexed by basis position.
+    /// FTRAN: solves `B·x = b` in place, `b` indexed by constraint row and
+    /// `x` by basis position. An eta costs one test unless the running
+    /// entry at its position is nonzero.
     pub fn ftran<E: VectorElem<S>>(
         &self,
-        b: Vec<E>,
+        work: &mut SolveWork<S, E>,
         poll: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<E>, LuError> {
-        let mut z = self.lu.solve(b, poll)?;
-        for (k, eta) in self.etas.iter().enumerate() {
-            if k % SOLVE_POLL_STRIDE == 0 && poll() {
-                return Err(LuError::Interrupted);
-            }
-            // z := E⁻¹z with E's column `pos` holding d (diag at pos).
-            let zp = z[eta.pos].scale(&eta.inv_diag);
-            if !zp.is_zero() {
-                for (r, dv) in &eta.d {
-                    let delta = zp.scale(dv);
-                    z[*r] = z[*r].sub(&delta);
+    ) -> Result<(), LuError> {
+        let done = self.lu.solve_steps(work, poll).and_then(|()| {
+            let x = &mut work.x;
+            for (k, eta) in self.etas.iter().enumerate() {
+                if k % SOLVE_POLL_STRIDE == 0 && poll() {
+                    return Err(LuError::Interrupted);
                 }
+                // x := E⁻¹x with E's column `pos` holding d (diag at pos).
+                if x.vals[eta.pos].is_zero() {
+                    continue;
+                }
+                let xp = x.vals[eta.pos].scale(&eta.inv_diag);
+                for (r, dv) in &eta.d {
+                    let slot = x.slot(*r);
+                    *slot = slot.sub(&xp.scale(dv));
+                }
+                x.vals[eta.pos] = xp;
             }
-            z[eta.pos] = zp;
+            Ok(())
+        });
+        if done.is_err() {
+            work.clear();
         }
-        Ok(z)
+        done
     }
 
-    /// BTRAN: solves `Bᵀ·y = c` with `c` indexed by basis position; the
-    /// result is indexed by constraint row.
+    /// BTRAN: solves `Bᵀ·y = c` in place, `c` indexed by basis position
+    /// and `y` by constraint row.
     pub fn btran<E: VectorElem<S>>(
         &self,
-        mut c: Vec<E>,
+        work: &mut SolveWork<S, E>,
         poll: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<E>, LuError> {
+    ) -> Result<(), LuError> {
+        work.fit(self.dim());
+        let x = &mut work.x;
         for (k, eta) in self.etas.iter().enumerate().rev() {
             if k % SOLVE_POLL_STRIDE == 0 && poll() {
+                work.clear();
                 return Err(LuError::Interrupted);
             }
-            // c := E⁻ᵀc: only the `pos` slot changes.
-            let mut acc = c[eta.pos].clone();
+            // x := E⁻ᵀx: only the `pos` slot changes.
+            let mut acc = x.vals[eta.pos].clone();
             for (r, dv) in &eta.d {
-                if !c[*r].is_zero() {
-                    acc = acc.sub(&c[*r].scale(dv));
+                if !x.vals[*r].is_zero() {
+                    acc = acc.sub(&x.vals[*r].scale(dv));
                 }
             }
-            c[eta.pos] = acc.scale(&eta.inv_diag);
+            if !acc.is_zero() || !x.vals[eta.pos].is_zero() {
+                *x.slot(eta.pos) = acc.scale(&eta.inv_diag);
+            }
         }
-        self.lu.solve_transpose(c, poll)
+        self.lu.solve_transpose(work, poll)
     }
 
     /// Replaces basis column `pos` with the column whose FTRAN image is the
@@ -562,6 +784,58 @@ mod tests {
         a
     }
 
+    /// Writes the dense vector `b` into a clear scratch.
+    fn load(work: &mut SolveWork<f64>, b: &[f64]) {
+        assert!(work.is_clear(), "scratch dirty before a solve");
+        for (i, v) in b.iter().enumerate() {
+            if *v != 0.0 {
+                *work.slot(i) = *v;
+            }
+        }
+    }
+
+    /// Reads the result out as a dense vector and clears the scratch.
+    fn unload(work: &mut SolveWork<f64>, n: usize) -> Vec<f64> {
+        let mut x = vec![0.0; n];
+        for (i, v) in work.iter() {
+            x[i] = *v;
+        }
+        work.clear();
+        assert!(work.is_clear(), "clear left the scratch dirty");
+        x
+    }
+
+    fn lu_solve(lu: &SparseLu<f64>, b: &[f64], transpose: bool) -> Vec<f64> {
+        let mut work = SolveWork::new();
+        load(&mut work, b);
+        if transpose {
+            lu.solve_transpose(&mut work, &mut never()).unwrap();
+        } else {
+            lu.solve(&mut work, &mut never()).unwrap();
+        }
+        unload(&mut work, b.len())
+    }
+
+    fn basis_solve(
+        basis: &FactorizedBasis<f64>,
+        work: &mut SolveWork<f64>,
+        b: &[f64],
+        transpose: bool,
+    ) -> Vec<f64> {
+        load(work, b);
+        if transpose {
+            basis.btran(work, &mut never()).unwrap();
+        } else {
+            basis.ftran(work, &mut never()).unwrap();
+        }
+        unload(work, b.len())
+    }
+
+    fn dense_solve(a: &Matrix, b: &[f64]) -> Vec<f64> {
+        let x = Lu::factor(a).unwrap().solve(&Vector::from(b.to_vec())).unwrap();
+        (0..b.len()).map(|i| x[i]).collect()
+    }
+
     #[test]
     fn solve_matches_dense_lu() {
         let mut rng = Pcg32::new(0x5e5e);
@@ -570,8 +844,8 @@ mod tests {
             let a = random_sparse(&mut rng, n);
             let b: Vec<f64> = (0..n).map(|_| rng.uniform_f64(-4.0, 4.0)).collect();
             let sparse = SparseLu::factor(&cols_of(&a), &mut never()).unwrap();
-            let x = sparse.solve(b.clone(), &mut never()).unwrap();
-            let dense = Lu::factor(&a).unwrap().solve(&Vector::from(b)).unwrap();
+            let x = lu_solve(&sparse, &b, false);
+            let dense = dense_solve(&a, &b);
             for i in 0..n {
                 // No threshold pivoting (sparsity-ordered; exact fields are the
                 // primary consumer), so f64 comparisons get a roundoff margin.
@@ -588,9 +862,8 @@ mod tests {
             let a = random_sparse(&mut rng, n);
             let c: Vec<f64> = (0..n).map(|_| rng.uniform_f64(-4.0, 4.0)).collect();
             let sparse = SparseLu::factor(&cols_of(&a), &mut never()).unwrap();
-            let y = sparse.solve_transpose(c.clone(), &mut never()).unwrap();
-            let at = a.transpose();
-            let dense = Lu::factor(&at).unwrap().solve(&Vector::from(c.clone())).unwrap();
+            let y = lu_solve(&sparse, &c, true);
+            let dense = dense_solve(&a.transpose(), &c);
             for i in 0..n {
                 let e = (y[i] - dense[i]).abs();
                 let r: f64 =
@@ -618,12 +891,16 @@ mod tests {
             LuError::Interrupted
         );
         let lu = SparseLu::factor(&cols_of(&a), &mut never()).unwrap();
-        let b = vec![1.0; 6];
-        assert_eq!(lu.solve(b.clone(), &mut || true).unwrap_err(), LuError::Interrupted);
+        let mut work = SolveWork::new();
+        load(&mut work, &[1.0; 6]);
+        assert_eq!(lu.solve(&mut work, &mut || true).unwrap_err(), LuError::Interrupted);
+        assert!(work.is_clear());
+        load(&mut work, &[1.0; 6]);
         assert_eq!(
-            lu.solve_transpose(b, &mut || true).unwrap_err(),
+            lu.solve_transpose(&mut work, &mut || true).unwrap_err(),
             LuError::Interrupted
         );
+        assert!(work.is_clear());
     }
 
     /// Replace columns one at a time and check FTRAN/BTRAN against a dense
@@ -631,6 +908,7 @@ mod tests {
     #[test]
     fn eta_updates_track_column_replacement() {
         let mut rng = Pcg32::new(0x8a8a);
+        let mut work = SolveWork::new();
         for _ in 0..16 {
             let n = 4 + rng.below(5);
             let mut a = random_sparse(&mut rng, n);
@@ -643,29 +921,23 @@ mod tests {
                 let mut col = vec![0.0; n];
                 col[pos] = rng.uniform_f64(4.0, 8.0);
                 col[(pos + 1) % n] = rng.uniform_f64(-1.0, 1.0);
-                let d = basis.ftran(col.clone(), &mut never()).unwrap();
-                let sparse_d: Vec<(usize, f64)> = d
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| v.abs() > 1e-12)
-                    .map(|(i, v)| (i, *v))
-                    .collect();
-                basis.replace_column(pos, &sparse_d).unwrap();
+                load(&mut work, &col);
+                basis.ftran(&mut work, &mut never()).unwrap();
+                basis.replace_column(pos, &work.take_sorted()).unwrap();
                 for i in 0..n {
                     a[(i, pos)] = col[i];
                 }
                 // FTRAN against dense solve of the updated matrix.
                 let b: Vec<f64> = (0..n).map(|_| rng.uniform_f64(-3.0, 3.0)).collect();
-                let x = basis.ftran(b.clone(), &mut never()).unwrap();
-                let dense = Lu::factor(&a).unwrap().solve(&Vector::from(b)).unwrap();
+                let x = basis_solve(&basis, &mut work, &b, false);
+                let dense = dense_solve(&a, &b);
                 for i in 0..n {
                     assert!((x[i] - dense[i]).abs() < 1e-7, "ftran mismatch at {i}");
                 }
                 // BTRAN against dense transpose solve.
                 let c: Vec<f64> = (0..n).map(|_| rng.uniform_f64(-3.0, 3.0)).collect();
-                let y = basis.btran(c.clone(), &mut never()).unwrap();
-                let dt =
-                    Lu::factor(&a.transpose()).unwrap().solve(&Vector::from(c)).unwrap();
+                let y = basis_solve(&basis, &mut work, &c, true);
+                let dt = dense_solve(&a.transpose(), &c);
                 for i in 0..n {
                     assert!((y[i] - dt[i]).abs() < 1e-7, "btran mismatch at {i}");
                 }
@@ -684,5 +956,171 @@ mod tests {
             basis.replace_column(1, &[(0, 2.0), (2, 1.0)]).unwrap_err(),
             LuError::Singular
         );
+    }
+
+    /// A sparse column for position `j`: an entry of magnitude 4–8 at `j`
+    /// and up to three off-position entries of magnitude below 1, so any
+    /// matrix built from such columns is strictly column diagonally
+    /// dominant, hence nonsingular.
+    fn dominant_column(rng: &mut Pcg32, n: usize, j: usize) -> Vec<f64> {
+        let mut col = vec![0.0; n];
+        let sign = if rng.flip() { 1.0 } else { -1.0 };
+        col[j] = sign * rng.uniform_f64(4.0, 8.0);
+        for _ in 0..rng.below(4) {
+            let i = rng.below(n);
+            if i != j {
+                col[i] = rng.uniform_f64(-1.0, 1.0);
+            }
+        }
+        col
+    }
+
+    /// A basis of the revised simplex's shape: slack columns `−e_j`, with
+    /// a share of sparse structural columns among them.
+    fn slack_basis(rng: &mut Pcg32, n: usize) -> Matrix {
+        let structural_in = 2 + rng.below(7);
+        let mut a = Matrix::zeros(n, n);
+        for j in 0..n {
+            if rng.below(structural_in) == 0 {
+                let col = dominant_column(rng, n, j);
+                for i in 0..n {
+                    a[(i, j)] = col[i];
+                }
+            } else {
+                a[(j, j)] = -1.0;
+            }
+        }
+        a
+    }
+
+    /// Replaces column `pos` of both `a` and `basis` by `col`.
+    fn replace(
+        a: &mut Matrix,
+        basis: &mut FactorizedBasis<f64>,
+        work: &mut SolveWork<f64>,
+        pos: usize,
+        col: &[f64],
+    ) {
+        load(work, col);
+        basis.ftran(work, &mut never()).unwrap();
+        basis.replace_column(pos, &work.take_sorted()).unwrap();
+        assert!(work.is_clear(), "take_sorted left the scratch dirty");
+        for (i, v) in col.iter().enumerate() {
+            a[(i, pos)] = *v;
+        }
+    }
+
+    /// A right-hand side with `k` nonzeros at random slots.
+    fn sparse_rhs(rng: &mut Pcg32, n: usize, k: usize) -> Vec<f64> {
+        let mut b = vec![0.0; n];
+        for _ in 0..k {
+            b[rng.below(n)] = rng.uniform_f64(-3.0, 3.0);
+        }
+        b
+    }
+
+    /// Kernel differential: on slack-dominated bases up to 300 rows with
+    /// eta chains of up to 80 random column replacements, the hypersparse
+    /// FTRAN and BTRAN of 1–5-nonzero right-hand sides equal the dense
+    /// `Lu` solve of the replaced matrix. One scratch serves every solve,
+    /// so a dirty slot left by any of them would show up in a later one.
+    #[test]
+    fn hypersparse_solves_match_the_dense_oracle_through_eta_chains() {
+        let mut rng = Pcg32::new(0x4a11);
+        let mut work = SolveWork::new();
+        for trial in 0..24 {
+            let n = if trial % 12 == 0 { 300 } else { 1 + rng.below(80) };
+            let mut a = slack_basis(&mut rng, n);
+            let lu = SparseLu::factor(&cols_of(&a), &mut never()).unwrap();
+            let mut basis = FactorizedBasis::new(lu);
+            let chain = rng.below(81);
+            for step in 0..=chain {
+                if step > 0 {
+                    let pos = rng.below(n);
+                    let col = dominant_column(&mut rng, n, pos);
+                    replace(&mut a, &mut basis, &mut work, pos, &col);
+                }
+                if step != chain && step != chain / 2 {
+                    continue;
+                }
+                let dense = Lu::factor(&a).unwrap();
+                let dense_t = Lu::factor(&a.transpose()).unwrap();
+                for _ in 0..3 {
+                    let nonzeros = 1 + rng.below(5);
+                    let b = sparse_rhs(&mut rng, n, nonzeros);
+                    let x = basis_solve(&basis, &mut work, &b, false);
+                    let y = basis_solve(&basis, &mut work, &b, true);
+                    let dx = dense.solve(&Vector::from(b.clone())).unwrap();
+                    let dy = dense_t.solve(&Vector::from(b.clone())).unwrap();
+                    for i in 0..n {
+                        assert!(
+                            (x[i] - dx[i]).abs() < 1e-9,
+                            "trial {trial}, n {n}, eta {step}: ftran slot {i}: {} vs {}",
+                            x[i],
+                            dx[i]
+                        );
+                        assert!(
+                            (y[i] - dy[i]).abs() < 1e-9,
+                            "trial {trial}, n {n}, eta {step}: btran slot {i}: {} vs {}",
+                            y[i],
+                            dy[i]
+                        );
+                    }
+                }
+            }
+            assert_eq!(basis.eta_count(), chain);
+        }
+    }
+
+    /// A poll that fires on its k-th call interrupts the solve for every
+    /// k the solve reaches, leaves the scratch all zero, and the next
+    /// uninterrupted solve through the same scratch returns exactly the
+    /// result of one that was never interrupted.
+    #[test]
+    fn an_interrupt_at_any_poll_leaves_the_scratch_clear() {
+        let mut rng = Pcg32::new(0x9011);
+        let n = 300;
+        let mut a = slack_basis(&mut rng, n);
+        let lu = SparseLu::factor(&cols_of(&a), &mut never()).unwrap();
+        let mut basis = FactorizedBasis::new(lu);
+        let mut work = SolveWork::new();
+        for _ in 0..80 {
+            let pos = rng.below(n);
+            let col = dominant_column(&mut rng, n, pos);
+            replace(&mut a, &mut basis, &mut work, pos, &col);
+        }
+        let b = sparse_rhs(&mut rng, n, 120);
+        for transpose in [false, true] {
+            let expected = basis_solve(&basis, &mut work, &b, transpose);
+            let mut polls = 0;
+            load(&mut work, &b);
+            let mut counting = || {
+                polls += 1;
+                false
+            };
+            if transpose {
+                basis.btran(&mut work, &mut counting).unwrap();
+            } else {
+                basis.ftran(&mut work, &mut counting).unwrap();
+            }
+            assert_eq!(unload(&mut work, n), expected);
+            assert!(polls >= 4, "only {polls} polls: the solve is too small to test");
+            for k in 1..=polls {
+                let mut calls = 0;
+                let mut fires_at_k = || {
+                    calls += 1;
+                    calls == k
+                };
+                load(&mut work, &b);
+                let interrupted = if transpose {
+                    basis.btran(&mut work, &mut fires_at_k)
+                } else {
+                    basis.ftran(&mut work, &mut fires_at_k)
+                };
+                assert_eq!(interrupted, Err(LuError::Interrupted), "poll {k} of {polls}");
+                assert!(work.is_clear(), "poll {k} of {polls} left the scratch dirty");
+                assert_eq!(basis_solve(&basis, &mut work, &b, transpose), expected);
+            }
+        }
     }
 }

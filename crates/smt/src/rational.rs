@@ -492,8 +492,8 @@ impl fmt::Display for Rational {
 ///
 /// Strict bounds become weak bounds over delta-rationals:
 /// `x < c` ⇔ `x ≤ c − δ`. Comparison is lexicographic on
-/// `(value, delta)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `(value, delta)`. The default is zero.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaRational {
     /// Standard (real) part.
     pub value: Rational,
@@ -592,9 +592,6 @@ impl fmt::Display for DeltaRational {
 /// `Rational` is the exact coefficient field of the revised simplex's
 /// sparse LU kernels in `sta-linalg`.
 impl sta_linalg::Scalar for Rational {
-    fn zero() -> Self {
-        Rational::zero()
-    }
     fn one() -> Self {
         Rational::one()
     }
@@ -622,9 +619,6 @@ impl sta_linalg::Scalar for Rational {
 /// without refactoring: FTRAN/BTRAN only ever scale vector elements by
 /// rational factor entries, which `DeltaRational::scale` supports exactly.
 impl sta_linalg::VectorElem<Rational> for DeltaRational {
-    fn zero() -> Self {
-        DeltaRational::zero()
-    }
     fn is_zero(&self) -> bool {
         DeltaRational::is_zero(self)
     }

@@ -158,6 +158,15 @@ pub(crate) struct Shared {
     /// Time in basis refactorizations (revised engine only; the dense
     /// tableau never factors).
     pub(crate) factor_time: Duration,
+    /// Variables whose bounds changed since the last revised check:
+    /// `assert_bound` and `on_backtrack` feed it, root-level bounds
+    /// included. The revised check repairs only these.
+    pub(crate) touched: VarSet,
+    /// Basic variables whose `β` or bounds moved: at every pivot boundary
+    /// of the revised engine, a superset of the basic variables outside
+    /// their bounds. Members that are nonbasic or back within bounds are
+    /// dropped lazily by the leaving pick.
+    pub(crate) candidates: VarSet,
 }
 
 impl Shared {
@@ -168,6 +177,8 @@ impl Shared {
         self.upper.push(None);
         self.row_of_slack.push(None);
         self.form_cols.push(Vec::new());
+        self.touched.grow(v + 1);
+        self.candidates.grow(v + 1);
         v
     }
 
@@ -185,16 +196,79 @@ impl Shared {
     }
 }
 
+/// A set of solver variables as a bitset that yields its members in
+/// index order. Every word below `low` is zero, so ordered scans skip the
+/// prefix already emptied. The set is sized as variables are created, so
+/// inserting never allocates.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct VarSet {
+    words: Vec<u64>,
+    low: usize,
+}
+
+impl VarSet {
+    /// Makes room for variables `0..n`.
+    fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    pub(crate) fn insert(&mut self, v: SVar) {
+        self.words[v / 64] |= 1 << (v % 64);
+        self.low = self.low.min(v / 64);
+    }
+
+    #[cfg(feature = "certify-debug")]
+    pub(crate) fn contains(&self, v: SVar) -> bool {
+        self.words.get(v / 64).is_some_and(|w| w & (1 << (v % 64)) != 0)
+    }
+
+    /// The smallest member that `keep` accepts, which stays a member;
+    /// every smaller member is removed.
+    pub(crate) fn first_kept(&mut self, mut keep: impl FnMut(SVar) -> bool) -> Option<SVar> {
+        for w in self.low..self.words.len() {
+            self.low = w;
+            // analysis: no-poll(each turn removes one of a word's 64 bits)
+            while self.words[w] != 0 {
+                let v = w * 64 + self.words[w].trailing_zeros() as usize;
+                if keep(v) {
+                    return Some(v);
+                }
+                self.words[w] &= !(1 << (v % 64));
+            }
+        }
+        self.low = self.words.len();
+        None
+    }
+
+    /// Removes every member, handing each to `f` in ascending order.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(SVar)) {
+        for w in self.low..self.words.len() {
+            let mut word = std::mem::take(&mut self.words[w]);
+            // analysis: no-poll(each turn removes one of a word's 64 bits)
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        self.low = self.words.len();
+    }
+}
+
 /// The tableau engine behind a [`Simplex`].
 #[derive(Debug, Clone)]
 enum Backend {
     Dense(DenseCore),
-    Revised(RevisedCore),
+    /// Boxed: the solve scratch makes the revised core several times the
+    /// dense one's size.
+    Revised(Box<RevisedCore>),
 }
 
 impl Default for Backend {
     fn default() -> Self {
-        Backend::Revised(RevisedCore::default())
+        Backend::Revised(Box::default())
     }
 }
 
@@ -224,7 +298,7 @@ impl Simplex {
     pub fn with_mode(mode: SimplexMode) -> Self {
         let backend = match mode {
             SimplexMode::Dense => Backend::Dense(DenseCore::default()),
-            SimplexMode::Revised => Backend::Revised(RevisedCore::default()),
+            SimplexMode::Revised => Backend::Revised(Box::default()),
         };
         Simplex { shared: Shared::default(), backend }
     }
@@ -359,6 +433,7 @@ impl Simplex {
         self.shared.slack_of_row.push(s);
         self.shared.row_of_slack[s] = Some(ridx);
         self.shared.slack_by_form.insert(form, s);
+        self.shared.candidates.insert(s);
         match &mut self.backend {
             Backend::Dense(d) => d.add_row(&mut self.shared, ridx),
             Backend::Revised(r) => r.add_row(&self.shared, ridx),
@@ -477,6 +552,7 @@ impl Simplex {
                 }
                 self.record_undo(var, BoundKind::Upper);
                 self.shared.upper[var] = Some(Bound { value: value.clone(), lit });
+                self.shared.touched.insert(var);
                 if !self.is_basic(var) && self.shared.assignment[var] > value {
                     self.update_nonbasic(var, value);
                 }
@@ -498,6 +574,7 @@ impl Simplex {
                 }
                 self.record_undo(var, BoundKind::Lower);
                 self.shared.lower[var] = Some(Bound { value: value.clone(), lit });
+                self.shared.touched.insert(var);
                 if !self.is_basic(var) && self.shared.assignment[var] < value {
                     self.update_nonbasic(var, value);
                 }
@@ -542,9 +619,7 @@ pub(crate) fn find_violation(
 ) -> Option<(usize, SVar, bool, DeltaRational)> {
     let mut violation: Option<(usize, SVar, bool)> = None;
     for (pos, b) in basics {
-        let below = matches!(&sh.lower[b], Some(lb) if sh.assignment[b] < lb.value);
-        let above = matches!(&sh.upper[b], Some(ub) if sh.assignment[b] > ub.value);
-        if below || above {
+        if let Some(below) = violated_side(sh, b) {
             match violation {
                 Some((_, bv, _)) if bv <= b => {}
                 _ => violation = Some((pos, b, below)),
@@ -552,6 +627,29 @@ pub(crate) fn find_violation(
         }
     }
     let (pos, xb, below) = violation?;
+    leaving_at(sh, pos, xb, below)
+}
+
+/// Which bound `v` violates under `β`: `Some(true)` when it sits below
+/// its lower bound, `Some(false)` above its upper, `None` within both.
+pub(crate) fn violated_side(sh: &Shared, v: SVar) -> Option<bool> {
+    if matches!(&sh.lower[v], Some(lb) if sh.assignment[v] < lb.value) {
+        Some(true)
+    } else if matches!(&sh.upper[v], Some(ub) if sh.assignment[v] > ub.value) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The leaving tuple of [`find_violation`] for basic `xb` at `pos`: the
+/// bound value it is restored to.
+pub(crate) fn leaving_at(
+    sh: &Shared,
+    pos: usize,
+    xb: SVar,
+    below: bool,
+) -> Option<(usize, SVar, bool, DeltaRational)> {
     let target = if below { &sh.lower[xb] } else { &sh.upper[xb] };
     target.as_ref().map(|bound| (pos, xb, below, bound.value.clone()))
 }
@@ -701,6 +799,7 @@ impl Theory for Simplex {
         for _ in 0..n_levels {
             let undos = self.shared.trail.pop().expect("backtrack within pushed levels");
             for undo in undos.into_iter().rev() {
+                self.shared.touched.insert(undo.var);
                 match undo.kind {
                     BoundKind::Lower => self.shared.lower[undo.var] = undo.previous,
                     BoundKind::Upper => self.shared.upper[undo.var] = undo.previous,

@@ -26,18 +26,23 @@
 //! the trajectory because the compensation map is linear and the basic
 //! values are only read inside `check`, after the flush.
 //!
-//! Interrupt safety: factorizations build into a fresh object and solves
-//! work on scratch vectors, so an exhausted budget at any poll site
-//! (factor, FTRAN/BTRAN, eta application, or the pivot loop itself) leaves
-//! the warm core consistent — pending updates stay queued and the next
-//! check resumes where this one stopped.
+//! Per-check work follows what the check touches: the FTRAN/BTRAN kernels
+//! are hypersparse and read back only nonzeros, repair visits only the
+//! variables in `Shared::touched`, and Bland's leaving pick scans only
+//! `Shared::candidates`, a superset of the violated basic variables.
+//!
+//! Interrupt safety: factorizations build into a fresh object and a solve
+//! that stops early clears its scratch, so an exhausted budget at any poll
+//! site (factor, FTRAN/BTRAN, eta application, or the pivot loop itself)
+//! leaves the warm core consistent — pending updates stay queued and the
+//! next check resumes where this one stopped.
 
 use super::{
-    add_to_row, conflict_from_row, find_violation, select_entering, SVar, Shared,
+    add_to_row, conflict_from_row, leaving_at, select_entering, violated_side, SVar, Shared,
 };
 use crate::rational::{DeltaRational, Rational};
 use crate::sat::TheoryResult;
-use sta_linalg::{FactorizedBasis, LuError, SparseLu};
+use sta_linalg::{FactorizedBasis, LuError, SolveWork, SparseLu};
 use std::collections::BTreeMap;
 
 /// Basis bookkeeping owned by the revised engine. The abstract solver
@@ -57,6 +62,10 @@ pub(crate) struct RevisedCore {
     /// Deferred basic-variable compensation: `(var, Δ)` per nonbasic move
     /// not yet propagated through the basis.
     pending: Vec<(SVar, DeltaRational)>,
+    /// Scratch of the pivot's FTRAN and the leaving row's BTRAN.
+    work: SolveWork<Rational>,
+    /// Scratch of the flush's delta-rational FTRAN.
+    work_delta: SolveWork<Rational, DeltaRational>,
 }
 
 /// Maps a kernel failure at a check boundary: budget interrupts surface as
@@ -120,23 +129,19 @@ impl RevisedCore {
         }
     }
 
-    /// The constraint-matrix column of `var`, as sparse `(row, coeff)`
+    /// Visits the constraint-matrix column of `var` as `(row, coeff)`
     /// entries in ascending row order: `−e_r` for the slack of row `r`,
     /// the form coefficients for a problem variable.
-    fn column_of(&self, sh: &Shared, var: SVar) -> Vec<(usize, Rational)> {
+    fn for_column(sh: &Shared, var: SVar, mut f: impl FnMut(usize, &Rational)) {
         if let Some(r) = sh.row_of_slack[var] {
-            return vec![(r, -&Rational::one())];
+            f(r, &-&Rational::one());
+            return;
         }
-        let mut col = Vec::with_capacity(sh.form_cols[var].len());
         for &r in &sh.form_cols[var] {
-            for (v, c) in &sh.forms[r] {
-                if *v == var {
-                    col.push((r, c.clone()));
-                    break;
-                }
+            if let Some((_, c)) = sh.forms[r].iter().find(|(v, _)| *v == var) {
+                f(r, c);
             }
         }
-        col
     }
 
     /// Builds fresh LU factors of the current basis, dropping any eta
@@ -148,8 +153,15 @@ impl RevisedCore {
         poll: &mut dyn FnMut() -> bool,
     ) -> Result<(), LuError> {
         let t0 = sh.timer_start();
-        let cols: Vec<Vec<(usize, Rational)>> =
-            self.basis.iter().map(|&v| self.column_of(sh, v)).collect();
+        let cols: Vec<Vec<(usize, Rational)>> = self
+            .basis
+            .iter()
+            .map(|&v| {
+                let mut col = Vec::new();
+                Self::for_column(sh, v, |r, c| col.push((r, c.clone())));
+                col
+            })
+            .collect();
         let lu = SparseLu::factor(&cols, poll)?;
         self.factor = Some(FactorizedBasis::new(lu));
         self.stale = false;
@@ -177,6 +189,8 @@ impl RevisedCore {
 
     /// Applies the deferred basic-variable compensation with one FTRAN:
     /// `Δβ_B = −A_B⁻¹·(Σ A_v·Δv)` keeps every constraint row satisfied.
+    /// Only the pending columns are scattered, and every basic variable
+    /// the solve moves joins the candidate set.
     fn flush_pending(
         &mut self,
         sh: &mut Shared,
@@ -185,24 +199,23 @@ impl RevisedCore {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let m = self.basis.len();
-        let mut rhs: Vec<DeltaRational> = vec![DeltaRational::zero(); m];
-        for (v, diff) in &self.pending {
-            for (r, c) in self.column_of(sh, *v) {
-                rhs[r] = &rhs[r] + &diff.scale(&c);
-            }
-        }
         let Some(factor) = self.factor.as_ref() else {
             return Err(LuError::Singular);
         };
-        let d = factor.ftran(rhs, poll)?;
-        for (k, dk) in d.iter().enumerate() {
-            if dk.is_zero() {
-                continue;
-            }
+        let work = &mut self.work_delta;
+        for (v, diff) in &self.pending {
+            Self::for_column(sh, *v, |r, c| {
+                let slot = work.slot(r);
+                *slot = &*slot + &diff.scale(c);
+            });
+        }
+        factor.ftran(work, poll)?;
+        for (k, dk) in work.iter() {
             let b = self.basis[k];
             sh.assignment[b] = &sh.assignment[b] - dk;
+            sh.candidates.insert(b);
         }
+        work.clear();
         self.pending.clear();
         Ok(())
     }
@@ -237,37 +250,35 @@ impl RevisedCore {
     /// Materializes tableau row `pos` (`x_b = Σ coeff·x_nonbasic`) with one
     /// BTRAN: `y = A_B⁻ᵀe_pos`, then the coefficient of nonbasic `v` is
     /// `−yᵀA_v` — `+y_r` for the slack of row `r`, `−Σ y_r·c` for a problem
-    /// variable. Basic variables are skipped (their coefficients cancel to
-    /// exact zero) and exact-zero sums are dropped, so the materialized row
-    /// has the same entry set the dense engine stores.
+    /// variable — over the rows where `y` is nonzero. Basic variables are
+    /// skipped (their coefficients cancel to exact zero) and exact-zero
+    /// sums are dropped, so the materialized row has the same entry set
+    /// the dense engine stores.
     fn tableau_row(
-        &self,
+        &mut self,
         sh: &Shared,
         pos: usize,
         poll: &mut dyn FnMut() -> bool,
     ) -> Result<BTreeMap<SVar, Rational>, LuError> {
-        let m = self.basis.len();
-        let mut e = vec![Rational::zero(); m];
-        e[pos] = Rational::one();
         let Some(factor) = self.factor.as_ref() else {
             return Err(LuError::Singular);
         };
-        let y = factor.btran(e, poll)?;
+        *self.work.slot(pos) = Rational::one();
+        factor.btran(&mut self.work, poll)?;
+        let is_basic = |v: SVar| self.pos_of[v].is_some();
         let mut row = BTreeMap::new();
-        for (r, yr) in y.iter().enumerate() {
-            if yr.is_zero() {
-                continue;
-            }
+        for (r, yr) in self.work.iter() {
             let s = sh.slack_of_row[r];
-            if !self.is_basic(s) {
+            if !is_basic(s) {
                 add_to_row(&mut row, s, yr);
             }
             for (v, c) in &sh.forms[r] {
-                if !self.is_basic(*v) {
+                if !is_basic(*v) {
                     add_to_row(&mut row, *v, &-&(yr * c));
                 }
             }
         }
+        self.work.clear();
         Ok(row)
     }
 
@@ -275,7 +286,9 @@ impl RevisedCore {
     /// `d = A_B⁻¹A_e`, the β updates of the dense engine (tableau
     /// coefficient of `entering` in basis row `k` is `−d_k`), then an
     /// O(|d|) basis-column replacement appending one eta. The FTRAN is the
-    /// only fallible step and precedes every mutation.
+    /// only fallible step and precedes every mutation. Every basic
+    /// variable whose `β` moves, `entering` included, joins the candidate
+    /// set.
     fn pivot_and_update(
         &mut self,
         sh: &mut Shared,
@@ -284,77 +297,91 @@ impl RevisedCore {
         target: DeltaRational,
         poll: &mut dyn FnMut() -> bool,
     ) -> Result<(), LuError> {
-        let m = self.basis.len();
-        let mut rhs: Vec<Rational> = vec![Rational::zero(); m];
-        for (r, c) in self.column_of(sh, entering) {
-            rhs[r] = c;
-        }
         let Some(factor) = self.factor.as_mut() else {
             return Err(LuError::Singular);
         };
-        let d = factor.ftran(rhs, poll)?;
-        if d[pos].is_zero() {
+        let work = &mut self.work;
+        Self::for_column(sh, entering, |r, c| *work.slot(r) = c.clone());
+        factor.ftran(work, poll)?;
+        let d = work.take_sorted();
+        let Some(a) = d.iter().find(|(k, _)| *k == pos).map(|(_, dk)| -dk) else {
             return Err(LuError::Singular);
-        }
+        };
         sh.pivots += 1;
         let leaving = self.basis[pos];
         // Tableau coefficient of `entering` in the leaving row: a = −d[pos].
-        let a = -&d[pos];
         // θ = (target − β[leaving]) / a
         let theta = (&target - &sh.assignment[leaving]).scale(&a.recip());
         sh.assignment[leaving] = target;
         sh.assignment[entering] = &sh.assignment[entering] + &theta;
-        let mut sparse_d: Vec<(usize, Rational)> = Vec::new();
-        for (k, dk) in d.into_iter().enumerate() {
-            if dk.is_zero() {
-                continue;
-            }
-            if k != pos {
+        sh.candidates.insert(entering);
+        for (k, dk) in &d {
+            if *k != pos {
                 // Row k's coefficient of `entering` is −d_k.
-                let b = self.basis[k];
-                sh.assignment[b] = &sh.assignment[b] + &theta.scale(&-&dk);
+                let b = self.basis[*k];
+                sh.assignment[b] = &sh.assignment[b] + &theta.scale(&-dk);
+                sh.candidates.insert(b);
             }
-            sparse_d.push((k, dk));
         }
-        factor.replace_column(pos, &sparse_d)?;
+        factor.replace_column(pos, &d)?;
         self.pos_of[leaving] = None;
         self.pos_of[entering] = Some(pos);
         self.basis[pos] = entering;
         Ok(())
     }
 
-    /// Restores every *nonbasic* variable to within its bounds (needed
-    /// after backtracking, which rewinds bounds but not `β`).
-    fn repair_nonbasic(&mut self, sh: &mut Shared) {
-        for v in 0..sh.assignment.len() {
+    /// Walks the variables whose bounds changed since the last check: a
+    /// nonbasic one is restored to within its bounds (as the dense
+    /// engine's full scan would), a basic one joins the candidate set.
+    fn repair_touched(&mut self, sh: &mut Shared) {
+        let mut touched = std::mem::take(&mut sh.touched);
+        touched.drain(|v| {
             if self.is_basic(v) {
-                continue;
+                sh.candidates.insert(v);
+                return;
             }
-            let lb = sh.lower[v].as_ref().map(|b| b.value.clone());
-            let ub = sh.upper[v].as_ref().map(|b| b.value.clone());
-            if let Some(l) = &lb {
-                if sh.assignment[v] < *l {
-                    self.update_nonbasic(sh, v, l.clone());
-                    continue;
+            if let Some(below) = violated_side(sh, v) {
+                let bound = if below { &sh.lower[v] } else { &sh.upper[v] };
+                if let Some(value) = bound.as_ref().map(|b| b.value.clone()) {
+                    self.update_nonbasic(sh, v, value);
                 }
             }
-            if let Some(u) = &ub {
-                if sh.assignment[v] > *u {
-                    self.update_nonbasic(sh, v, u.clone());
-                }
-            }
-        }
+        });
+        sh.touched = touched;
+    }
+
+    /// Bland's leaving pick: the smallest violated member of the
+    /// candidate set, which holds every violated basic variable; members
+    /// found nonbasic or within bounds on the way are dropped.
+    fn pick_leaving(&self, sh: &mut Shared) -> Option<(usize, SVar, bool, DeltaRational)> {
+        let mut candidates = std::mem::take(&mut sh.candidates);
+        let mut below = false;
+        let xb = candidates.first_kept(|v| {
+            let side = if self.is_basic(v) { violated_side(sh, v) } else { None };
+            below = side == Some(true);
+            side.is_some()
+        });
+        sh.candidates = candidates;
+        let xb = xb?;
+        leaving_at(sh, self.pos_of[xb]?, xb, below)
     }
 
     /// Audits the revised engine's invariants on top of the shared ones:
-    /// `basis`/`pos_of` agree and no deferred updates are outstanding at a
-    /// pivot boundary.
+    /// `basis`/`pos_of` agree, no deferred updates are outstanding at a
+    /// pivot boundary, every basic variable outside its bounds is in the
+    /// candidate set, and the solve scratch is all zero.
     #[cfg(feature = "certify-debug")]
     fn audit_invariants(&self, sh: &Shared) {
         assert!(self.pending.is_empty(), "audit with pending β updates");
         for (pos, &v) in self.basis.iter().enumerate() {
             assert_eq!(self.pos_of[v], Some(pos), "pos_of[{v}] inconsistent");
+            assert!(
+                violated_side(sh, v).is_none() || sh.candidates.contains(v),
+                "violated basic var {v} missing from the candidate set"
+            );
         }
+        assert!(self.work.is_clear(), "rational solve scratch left dirty");
+        assert!(self.work_delta.is_clear(), "delta solve scratch left dirty");
         super::audit_shared_invariants(sh, &|v| self.is_basic(v));
     }
 
@@ -364,7 +391,7 @@ impl RevisedCore {
     pub(crate) fn check(&mut self, sh: &mut Shared) -> TheoryResult {
         sh.theory_checks += 1;
         self.ensure_vars(sh.assignment.len());
-        self.repair_nonbasic(sh);
+        self.repair_touched(sh);
         // Kernel-level poll, threaded through factorization, FTRAN/BTRAN
         // and eta application so deep solves on large bases stay
         // interruptible between pivot boundaries.
@@ -387,8 +414,13 @@ impl RevisedCore {
                 return TheoryResult::Interrupted;
             }
             iters += 1;
-            let violation = find_violation(sh, self.basis.iter().copied().enumerate());
-            let Some((pos, xb, below, target)) = violation else {
+            let Some((pos, xb, below, target)) = self.pick_leaving(sh) else {
+                // The exhaustive scan agrees: no basic variable is violated.
+                #[cfg(feature = "certify-debug")]
+                assert!(
+                    super::find_violation(sh, self.basis.iter().copied().enumerate()).is_none(),
+                    "candidate set missed a violated basic variable"
+                );
                 return TheoryResult::Ok;
             };
             let row = match self.tableau_row(sh, pos, &mut poll) {

@@ -1,19 +1,24 @@
 #!/usr/bin/env bash
 # Offline verification gate. Everything here must pass before merging:
 #
-#   1. tier-1: warning-free release build + full workspace test suite,
-#      then the many-seed `Rational` differential sweep in release
-#      (tests/rational_equiv.rs; its ignored variant, so tier-1 runs
-#      only the few-seed one), and the many-seed observability
-#      differential with its 300-bus rung in release
-#      (tests/sparse_equiv.rs, likewise its ignored variant); last, a
+#   1. tier-1: warning-free release build + full workspace test suite
+#      (the sparse LU kernel differential against the dense `Lu` runs
+#      there, as unit tests of sta-linalg), then the many-seed `Rational`
+#      differential sweep in release (tests/rational_equiv.rs; its
+#      ignored variant, so tier-1 runs only the few-seed one), the
+#      many-seed observability differential with its 300-bus rung in
+#      release (tests/sparse_equiv.rs, likewise its ignored variant),
+#      and the many-seed formula differential across simplex engines
+#      and certification levels (tests/simplex_equiv.rs, likewise); last, a
 #      release build of the `stabench/` benchmark, a workspace of its
 #      own that the workspace build never compiles, so deleting a public
 #      item it uses fails here rather than in its first bench run. It
 #      builds into target/stabench-check and writes nothing under
 #      stabench/ (about 40 s)
 #   2. source lint (tests/lint.rs): no unwrap/expect in smt/core library code
-#   3. sta-smt under --features certify-debug (simplex invariant auditor on)
+#   3. sta-smt under --features certify-debug (simplex invariant auditor
+#      on, including the revised engine's candidate set and all-zero
+#      solve scratch at every pivot boundary)
 #   4. end-to-end certification smoke on IEEE 14-bus: one SAT answer with
 #      model re-evaluation and one UNSAT answer with RUP proof replay,
 #      both under `--certify full`
@@ -73,9 +78,19 @@
 #      check whole, so what search keeps for itself is the CDCL loop.
 #      About 6 s
 #
-# No network access is required; the script fails fast on the first error.
+# No network access is required. Steps 14 and 10 run every one of their
+# gates and then fail if any gate failed, so one failing ratio does not
+# hide the others; everything else, their build and missing-data errors
+# included, fails fast on the first error.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Gate failures of steps 14 and 10, reported together after the last one.
+failed_gates=()
+gate_failed() {
+    echo "$1" >&2
+    failed_gates+=("$1")
+}
 
 echo "==> tier-1: release build (deny warnings)"
 RUSTFLAGS="-D warnings" cargo build --release
@@ -88,6 +103,9 @@ cargo test -q --release --test rational_equiv -- --ignored
 
 echo "==> tier-1: many-seed observability differential (release)"
 cargo test -q --release --test sparse_equiv -- --ignored
+
+echo "==> tier-1: many-seed formula differential across engines (release)"
+cargo test -q --release --test simplex_equiv -- --ignored
 
 echo "==> tier-1: the benchmark builds against this tree"
 cargo build --release --offline --locked --manifest-path stabench/Cargo.toml \
@@ -348,8 +366,7 @@ for b in 1354 2000; do
     profile="$(./target/release/sta verify "ieee$b" <(printf 'max-measurements 0\n') \
         --profile)" || status=$?
     if [ "$status" -ne 1 ]; then
-        echo "expected unsat (exit 1) from the blocked ieee$b verify, got exit $status" >&2
-        exit 1
+        gate_failed "expected unsat (exit 1) from the blocked ieee$b verify, got exit $status"
     fi
     row="$(echo "$profile" | awk '$1 == "search" { print $3, $4 }')"
     if [ -z "$row" ]; then
@@ -358,10 +375,8 @@ for b in 1354 2000; do
     fi
     incl_ms="${row% *}" self_ms="${row#* }"
     echo "    ieee$b: search self ${self_ms} ms of ${incl_ms} ms"
-    awk -v s="$self_ms" -v i="$incl_ms" 'BEGIN { exit !(s * 100 < i * 5) }' || {
-        echo "ieee$b search keeps ${self_ms} ms of ${incl_ms} ms as self time (bound: 5%)" >&2
-        exit 1
-    }
+    awk -v s="$self_ms" -v i="$incl_ms" 'BEGIN { exit !(s * 100 < i * 5) }' ||
+        gate_failed "ieee$b search keeps ${self_ms} ms of ${incl_ms} ms as self time (bound: 5%)"
 done
 
 echo "==> scale bench: sparse WLS must beat the dense oracle 10x at 300 buses"
@@ -382,8 +397,7 @@ if [ -z "$sparse_us" ] || [ -z "$dense_us" ]; then
 fi
 echo "    300-bus WLS median: sparse ${sparse_us} us, dense ${dense_us} us"
 if [ $((sparse_us * 10)) -gt "$dense_us" ]; then
-    echo "300-bus sparse WLS must be >= 10x faster than dense (got sparse ${sparse_us} us vs dense ${dense_us} us)" >&2
-    exit 1
+    gate_failed "300-bus sparse WLS must be >= 10x faster than dense (got sparse ${sparse_us} us vs dense ${dense_us} us)"
 fi
 
 echo "==> scale bench: revised simplex must beat dense on the 300-bus A/B pair"
@@ -395,15 +409,13 @@ if [ -z "$vd_us" ] || [ -z "$vr_us" ]; then
 fi
 echo "    300-bus pivot-heavy verify median: dense ${vd_us} us, revised ${vr_us} us"
 if [ "$vr_us" -ge "$vd_us" ]; then
-    echo "revised simplex must strictly beat dense at 300 buses (got dense ${vd_us} us vs revised ${vr_us} us)" >&2
-    exit 1
+    gate_failed "revised simplex must strictly beat dense at 300 buses (got dense ${vd_us} us vs revised ${vr_us} us)"
 fi
 
 echo "==> scale bench: the 2000-bus verify rung must complete within its deadline"
 v2000="$(sed -n 's/.*"label":"verify-2000"[^}]*"verdict":"\([^"]*\)".*/\1/p' BENCH_scale.ci.json)"
 if [ "$v2000" != "unsat" ]; then
-    echo "2000-bus verify rung did not complete (verdict: '${v2000:-missing}')" >&2
-    exit 1
+    gate_failed "2000-bus verify rung did not complete (verdict: '${v2000:-missing}')"
 fi
 
 echo "==> scale bench: verify set-up outside encode and search stays under 1% of wall"
@@ -419,9 +431,13 @@ for b in 1354 2000; do
     rest_us=$((wall_us - encode_us - search_us))
     echo "    verify-$b: ${rest_us} us of ${wall_us} us outside encode and search"
     if [ $((rest_us * 100)) -ge "$wall_us" ]; then
-        echo "verify-$b spends ${rest_us} us of ${wall_us} us outside encode and search (bound: 1% of wall)" >&2
-        exit 1
+        gate_failed "verify-$b spends ${rest_us} us of ${wall_us} us outside encode and search (bound: 1% of wall)"
     fi
 done
 
+if [ "${#failed_gates[@]}" -ne 0 ]; then
+    echo "verify.sh: ${#failed_gates[@]} gate(s) of steps 14 and 10 failed:" >&2
+    printf '  %s\n' "${failed_gates[@]}" >&2
+    exit 1
+fi
 echo "verify.sh: all checks passed"
