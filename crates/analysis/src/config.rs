@@ -55,23 +55,10 @@ const HOT_FILES: &[&str] = &[
 const JSON_EXEMPT: &[&str] = &["crates/smt/src/json.rs"];
 
 /// Solver-internal hash collections on determinism-scoped files. These
-/// never reach a report in iteration order: the 1-vs-4-worker
+/// must never reach a report in iteration order: the 1-vs-4-worker
 /// byte-compare gate in `verify.sh` pins that empirically, and each
-/// entry documents why order cannot leak.
-const ALLOW_DETERMINISM: &[Allow] = &[
-    Allow {
-        file: "smt/src/sat/cdcl.rs",
-        needle: "let remove: std::collections::HashSet<usize> =",
-        why: "membership set for clause compaction; deletions are logged from \
-              the sorted keep-order Vec, never by iterating this set",
-    },
-    Allow {
-        file: "smt/src/sat/cdcl.rs",
-        needle: "remove: &std::collections::HashSet<usize>",
-        why: "compact_clauses only probes membership (contains); it iterates \
-              the clause arena in index order",
-    },
-];
+/// entry would document why order cannot leak. There are none today.
+const ALLOW_DETERMINISM: &[Allow] = &[];
 
 /// The only sanctioned raw clock reads: the two `Budget` deadline sites
 /// and the `Clock::Monotonic` epoch. Everything else injects `Clock`.
@@ -139,11 +126,6 @@ const ALLOW_PANIC: &[Allow] = &[
         needle: "expect(\"non-decision literal has a reason\")",
         why: "1-UIP invariant: every non-decision trail literal has a reason \
               clause",
-    },
-    Allow {
-        file: "smt/src/sat/cdcl.rs",
-        needle: ".unwrap()",
-        why: "partial_cmp over clause activities, which are finite f64s",
     },
     Allow {
         file: "smt/src/bigint.rs",

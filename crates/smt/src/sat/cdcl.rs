@@ -6,6 +6,13 @@
 //! [`CdclSolver::solve`] receives assigned literals and may veto assignments
 //! with explanations, which the solver turns into learned clauses — the
 //! standard DPLL(T) integration used by the LRA solver in [`crate::simplex`].
+//!
+//! The core is flat: every clause lives in one `u32` arena and every
+//! literal's watch list is a span of one shared watch buffer, so cloning
+//! a solver (how [`crate::Solver`] gives each check its own core) copies
+//! a few contiguous buffers instead of one allocation per clause and per
+//! watch list. Binary clauses are watched inline — the watch's blocker is
+//! the other literal — so propagating them never reads the arena.
 
 use super::lit::{LBool, Lit, SatVar};
 use super::proof::{FarkasCertificate, ProofLog};
@@ -69,17 +76,196 @@ pub enum SatOutcome {
     Unknown(Interrupt),
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
+/// Header bit: the clause was learned, and its activity follows the header.
+const LEARNED: u32 = 1;
+/// Header bit: the clause is marked for removal by the next compaction.
+const DELETED: u32 = 2;
+/// The header keeps the clause length above its two flag bits.
+const LEN_SHIFT: u32 = 2;
+/// Tag bit on a watch's clause reference: a binary clause, whose other
+/// literal is the watch's blocker. Arena offsets stay below it.
+const BINARY: u32 = 1 << 31;
+/// The `reason` of a decision, an assumption or a root unit, and the
+/// forwarding entry of a clause removed by compaction.
+const NO_REASON: u32 = u32::MAX;
+/// Room of a watch list's first span, as `Vec` starts 8-byte elements.
+const FIRST_ROOM: usize = 4;
+
+/// Every clause in one buffer of `u32` words, referenced by the offset of
+/// its header. A clause is a header word (length above the `LEARNED` and
+/// `DELETED` bits), a learned clause's `f64` activity as two words (low
+/// half first), then its literal codes. Clauses sit in the order they
+/// were added; compaction keeps that order.
+#[derive(Debug, Clone, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
 }
 
+impl ClauseArena {
+    /// Appends a clause and returns its reference; `activity` is `Some`
+    /// exactly for a learned clause.
+    fn push(&mut self, lits: &[Lit], activity: Option<f64>) -> u32 {
+        // Keeps every reference below the `BINARY` tag and every length
+        // inside its 30 header bits; verdicts depend on both.
+        assert!(self.words.len() + 3 + lits.len() <= 1 << 30, "clause arena outgrew 2^30 words");
+        let cr = self.words.len() as u32;
+        self.words.push(((lits.len() as u32) << LEN_SHIFT) | u32::from(activity.is_some()));
+        if let Some(a) = activity {
+            let bits = a.to_bits();
+            self.words.push(bits as u32);
+            self.words.push((bits >> 32) as u32);
+        }
+        self.words.extend(lits.iter().map(|l| l.code()));
+        cr
+    }
+
+    fn len(&self, cr: u32) -> usize {
+        (self.words[cr as usize] >> LEN_SHIFT) as usize
+    }
+
+    fn is_learned(&self, cr: u32) -> bool {
+        self.words[cr as usize] & LEARNED != 0
+    }
+
+    /// Offset of the clause's first literal.
+    fn lits_at(&self, cr: u32) -> usize {
+        cr as usize + 1 + 2 * (self.words[cr as usize] & LEARNED) as usize
+    }
+
+    fn lit(&self, cr: u32, k: usize) -> Lit {
+        Lit::from_code(self.words[self.lits_at(cr) + k])
+    }
+
+    /// The clause's literal codes.
+    fn codes(&self, cr: u32) -> &[u32] {
+        let at = self.lits_at(cr);
+        &self.words[at..at + self.len(cr)]
+    }
+
+    fn lits(&self, cr: u32) -> Vec<Lit> {
+        self.codes(cr).iter().map(|&c| Lit::from_code(c)).collect()
+    }
+
+    /// Offset of the clause after `cr`.
+    fn next(&self, cr: u32) -> u32 {
+        (self.lits_at(cr) + self.len(cr)) as u32
+    }
+
+    /// Every clause reference, in order.
+    fn refs(&self) -> impl Iterator<Item = u32> + '_ {
+        let end = self.words.len() as u32;
+        std::iter::successors((end > 0).then_some(0), move |&cr| {
+            let next = self.next(cr);
+            (next < end).then_some(next)
+        })
+    }
+
+    fn activity(&self, cr: u32) -> f64 {
+        let at = cr as usize + 1;
+        f64::from_bits(u64::from(self.words[at]) | u64::from(self.words[at + 1]) << 32)
+    }
+
+    fn set_activity(&mut self, cr: u32, a: f64) {
+        let at = cr as usize + 1;
+        let bits = a.to_bits();
+        self.words[at] = bits as u32;
+        self.words[at + 1] = (bits >> 32) as u32;
+    }
+
+    fn mark_deleted(&mut self, cr: u32) {
+        self.words[cr as usize] |= DELETED;
+    }
+}
+
+/// One watch: the clause it belongs to (`BINARY`-tagged for a two-literal
+/// clause) and a blocker literal whose truth satisfies the clause.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
-    clause: usize,
+    cref: u32,
     blocker: Lit,
+}
+
+/// Filler of a watch span's unused room.
+const ROOM: Watch = Watch { cref: NO_REASON, blocker: Lit::from_code(0) };
+
+/// One literal's watch list: `len` watches at `buf[start..]`, inside
+/// `cap` slots of room.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every literal's watch list as a span of one shared buffer. A full list
+/// moves to the end of the buffer with doubled room, copying its watches
+/// in order and abandoning its old room. A list's order thus only ever
+/// changes by `push` and `swap_remove`, exactly as a `Vec`'s. The rooms a
+/// list abandoned halve back from its current one, so they sum to less
+/// than it: abandoned room never exceeds live room, with no repacking.
+#[derive(Debug, Clone, Default)]
+struct WatchLists {
+    buf: Vec<Watch>,
+    /// Indexed by [`Lit::index`]: the watches of clauses containing `¬lit`,
+    /// visited when `lit` becomes true.
+    spans: Vec<Span>,
+}
+
+impl WatchLists {
+    fn add_var(&mut self) {
+        self.spans.push(Span::default());
+        self.spans.push(Span::default());
+    }
+
+    fn len(&self, l: usize) -> usize {
+        self.spans[l].len as usize
+    }
+
+    fn get(&self, l: usize, i: usize) -> Watch {
+        self.buf[self.spans[l].start as usize + i]
+    }
+
+    fn set_blocker(&mut self, l: usize, i: usize, blocker: Lit) {
+        self.buf[self.spans[l].start as usize + i].blocker = blocker;
+    }
+
+    fn swap_remove(&mut self, l: usize, i: usize) {
+        let s = &mut self.spans[l];
+        s.len -= 1;
+        let (start, last) = (s.start as usize, s.len as usize);
+        self.buf[start + i] = self.buf[start + last];
+    }
+
+    fn push(&mut self, l: usize, w: Watch) {
+        if self.spans[l].len == self.spans[l].cap {
+            self.grow(l);
+        }
+        let s = &mut self.spans[l];
+        self.buf[(s.start + s.len) as usize] = w;
+        s.len += 1;
+    }
+
+    /// Doubles a full list's room: in place when it ends the buffer,
+    /// otherwise by moving it to the end.
+    fn grow(&mut self, l: usize) {
+        let s = self.spans[l];
+        let (start, len) = (s.start as usize, s.len as usize);
+        let cap = (2 * s.cap as usize).max(FIRST_ROOM);
+        let to = if start + s.cap as usize == self.buf.len() { start } else { self.buf.len() };
+        assert!(to + cap <= u32::MAX as usize, "watch buffer outgrew its 32-bit offsets");
+        if to != start {
+            self.buf.extend_from_within(start..start + len);
+        }
+        self.buf.resize(to + cap, ROOM);
+        self.spans[l] = Span { start: to as u32, len: s.len, cap: cap as u32 };
+    }
+
+    /// Empties every list, keeping its room.
+    fn clear(&mut self) {
+        for s in &mut self.spans {
+            s.len = 0;
+        }
+    }
 }
 
 /// Cumulative search counters of one CDCL core, which [`crate::Solver`]
@@ -109,13 +295,17 @@ pub struct SatCounters {
 /// The solver is `Clone`: a never-solved solver holding an encoded clause
 /// database can serve as a reusable template, with each clone solved
 /// independently (how [`crate::Solver`] implements incremental reuse).
+/// Apart from the proof log, a clone copies flat buffers only.
 #[derive(Debug, Clone)]
 pub struct CdclSolver {
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<Watch>>,
+    arena: ClauseArena,
+    /// Clauses in the arena (original + learned).
+    num_clauses: usize,
+    watches: WatchLists,
     assign: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    /// The clause that implied each assigned variable, or `NO_REASON`.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     prop_head: usize,
@@ -174,8 +364,9 @@ impl CdclSolver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         CdclSolver {
-            clauses: Vec::new(),
-            watches: Vec::new(),
+            arena: ClauseArena::default(),
+            num_clauses: 0,
+            watches: WatchLists::default(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -250,13 +441,12 @@ impl CdclSolver {
         let v = self.assign.len() as SatVar;
         self.assign.push(LBool::Undef);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.saved_phase.push(false);
         self.seen.push(false);
         self.is_theory_var.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.add_var();
         self.order_pos.push(self.order.len());
         self.order.push(v);
         v
@@ -274,14 +464,15 @@ impl CdclSolver {
 
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Snapshot of the stored clause database (root-simplified originals
     /// plus learned clauses; root units are not included). Used by the
     /// encoding-level linter to look for duplicate and subsumed clauses.
+    /// A binary clause's two literals may come in either order.
     pub fn clause_list(&self) -> Vec<Vec<Lit>> {
-        self.clauses.iter().map(|c| c.lits.clone()).collect()
+        self.arena.refs().map(|cr| self.arena.lits(cr)).collect()
     }
 
     /// Solver counters (decisions, conflicts, …).
@@ -330,28 +521,32 @@ impl CdclSolver {
         match lits.len() {
             0 => self.unsat_at_root = true,
             1 => {
-                self.enqueue(lits[0], None);
+                self.enqueue(lits[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.unsat_at_root = true;
                 }
             }
             _ => {
-                self.attach_clause(Clause { lits, learned: false, activity: 0.0 });
+                self.attach_clause(&lits, None);
             }
         }
     }
 
-    fn attach_clause(&mut self, clause: Clause) -> usize {
-        let idx = self.clauses.len();
-        let w0 = clause.lits[0];
-        let w1 = clause.lits[1];
-        self.watches[(!w0).index()].push(Watch { clause: idx, blocker: w1 });
-        self.watches[(!w1).index()].push(Watch { clause: idx, blocker: w0 });
-        self.clauses.push(clause);
-        idx
+    /// Stores a clause of at least two literals and watches its first two.
+    fn attach_clause(&mut self, lits: &[Lit], activity: Option<f64>) -> u32 {
+        let cr = self.arena.push(lits, activity);
+        self.watch_clause(cr, lits[0], lits[1], lits.len() == 2);
+        self.num_clauses += 1;
+        cr
     }
 
-    fn enqueue(&mut self, lit: Lit, reason: Option<usize>) {
+    fn watch_clause(&mut self, cr: u32, w0: Lit, w1: Lit, binary: bool) {
+        let cref = if binary { cr | BINARY } else { cr };
+        self.watches.push((!w0).index(), Watch { cref, blocker: w1 });
+        self.watches.push((!w1).index(), Watch { cref, blocker: w0 });
+    }
+
+    fn enqueue(&mut self, lit: Lit, reason: u32) {
         debug_assert_eq!(self.lit_value(lit), LBool::Undef);
         let v = lit.var() as usize;
         self.assign[v] = if lit.is_positive() { LBool::True } else { LBool::False };
@@ -361,51 +556,71 @@ impl CdclSolver {
         self.counters.propagations += 1;
     }
 
-    /// Unit propagation; returns the index of a conflicting clause if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// The clause that implied `v`, if any.
+    fn reason_of(&self, v: usize) -> Option<u32> {
+        let r = self.reason[v];
+        (r != NO_REASON).then_some(r)
+    }
+
+    /// Unit propagation; returns the literals of a conflicting clause if
+    /// any. A binary conflict comes back as `[other, ¬p]`, the long
+    /// clause's stored literal order otherwise.
+    fn propagate(&mut self) -> Option<Vec<Lit>> {
         // analysis: no-poll(bounded by trail growth; the search loop polls per conflict)
         while self.prop_head < self.trail.len() {
             let p = self.trail[self.prop_head];
             self.prop_head += 1;
             let widx = p.index();
+            let false_lit = !p;
             let mut i = 0;
             // analysis: no-poll(bounded by the watch list of one literal)
-            'watches: while i < self.watches[widx].len() {
-                let watch = self.watches[widx][i];
-                if self.lit_value(watch.blocker) == LBool::True {
+            'watches: while i < self.watches.len(widx) {
+                let watch = self.watches.get(widx, i);
+                let blocker = self.lit_value(watch.blocker);
+                if blocker == LBool::True {
                     i += 1;
                     continue;
                 }
-                let ci = watch.clause;
-                // Normalize: watched literal ¬p must be at position 1.
-                let false_lit = !p;
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if watch.cref & BINARY != 0 {
+                    if blocker == LBool::False {
+                        self.prop_head = self.trail.len();
+                        return Some(vec![watch.blocker, false_lit]);
+                    }
+                    self.enqueue(watch.blocker, watch.cref & !BINARY);
+                    i += 1;
+                    continue;
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                let cr = watch.cref;
+                let at = self.arena.lits_at(cr);
+                let len = self.arena.len(cr);
+                let lits = &mut self.arena.words[at..at + len];
+                // Normalize: watched literal ¬p must be at position 1.
+                if lits[0] == false_lit.code() {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit.code());
+                let first = Lit::from_code(lits[0]);
                 if first != watch.blocker && self.lit_value(first) == LBool::True {
-                    self.watches[widx][i].blocker = first;
+                    self.watches.set_blocker(widx, i, first);
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
+                for k in 2..len {
+                    let cand = Lit::from_code(self.arena.words[at + k]);
                     if self.lit_value(cand) != LBool::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[widx].swap_remove(i);
-                        self.watches[(!cand).index()]
-                            .push(Watch { clause: ci, blocker: first });
+                        self.arena.words.swap(at + 1, at + k);
+                        self.watches.swap_remove(widx, i);
+                        self.watches.push((!cand).index(), Watch { cref: cr, blocker: first });
                         continue 'watches;
                     }
                 }
                 // Clause is unit or conflicting.
                 if self.lit_value(first) == LBool::False {
                     self.prop_head = self.trail.len();
-                    return Some(ci);
+                    return Some(self.arena.lits(cr));
                 }
-                self.enqueue(first, Some(ci));
+                self.enqueue(first, cr);
                 i += 1;
             }
         }
@@ -529,7 +744,7 @@ impl CdclSolver {
             let v = lit.var() as usize;
             self.saved_phase[v] = lit.is_positive();
             self.assign[v] = LBool::Undef;
-            self.reason[v] = None;
+            self.reason[v] = NO_REASON;
             if !self.in_heap(v as SatVar) {
                 self.heap_insert(v as SatVar);
             }
@@ -547,6 +762,23 @@ impl CdclSolver {
         }
     }
 
+    /// One literal of a clause under 1-UIP analysis: marks and bumps its
+    /// variable the first time it is met above the root, counting it if
+    /// it sits on the conflict level and keeping it for the learned
+    /// clause otherwise.
+    fn analyze_lit(&mut self, q: Lit, current: u32, counter: &mut usize, learnt: &mut Vec<Lit>) {
+        let v = q.var() as usize;
+        if !self.seen[v] && self.level[v] > 0 {
+            self.seen[v] = true;
+            self.bump_var(q.var());
+            if self.level[v] >= current {
+                *counter += 1;
+            } else {
+                learnt.push(q);
+            }
+        }
+    }
+
     /// 1-UIP analysis. `conflict` literals are all false under the current
     /// assignment. Returns the learned clause (asserting literal first) and
     /// the backjump level.
@@ -555,22 +787,12 @@ impl CdclSolver {
         let mut learnt: Vec<Lit> = vec![Lit::positive(0)]; // slot 0 = asserting lit
         let mut counter = 0usize;
         let mut idx = self.trail.len();
-        let mut reason_lits = conflict;
+        for q in conflict {
+            self.analyze_lit(q, current, &mut counter, &mut learnt);
+        }
         let p: Lit;
         // analysis: no-poll(1-UIP resolution, each step unmarks one trail literal)
         loop {
-            for &q in &reason_lits {
-                let v = q.var() as usize;
-                if !self.seen[v] && self.level[v] > 0 {
-                    self.seen[v] = true;
-                    self.bump_var(q.var());
-                    if self.level[v] >= current {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
-                    }
-                }
-            }
             // Walk the trail backwards to the next marked literal.
             // analysis: no-poll(walks the trail backwards, idx strictly decreases)
             loop {
@@ -587,14 +809,14 @@ impl CdclSolver {
                 p = pl;
                 break;
             }
-            let ci = self.reason[v].expect("non-decision literal has a reason");
-            self.bump_clause(ci);
-            reason_lits = self.clauses[ci]
-                .lits
-                .iter()
-                .copied()
-                .filter(|&l| l != pl)
-                .collect();
+            let cr = self.reason_of(v).expect("non-decision literal has a reason");
+            self.bump_clause(cr);
+            for k in 0..self.arena.len(cr) {
+                let q = self.arena.lit(cr, k);
+                if q != pl {
+                    self.analyze_lit(q, current, &mut counter, &mut learnt);
+                }
+            }
         }
         learnt[0] = !p;
         // Clear remaining seen flags.
@@ -617,14 +839,16 @@ impl CdclSolver {
         (learnt, bj)
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        if !self.clauses[ci].learned {
+    fn bump_clause(&mut self, cr: u32) {
+        if !self.arena.is_learned(cr) {
             return;
         }
-        self.clauses[ci].activity += self.clause_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learned) {
-                c.activity *= 1e-20;
+        let a = self.arena.activity(cr) + self.clause_inc;
+        self.arena.set_activity(cr, a);
+        if a > 1e20 {
+            let learned: Vec<_> = self.arena.refs().filter(|&c| self.arena.is_learned(c)).collect();
+            for c in learned {
+                self.arena.set_activity(c, self.arena.activity(c) * 1e-20);
             }
             self.clause_inc *= 1e-20;
         }
@@ -632,33 +856,29 @@ impl CdclSolver {
 
     /// Removes the least active half of the learned clauses.
     fn reduce_db(&mut self) {
-        let mut learned: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                self.clauses[i].learned
-                    && self.clauses[i].lits.len() > 2
-                    && !self.is_reason(i)
+        let mut learned: Vec<u32> = self
+            .arena
+            .refs()
+            .filter(|&cr| {
+                self.arena.is_learned(cr) && self.arena.len(cr) > 2 && !self.is_reason(cr)
             })
             .collect();
-        learned.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
-                .unwrap()
-        });
-        let remove: std::collections::HashSet<usize> =
-            learned[..learned.len() / 2].iter().copied().collect();
+        // Stable, over the exact activity bits: equal activities keep
+        // clause order.
+        learned.sort_by(|&a, &b| self.arena.activity(a).total_cmp(&self.arena.activity(b)));
+        let remove = &learned[..learned.len() / 2];
         if remove.is_empty() {
             return;
         }
-        if let Some(p) = &mut self.proof {
-            // Log deletions in the sorted activity order of the keep
-            // decision, not the hash set's iteration order — the DRAT
-            // proof stream must be byte-stable across runs.
-            for &i in &learned[..learned.len() / 2] {
-                p.log_delete(self.clauses[i].lits.clone());
+        // Deletions are logged in the sorted activity order of the keep
+        // decision, so the DRAT proof stream is byte-stable across runs.
+        for &cr in remove {
+            if let Some(p) = &mut self.proof {
+                p.log_delete(self.arena.lits(cr));
             }
+            self.arena.mark_deleted(cr);
         }
-        self.compact_clauses(&remove);
+        self.compact_clauses();
     }
 
     /// Hard-deletes every stored clause containing `lit`. This is how a
@@ -675,61 +895,125 @@ impl CdclSolver {
     /// of clauses removed. Must be called at the root level.
     pub fn purge_literal(&mut self, lit: Lit) -> u64 {
         debug_assert!(self.trail_lim.is_empty(), "purge happens at root level");
-        let remove: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].lits.contains(&lit))
+        let remove: Vec<u32> = self
+            .arena
+            .refs()
+            .filter(|&cr| self.arena.codes(cr).contains(&lit.code()))
             .collect();
         if remove.is_empty() {
             return 0;
         }
-        if let Some(p) = &mut self.proof {
-            for &i in &remove {
-                if self.clauses[i].learned {
-                    p.log_delete(self.clauses[i].lits.clone());
+        for &cr in &remove {
+            if let Some(p) = &mut self.proof {
+                if self.arena.is_learned(cr) {
+                    p.log_delete(self.arena.lits(cr));
                 }
             }
+            self.arena.mark_deleted(cr);
         }
-        let n = remove.len() as u64;
-        self.compact_clauses(&remove.into_iter().collect());
-        n
+        self.compact_clauses();
+        remove.len() as u64
     }
 
-    /// Removes the given clause indices: compacts storage, rebuilds watch
-    /// lists and remaps reason pointers. A reason pointing into the removed
-    /// set is cleared — only possible for root-level assignments (reduce_db
-    /// never removes reasons; purge_literal runs at root), whose reasons
-    /// are never consulted again. Shared by [`CdclSolver::reduce_db`] and
+    /// Drops the clauses marked deleted: compacts the arena in clause
+    /// order, rewatches every survivor in that order and remaps reason
+    /// references. A reason pointing at a removed clause is cleared —
+    /// only possible for root-level assignments (reduce_db never removes
+    /// reasons; purge_literal runs at root), whose reasons are never
+    /// consulted again. Shared by [`CdclSolver::reduce_db`] and
     /// [`CdclSolver::purge_literal`].
-    fn compact_clauses(&mut self, remove: &std::collections::HashSet<usize>) {
-        let mut remap = vec![usize::MAX; self.clauses.len()];
-        let mut new_clauses = Vec::with_capacity(self.clauses.len() - remove.len());
-        for (i, c) in self.clauses.drain(..).enumerate() {
-            if !remove.contains(&i) {
-                remap[i] = new_clauses.len();
-                new_clauses.push(c);
+    fn compact_clauses(&mut self) {
+        // The old arena turns into a forwarding table: each header word
+        // is overwritten with the clause's new offset, or `NO_REASON`.
+        let mut old = std::mem::take(&mut self.arena);
+        self.arena.words.reserve(old.words.len());
+        self.watches.clear();
+        let (mut clauses, mut learned) = (0, 0);
+        for cr in old.refs().collect::<Vec<_>>() {
+            let at = cr as usize;
+            if old.words[at] & DELETED != 0 {
+                old.words[at] = NO_REASON;
+                continue;
             }
+            let to = self.arena.words.len() as u32;
+            self.arena.words.extend_from_slice(&old.words[at..old.next(cr) as usize]);
+            self.watch_clause(to, old.lit(cr, 0), old.lit(cr, 1), old.len(cr) == 2);
+            clauses += 1;
+            learned += u64::from(old.is_learned(cr));
+            old.words[at] = to;
         }
-        self.clauses = new_clauses;
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for idx in 0..self.clauses.len() {
-            let w0 = self.clauses[idx].lits[0];
-            let w1 = self.clauses[idx].lits[1];
-            self.watches[(!w0).index()].push(Watch { clause: idx, blocker: w1 });
-            self.watches[(!w1).index()].push(Watch { clause: idx, blocker: w0 });
-        }
+        self.num_clauses = clauses;
+        self.counters.learned_clauses = learned;
         for (v, r) in self.reason.iter_mut().enumerate() {
-            if let Some(ci) = *r {
-                if remap[ci] == usize::MAX {
-                    debug_assert_eq!(self.level[v], 0);
-                    *r = None;
-                } else {
-                    *r = Some(remap[ci]);
-                }
+            if *r != NO_REASON {
+                *r = old.words[*r as usize];
+                debug_assert!(*r != NO_REASON || self.level[v] == 0);
             }
         }
-        self.counters.learned_clauses =
-            self.clauses.iter().filter(|c| c.learned).count() as u64;
+        #[cfg(feature = "certify-debug")]
+        self.audit_core();
+    }
+
+    /// Audits the flat core: every clause is watched exactly twice, from
+    /// its literals at positions 0 and 1; a watch is tagged binary exactly
+    /// when its clause has two literals, and then its blocker is the other
+    /// one; spans lie inside the watch buffer without overlapping, and
+    /// abandoned room never exceeds live room; a long reason clause holds
+    /// its implied literal at position 0. Compiled only under the
+    /// `certify-debug` feature and called at each propagation fixpoint of
+    /// the search and after every compaction.
+    ///
+    /// # Panics
+    /// Panics on the first violated invariant — a solver bug.
+    #[cfg(feature = "certify-debug")]
+    fn audit_core(&self) {
+        let (arena, watches) = (&self.arena, &self.watches);
+        // Per header offset: bit 2 marks a clause, bits 0 and 1 a watch
+        // from its literal at position 0 and 1.
+        let mut seen = vec![0u8; arena.words.len()];
+        let mut clauses = 0;
+        for cr in arena.refs() {
+            assert!(arena.len(cr) >= 2, "clause {cr} shorter than two literals");
+            assert_eq!(arena.words[cr as usize] & DELETED, 0, "clause {cr} left marked deleted");
+            seen[cr as usize] = 4;
+            clauses += 1;
+        }
+        assert_eq!(clauses, self.num_clauses, "clause count out of step with the arena");
+        for (l, s) in watches.spans.iter().enumerate() {
+            assert!(s.len <= s.cap, "span of literal {l} holds more than its room");
+            let end = (s.start + s.cap) as usize;
+            assert!(end <= watches.buf.len(), "span of literal {l} ends outside the buffer");
+            let watched = !Lit::from_code(l as u32);
+            for i in 0..s.len as usize {
+                let w = watches.get(l, i);
+                let cr = w.cref & !BINARY;
+                let known = seen.get(cr as usize).is_some_and(|b| b & 4 != 0);
+                assert!(known, "watch of literal {l} names no clause");
+                let len = arena.len(cr);
+                assert_eq!(w.cref & BINARY != 0, len == 2, "binary tag of clause {cr}");
+                let k = usize::from(arena.lit(cr, 0) != watched);
+                assert_eq!(arena.lit(cr, k), watched, "clause {cr} watched off positions 0 and 1");
+                let other = arena.lit(cr, 1 - k);
+                assert!(len > 2 || w.blocker == other, "blocker of binary clause {cr}");
+                assert_eq!(seen[cr as usize] & (1 << k), 0, "clause {cr} watched twice from {k}");
+                seen[cr as usize] |= 1 << k;
+            }
+        }
+        for cr in arena.refs() {
+            assert_eq!(seen[cr as usize], 7, "clause {cr} not watched from positions 0 and 1");
+        }
+        let room = |s: &Span| (s.start, s.start + s.cap);
+        let mut rooms: Vec<_> = watches.spans.iter().map(room).filter(|r| r.0 < r.1).collect();
+        rooms.sort_unstable();
+        assert!(rooms.windows(2).all(|p| p[0].1 <= p[1].0), "watch spans overlap");
+        let live: usize = watches.spans.iter().map(|s| s.cap as usize).sum();
+        assert!(watches.buf.len() - live <= live, "abandoned watch room exceeds live room");
+        for &l in &self.trail {
+            let Some(cr) = self.reason_of(l.var() as usize) else { continue };
+            assert_eq!(seen.get(cr as usize), Some(&7), "reason of {l} names no clause");
+            let leads = arena.len(cr) == 2 || arena.lit(cr, 0) == l;
+            assert!(leads, "long reason clause {cr} does not lead with {l}");
+        }
     }
 
     /// Closes the proof with the empty clause (every `Unsat` return).
@@ -739,10 +1023,9 @@ impl CdclSolver {
         }
     }
 
-    fn is_reason(&self, ci: usize) -> bool {
-        let first = self.clauses[ci].lits[0];
-        self.reason[first.var() as usize] == Some(ci)
-            && self.lit_value(first) == LBool::True
+    fn is_reason(&self, cr: u32) -> bool {
+        let first = self.arena.lit(cr, 0);
+        self.reason[first.var() as usize] == cr && self.lit_value(first) == LBool::True
     }
 
     fn luby(mut i: u64) -> u64 {
@@ -863,11 +1146,11 @@ impl CdclSolver {
             if !self.seen[v] {
                 continue;
             }
-            match self.reason[v] {
+            match self.reason_of(v) {
                 None => out.push(!q),
-                Some(ci) => {
-                    for k in 0..self.clauses[ci].lits.len() {
-                        let l = self.clauses[ci].lits[k];
+                Some(cr) => {
+                    for k in 0..self.arena.len(cr) {
+                        let l = self.arena.lit(cr, k);
                         if l != q && self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
@@ -919,10 +1202,13 @@ impl CdclSolver {
             }
             rounds += 1;
             let boolean_conflict = self.propagate();
-            let conflict: Option<Vec<Lit>> = if let Some(ci) = boolean_conflict {
-                Some(self.clauses[ci].lits.clone())
-            } else {
-                match self.theory_step(theory) {
+            #[cfg(feature = "certify-debug")]
+            if boolean_conflict.is_none() {
+                self.audit_core();
+            }
+            let conflict: Option<Vec<Lit>> = match boolean_conflict {
+                Some(cl) => Some(cl),
+                None => match self.theory_step(theory) {
                     TheoryResult::Ok => None,
                     TheoryResult::Interrupted => {
                         // The theory's own budget check fired (shared with
@@ -942,7 +1228,7 @@ impl CdclSolver {
                         }
                         Some(cl)
                     }
-                }
+                },
             };
             match conflict {
                 Some(cl) => {
@@ -971,15 +1257,11 @@ impl CdclSolver {
                     }
                     self.backtrack(bj, theory);
                     if learnt.len() == 1 {
-                        self.enqueue(learnt[0], None);
+                        self.enqueue(learnt[0], NO_REASON);
                     } else {
-                        let ci = self.attach_clause(Clause {
-                            lits: learnt.clone(),
-                            learned: true,
-                            activity: self.clause_inc,
-                        });
+                        let cr = self.attach_clause(&learnt, Some(self.clause_inc));
                         self.counters.learned_clauses += 1;
-                        self.enqueue(learnt[0], Some(ci));
+                        self.enqueue(learnt[0], cr);
                     }
                     self.decay_activities();
                 }
@@ -1038,7 +1320,7 @@ impl CdclSolver {
                             LBool::Undef => {
                                 theory.on_new_level();
                                 self.trail_lim.push(self.trail.len());
-                                self.enqueue(a, None);
+                                self.enqueue(a, NO_REASON);
                             }
                         }
                     } else if let Some(v) = self.pick_branch() {
@@ -1046,7 +1328,7 @@ impl CdclSolver {
                         theory.on_new_level();
                         self.trail_lim.push(self.trail.len());
                         let phase = self.saved_phase[v as usize];
-                        self.enqueue(Lit::with_polarity(v, phase), None);
+                        self.enqueue(Lit::with_polarity(v, phase), NO_REASON);
                     } else {
                         // Fully assigned and theory-consistent.
                         return SatOutcome::Sat;
@@ -1390,6 +1672,52 @@ mod tests {
         s.reset_to_root(&mut th);
         assert_eq!(s.solve_under_assumptions(&[ln(a)], &mut th), SatOutcome::Sat);
         assert_eq!(s.value(b), LBool::True);
+    }
+
+    /// `purge_literal` over learned clauses with proof logging on: under
+    /// the assumption `act`, a 6-into-5 pigeonhole whose "some hole"
+    /// clauses carry `¬act` is refuted, so every learned clause carries
+    /// `¬act` too. Retiring `act` deletes them as logged proof steps, and
+    /// the unguarded refutation that follows on the same solver still
+    /// replays.
+    #[test]
+    fn purged_learned_clauses_keep_the_proof_certifiable() {
+        use crate::certify::{check_unsat_proof, TheoryContext};
+        use crate::sat::ProofStep;
+        let (pigeons, holes) = (6, 5);
+        let mut s = CdclSolver::new();
+        s.enable_proof();
+        let act = s.new_var();
+        let x: Vec<Vec<SatVar>> =
+            (0..pigeons).map(|_| (0..holes).map(|_| s.new_var()).collect()).collect();
+        for (p1, a) in x.iter().enumerate() {
+            for b in &x[p1 + 1..] {
+                for (&u, &v) in a.iter().zip(b) {
+                    s.add_clause(vec![ln(u), ln(v)]); // at most one pigeon per hole
+                }
+            }
+        }
+        let some_hole = |p: usize| -> Vec<Lit> { x[p].iter().map(|&v| lp(v)).collect() };
+        for p in 0..pigeons {
+            s.add_clause([vec![ln(act)], some_hole(p)].concat());
+        }
+        let mut th = NullTheory;
+        assert_eq!(s.solve_under_assumptions(&[lp(act)], &mut th), SatOutcome::Unsat);
+        assert_eq!(s.failed_assumptions(), &[ln(act)]);
+        let learned = s.counters().learned_clauses;
+        assert!(learned > 0, "the guarded refutation learned nothing");
+        s.reset_to_root(&mut th);
+        s.add_clause(vec![ln(act)]);
+        assert_eq!(s.purge_literal(ln(act)), pigeons as u64 + learned);
+        assert_eq!(s.counters().learned_clauses, 0);
+        for p in 0..pigeons {
+            s.add_clause(some_hole(p));
+        }
+        assert_eq!(s.solve(&mut th), SatOutcome::Unsat);
+        let proof = s.proof().expect("proof logging on");
+        let deleted = proof.steps.iter().filter(|s| matches!(s, ProofStep::Delete(_))).count();
+        assert_eq!(deleted as u64, learned, "every purged learned clause is logged");
+        check_unsat_proof(proof, &TheoryContext::default()).expect("the proof replays");
     }
 
     /// Assumption-driven solves under a brute-force cross-check, reusing

@@ -44,6 +44,17 @@ impl Lit {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The packed code (`2·var + sign`), one word of the CDCL clause
+    /// arena.
+    pub(crate) const fn code(self) -> u32 {
+        self.0
+    }
+
+    /// The literal whose packed code is `code`.
+    pub(crate) const fn from_code(code: u32) -> Lit {
+        Lit(code)
+    }
 }
 
 impl Not for Lit {

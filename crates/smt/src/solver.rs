@@ -1777,6 +1777,52 @@ mod tests {
         assert_eq!(s.last_stats().expect("stats").timings.cache_hits, 1, "core survived");
     }
 
+    /// Learned-clause reduction under proof logging: an unsatisfiable
+    /// random 3-SAT instance (200 variables, 920 clauses) learns past the
+    /// 4,000-clause threshold, so `reduce_db` deletes half of the long
+    /// learned clauses, and the session proof replays through
+    /// `check_unsat_proof`, deletions included.
+    #[test]
+    fn reduced_clause_database_still_certifies() {
+        let mut rng = sta_linalg::rng::Pcg32::new(3);
+        let mut s = Solver::new();
+        s.set_certify(CertifyLevel::Full);
+        let vars: Vec<BoolVar> = (0..200).map(|_| s.new_bool()).collect();
+        for _ in 0..920 {
+            let lits = (0..3)
+                .map(|_| {
+                    let f = Formula::var(vars[rng.below(vars.len())]);
+                    if rng.flip() {
+                        f
+                    } else {
+                        f.not()
+                    }
+                })
+                .collect();
+            s.assert_formula(&Formula::or(lits));
+        }
+        let result = s.check_assuming_certified(&[]).expect("certifies");
+        assert!(!result.is_sat() && !result.is_unknown(), "{result:?}");
+        let stats = s.last_stats().expect("stats");
+        assert!(stats.certified);
+        let core = s.live.as_ref().expect("live core");
+        let proof = core.sat.proof().expect("proof logging on");
+        let learned = proof
+            .steps
+            .iter()
+            .filter(|s| matches!(s, crate::sat::ProofStep::Learned(c) if c.len() > 1))
+            .count() as u64;
+        let deleted = proof
+            .steps
+            .iter()
+            .filter(|s| matches!(s, crate::sat::ProofStep::Delete(_)))
+            .count() as u64;
+        assert!(learned > 4000, "only {learned} clauses learned");
+        assert!(deleted > 0, "reduce_db deleted nothing");
+        assert_eq!(stats.metrics.learned_clauses, learned - deleted, "the database shrank");
+        check_unsat_proof(proof, &core.simplex.certificate_context()).expect("the proof replays");
+    }
+
     /// A cancellation raised before a live check is observed at the first
     /// poll of every phase, and clearing it restores full function — the
     /// cancel path, like the timeout path, never poisons the core.

@@ -95,11 +95,16 @@ pub struct SolverStats {
 impl SolverStats {
     /// Estimated resident bytes of the solver state.
     ///
-    /// Dominant terms: clause literal arrays (4 B/lit plus ~32 B/clause
-    /// header), two watch lists per variable, per-variable SAT metadata
-    /// (~26 B), tableau entries (BTreeMap node ≈ 96 B for a key plus a
-    /// big-rational pair), per-simplex-variable assignment and bound slots
-    /// (three delta-rationals ≈ 240 B), and atom map entries (~96 B).
+    /// A fixed model, not a measurement: 4 B per clause literal plus
+    /// 32 B per clause, two 24-B watch lists and ~26 B of SAT metadata
+    /// per variable, 96 B per tableau entry (a `BTreeMap` node holding a
+    /// key and a big-rational pair), 240 B per simplex variable
+    /// (assignment and bound slots, three delta-rationals), 96 B per
+    /// atom map entry and 64 B per learned clause. The CDCL terms
+    /// describe the per-clause, per-list storage the core had before its
+    /// flat layout (DESIGN §18: one clause arena, one shared watch
+    /// buffer), not that layout. They are kept unchanged so that
+    /// Table IV's MB columns stay comparable across changes.
     pub fn estimated_bytes(&self) -> u64 {
         let m = &self.metrics;
         let clause_bytes = m.clause_lits * 4 + m.clauses * 32;

@@ -8,8 +8,11 @@
 #      ignored variant, so tier-1 runs only the few-seed one), the
 #      many-seed observability differential with its 300-bus rung in
 #      release (tests/sparse_equiv.rs, likewise its ignored variant),
-#      and the many-seed formula differential across simplex engines
-#      and certification levels (tests/simplex_equiv.rs, likewise); last, a
+#      the many-seed formula differential across simplex engines
+#      and certification levels (tests/simplex_equiv.rs, likewise) and
+#      the many-seed CDCL trajectory pin, whose searches must repeat the
+#      golden counters of the per-clause core they replaced
+#      (crates/smt/tests/cdcl_trajectory.rs, likewise); last, a
 #      release build of the `stabench/` benchmark, a workspace of its
 #      own that the workspace build never compiles, so deleting a public
 #      item it uses fails here rather than in its first bench run. It
@@ -18,7 +21,9 @@
 #   2. source lint (tests/lint.rs): no unwrap/expect in smt/core library code
 #   3. sta-smt under --features certify-debug (simplex invariant auditor
 #      on, including the revised engine's candidate set and all-zero
-#      solve scratch at every pivot boundary)
+#      solve scratch at every pivot boundary; the CDCL core's audit of
+#      its clause arena, watch spans and reasons at every propagation
+#      fixpoint of the search and after every compaction)
 #   4. end-to-end certification smoke on IEEE 14-bus: one SAT answer with
 #      model re-evaluation and one UNSAT answer with RUP proof replay,
 #      both under `--certify full`
@@ -107,6 +112,9 @@ cargo test -q --release --test sparse_equiv -- --ignored
 echo "==> tier-1: many-seed formula differential across engines (release)"
 cargo test -q --release --test simplex_equiv -- --ignored
 
+echo "==> tier-1: many-seed CDCL trajectory pin (release)"
+cargo test -q --release -p sta-smt --test cdcl_trajectory -- --ignored
+
 echo "==> tier-1: the benchmark builds against this tree"
 cargo build --release --offline --locked --manifest-path stabench/Cargo.toml \
     --target-dir target/stabench-check
@@ -148,7 +156,7 @@ if [ "$status" -ne 1 ]; then
     exit 1
 fi
 
-echo "==> sta-smt with certify-debug (simplex invariant audits)"
+echo "==> sta-smt with certify-debug (simplex and CDCL core invariant audits)"
 cargo test -q -p sta-smt --features certify-debug
 
 echo "==> certification smoke: SAT with full certification (ieee14)"
